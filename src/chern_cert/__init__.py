@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .chern import ChernReport, RestrictionPoint, chern_named, total_chern
 from .fppoly import (
-    FpScalar,
     MPoly,
     UPoly,
     chern_of_exponents,
@@ -20,7 +19,6 @@ __all__ = [
     "__version__",
     "Character",
     "ChernReport",
-    "FpScalar",
     "MPoly",
     "RestrictionPoint",
     "UPoly",

@@ -2,9 +2,9 @@
 
 A certificate ties a named statement to the computed evidence.  The canonical
 payload (statement, status, parameters, evidence, schema version, toolchain)
-is serialized as sorted-key JSON and must be byte-identical across reruns and
-worker counts; volatile data (timings, worker count) lives in a separate
-"run" section excluded from the canonical bytes and their hash.
+is serialized as sorted-key JSON and must be byte-identical across reruns;
+volatile data (timings) lives in a separate "run" section excluded from the
+canonical bytes and their hash.  Loading checks the stored hash.
 """
 
 from __future__ import annotations
@@ -146,9 +146,11 @@ class Certificate:
 
     @classmethod
     def load(cls, path: "Path | str") -> "Certificate":
-        """Read a certificate file; unknown future fields are ignored."""
+        """Read a certificate file; unknown future fields are ignored.  Raises
+        ValueError unless the stored canonical_sha256 is the hash of the
+        loaded payload."""
         raw = json.loads(Path(path).read_text(encoding="ascii"))
-        return cls(
+        cert = cls(
             statement=raw["statement"],
             status=raw["status"],
             parameters=raw.get("parameters", {}),
@@ -157,7 +159,10 @@ class Certificate:
             toolchain=raw.get("toolchain", {}),
             run=raw.get("run", {}),
         )
+        stored = raw.get("canonical_sha256")
+        if stored is None:
+            raise ValueError(f"{path}: canonical_sha256 is missing")
+        if stored != cert.sha256():
+            raise ValueError(f"{path}: canonical_sha256 does not match the payload")
+        return cert
 
-
-def default_cert_path(statement: str) -> Path:
-    return default_cert_dir() / f"{statement}.json"

@@ -1,38 +1,34 @@
 """Exhaustive classification of total Chern classes over all restriction
 points, reproducing the mod-3 and mod-5 headline identities.
 
-The mod-3 sweep (80 points at rank 4) runs the straightforward character
-pipeline from chern.py.  The mod-5 sweep visits all 5^8 - 1 = 390624 points at
-rank 8, so it uses a tuned exact path:
+A point's total Chern class for a character depends only on how often each
+exponent value occurs among the restricted weights.  One kernel,
+``count_table``, serves both primes: it takes the nonzero points in
+lexicographic order, restricts them in blocks as points @ weights.T / 2 mod
+p, counts each exponent value per row, and groups the rows by count vector.
+Each count class's polynomial is expanded once, every statement predicate is
+evaluated once per class, and each point keeps only its class id, from which
+witness lists are read back in point order.  All 390624 mod-5 points fall
+into 53 count classes.
 
-  * the multiset of restricted line exponents is counted by a dynamic
-    programming pass over coordinates (sign-vector sums for the half-spin
-    character, coordinate pairs for the exterior square);
-  * the total Chern class is expanded from precomputed factor powers
-    (1 + a*t)^m with integer convolutions, exact in int64;
-  * the claimed (1-t^2)^a (1+t^2)^b form is checked by reconstructing that
-    product and comparing coefficient arrays, falling back to the greedy
-    repeated-division routine if the reconstruction ever disagrees.
-
-The tuned path is cross-checked against the character pipeline in the test
-suite.  Enumeration is lexicographic; the point space is split into contiguous
-blocks owned by independent workers and partial results are folded in block
-order, so output is deterministic for any worker count.
+Tables are memoized per (p, rank, characters, mode), so the statements that
+share a sweep share one table; the sweep runs in one process.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import multiprocessing
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
 from .certificates import FALSIFIED, VERIFIED, CheckResult
 from .chern import RestrictionPoint, chern_named, total_chern
 from .dickson import subring_bound
-from .fppoly import UPoly, in_subring, pm_factorization
+from .fppoly import UPoly, chern_of_exponents, in_subring, inv2, pm_factorization
 from .spinchar import (
     REP_NAMES,
     exterior_square_weights,
@@ -41,9 +37,10 @@ from .spinchar import (
 )
 
 __all__ = [
+    "CountTable",
+    "count_table",
     "classify_f4_mod3",
     "classify_e8_mod5",
-    "divisibility_sweep",
     "check_prop32",
     "check_prop33",
     "check_prop43",
@@ -55,18 +52,26 @@ __all__ = [
 
 WITNESS_CAP = 32
 FAIL_CAP = 8
+BLOCK_ROWS = 1024  # points restricted at once; bounds the sweep's peak memory
 
 P5, N5 = 5, 8
 TOTAL_POINTS_5 = 5**N5 - 1
 
-_CHAR_NAMES = ("lambda1+delta", "lambda2")
+_CHAR_NAMES = ("lambda1", "lambda2", "delta+", "lambda1+delta")
+_MOD3_CHARS = ("lambda1+delta", "lambda2")
+# lambda1 restricts to +-alpha_i, so its counts record which squares occur
+_MOD5_CHARS = ("lambda2", "delta+", "lambda1")
 
 
 def _char_for(name: str, n: int):
-    if name == "lambda1+delta":
-        return vector_weights(n) + half_spin_weights(n, "both")
+    if name == "lambda1":
+        return vector_weights(n)
     if name == "lambda2":
         return exterior_square_weights(n)
+    if name == "delta+":
+        return half_spin_weights(n, "+")
+    if name == "lambda1+delta":
+        return vector_weights(n) + half_spin_weights(n, "both")
     raise ValueError(f"unknown character name {name!r} (expected {_CHAR_NAMES})")
 
 
@@ -74,15 +79,179 @@ def _render_alpha(alpha) -> str:
     return ",".join(str(a) for a in alpha)
 
 
+def canonical_representatives(p: int = P5, n: int = N5) -> list[tuple[int, ...]]:
+    """One representative per coordinate-permutation class: the weakly
+    increasing vectors (the zero vector excluded)."""
+    return [
+        alpha
+        for alpha in itertools.combinations_with_replacement(range(p), n)
+        if any(alpha)
+    ]
+
+
+def orbit_size(alpha) -> int:
+    """Number of distinct coordinate permutations of alpha."""
+    size = math.factorial(len(alpha))
+    for count in Counter(alpha).values():
+        size //= math.factorial(count)
+    return size
+
+
+# ---------------------------------------------------------------------------
+# The count-class kernel.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class CountTable:
+    """The count classes of one sweep.
+
+    counts[k][j] is the number of restricted weights of character j taking
+    each exponent value 0..p-1 in class k, polys[k][j] the class's total
+    Chern class and weights[k] its orbit-weighted number of points;
+    class_of holds each point's class id in sweep order (full mode: every
+    nonzero point, canonical mode: the weakly increasing representatives).
+    """
+
+    p: int
+    n: int
+    mode: str
+    counts: tuple
+    polys: tuple
+    weights: tuple
+    class_of: np.ndarray
+    reps: "tuple | None"
+
+    @property
+    def points(self) -> int:
+        return len(self.class_of)
+
+    @property
+    def weighted_points(self) -> int:
+        return sum(self.weights)
+
+    @property
+    def blocks(self) -> int:
+        return -(-self.points // BLOCK_ROWS)
+
+    def alpha(self, i: int) -> tuple[int, ...]:
+        if self.reps is not None:
+            return self.reps[i]
+        return tuple((i + 1) // self.p ** (self.n - 1 - k) % self.p for k in range(self.n))
+
+    def first(self, classes, cap: int) -> list[str]:
+        """The first cap points, in sweep order, whose class is in classes."""
+        if not classes:
+            return []
+        hit = np.zeros(len(self.weights), dtype=bool)
+        hit[list(classes)] = True
+        found: list[int] = []
+        for lo in range(0, self.points, BLOCK_ROWS):
+            rows = np.flatnonzero(hit[self.class_of[lo : lo + BLOCK_ROWS]])
+            found.extend((lo + rows[: cap - len(found)]).tolist())
+            if len(found) == cap:
+                break
+        return [_render_alpha(self.alpha(i)) for i in found]
+
+
+_TABLES: dict[tuple, CountTable] = {}
+
+
+def count_table(p: int, n: int, names, mode: str = "full", progress=None) -> CountTable:
+    """Sweep the nonzero points of (F_p)^n and group them by the exponent
+    counts of the named characters.
+
+    Mode "full" visits every nonzero point; mode "canonical" visits one
+    weakly increasing representative per coordinate-permutation class and
+    weights it by its orbit size, which is sound because every swept
+    character is invariant under coordinate permutations (full mode is the
+    oracle for canonical mode).  progress(done, total) is called per block;
+    a memoized table reports all its blocks done at once.
+    """
+    if mode not in ("full", "canonical"):
+        raise ValueError(f"mode must be 'full' or 'canonical', got {mode!r}")
+    key = (p, n, tuple(names), mode)
+    if key in _TABLES:
+        table = _TABLES[key]
+        if progress is not None:
+            progress(table.blocks, table.blocks)
+        return table
+
+    chars = [_char_for(name, n) for name in names]
+    dtype = np.promote_types(np.int16, np.min_scalar_type(n * (p - 1) ** 2))
+    char_weights = [w for char in chars for w, mult in char.sorted_weights() for _ in range(mult)]
+    restrict = np.array(char_weights, dtype=dtype).T * inv2(p) % p
+    bounds = np.cumsum([0] + [char.dim for char in chars]).tolist()
+    if mode == "full":
+        reps, orbit, total = None, None, p**n - 1
+        digits = p ** np.arange(n - 1, -1, -1)
+    else:
+        reps = tuple(canonical_representatives(p, n))
+        orbit, total = np.array([orbit_size(a) for a in reps]), len(reps)
+
+    counts = np.empty(
+        (BLOCK_ROWS, len(chars), p), dtype=np.min_scalar_type(max(c.dim for c in chars))
+    )
+    row_type = np.dtype((np.void, counts[0].nbytes))
+    class_of = np.empty(total, dtype=np.uint8)
+    index: dict[bytes, int] = {}
+    class_weight: list[int] = []
+    blocks = -(-total // BLOCK_ROWS)
+    for b in range(blocks):
+        lo, hi = b * BLOCK_ROWS, min(total, (b + 1) * BLOCK_ROWS)
+        if reps is None:
+            pts = (np.arange(lo + 1, hi + 1)[:, None] // digits % p).astype(dtype)
+        else:
+            pts = np.array(reps[lo:hi], dtype=dtype)
+        exps = pts @ restrict % p
+        block = counts[: hi - lo]
+        for j in range(len(chars)):
+            cols = exps[:, bounds[j] : bounds[j + 1]]
+            for v in range(p):
+                block[:, j, v] = np.count_nonzero(cols == v, axis=1)
+        keys = block.reshape(hi - lo, -1).view(row_type).ravel()
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        ids = [index.setdefault(u.tobytes(), len(index)) for u in uniq]
+        class_weight.extend([0] * (len(index) - len(class_weight)))
+        sums = np.bincount(inverse, None if orbit is None else orbit[lo:hi])
+        for k, w in zip(ids, sums.tolist()):
+            class_weight[k] += int(w)
+        if len(index) > np.iinfo(class_of.dtype).max + 1:
+            class_of = class_of.astype(np.min_scalar_type(len(index)))
+        class_of[lo:hi] = np.array(ids)[inverse]
+        if progress is not None:
+            progress(b + 1, blocks)
+
+    class_counts = tuple(
+        tuple(tuple(row) for row in np.frombuffer(k, dtype=counts.dtype).reshape(-1, p).tolist())
+        for k in index
+    )
+    polys = tuple(
+        tuple(
+            chern_of_exponents(p, (v for v in range(p) for _ in range(m[v]))) for m in cls
+        )
+        for cls in class_counts
+    )
+    class_of.flags.writeable = False
+    table = CountTable(p, n, mode, class_counts, polys, tuple(class_weight), class_of, reps)
+    _TABLES[key] = table
+    return table
+
+
 # ---------------------------------------------------------------------------
 # Mod 3: the 80-point sweep at rank 4.
 # ---------------------------------------------------------------------------
 
 
-def _nonzero_alphas(p: int, n: int):
-    for alpha in itertools.product(range(p), repeat=n):
-        if any(alpha):
-            yield alpha
+def _mod3_sweep():
+    """The rank-4 mod-3 table and, per count class, whether each swept class
+    (lambda1+delta, lambda2) is divisible by 1 - t^2 and lies in F_3[t^18]."""
+    table = count_table(3, 4, _MOD3_CHARS)
+    one_minus_t2 = UPoly(3, (1, 0, 2))
+    d = subring_bound(3)
+    divisible = [tuple(c.divexact(one_minus_t2) is not None for c in cls) for cls in table.polys]
+    in_sub = [tuple(in_subring(c, d) for c in cls) for cls in table.polys]
+    return table, divisible, in_sub
 
 
 def classify_f4_mod3() -> CheckResult:
@@ -98,29 +267,25 @@ def classify_f4_mod3() -> CheckResult:
     p, n, d = 3, 4, subring_bound(3)
     lam1_delta = _char_for("lambda1+delta", n)
     lam2 = _char_for("lambda2", n)
-    one_minus_t2 = UPoly(p, (1, 0, p - 1))
     target = UPoly.one(p) - UPoly.monomial(p, 1, d)
+    table, divisible, in_sub = _mod3_sweep()
 
     problems: list[str] = []
     witnesses: list[dict] = []
     consistent: list[RestrictionPoint] = []
-    divisible_all = True
-    nontrivial_all = True
+    divisible_all = all(all(cls) for cls in divisible)
+    nontrivial_all = not any(c_l2.is_one for _, c_l2 in table.polys)
 
-    for alpha in _nonzero_alphas(p, n):
-        pt = RestrictionPoint(p, alpha)
-        c_ld = total_chern(lam1_delta, pt)
-        c_l2 = total_chern(lam2, pt)
-        if c_ld.divexact(one_minus_t2) is None:
-            divisible_all = False
+    for i, k in enumerate(table.class_of.tolist()):
+        pt = RestrictionPoint(p, table.alpha(i))
+        c_ld, c_l2 = table.polys[k]
+        if not divisible[k][0]:
             witnesses.append({"alpha": pt.render(), "check": "lambda1+delta divisibility"})
-        if c_l2.divexact(one_minus_t2) is None:
-            divisible_all = False
+        if not divisible[k][1]:
             witnesses.append({"alpha": pt.render(), "check": "lambda2 divisibility"})
         if c_l2.is_one:
-            nontrivial_all = False
             witnesses.append({"alpha": pt.render(), "check": "lambda2 nontriviality"})
-        if in_subring(c_ld, d) and in_subring(c_l2, d):
+        if all(in_sub[k]):
             consistent.append(pt)
             if c_ld != target or c_l2 != target:
                 witnesses.append(
@@ -215,34 +380,28 @@ def check_prop33() -> CheckResult:
 
 def _prop3_single(name: str, statement: str, require_nontrivial: bool) -> CheckResult:
     p, n, d = 3, 4, subring_bound(3)
-    char = _char_for(name, n)
-    other = _char_for("lambda2" if name == "lambda1+delta" else "lambda1+delta", n)
-    one_minus_t2 = UPoly(p, (1, 0, p - 1))
+    j = _MOD3_CHARS.index(name)
     target = UPoly.one(p) - UPoly.monomial(p, 1, d)
     joint = name == "lambda2"
+    table, divisible, in_sub = _mod3_sweep()
 
     problems: list[str] = []
     witnesses: list[dict] = []
     consistent = []
-    for alpha in _nonzero_alphas(p, n):
-        pt = RestrictionPoint(p, alpha)
-        c = total_chern(char, pt)
-        if c.divexact(one_minus_t2) is None:
+    for i, k in enumerate(table.class_of.tolist()):
+        alpha = _render_alpha(table.alpha(i))
+        c = table.polys[k][j]
+        if not divisible[k][j]:
             problems.append("divisibility fails")
-            witnesses.append({"alpha": pt.render(), "check": "divisibility"})
+            witnesses.append({"alpha": alpha, "check": "divisibility"})
         if require_nontrivial and c.is_one:
             problems.append("trivial value")
-            witnesses.append({"alpha": pt.render(), "check": "nontriviality"})
-        in_sub = in_subring(c, d)
-        if joint:
-            in_sub = in_sub and in_subring(total_chern(other, pt), d)
-        if in_sub:
-            consistent.append(pt.render())
+            witnesses.append({"alpha": alpha, "check": "nontriviality"})
+        if all(in_sub[k]) if joint else in_sub[k][j]:
+            consistent.append(alpha)
             if c != target:
                 problems.append("consistent value mismatch")
-                witnesses.append(
-                    {"alpha": pt.render(), "check": "value", "value": c.render()}
-                )
+                witnesses.append({"alpha": alpha, "check": "value", "value": c.render()})
     if not consistent:
         problems.append("consistent set is empty")
     evidence = {
@@ -265,295 +424,94 @@ def _prop3_single(name: str, statement: str, require_nontrivial: bool) -> CheckR
 
 
 # ---------------------------------------------------------------------------
-# Mod 5: the 390624-point sweep at rank 8 (tuned path).
+# Mod 5: the 390624-point sweep at rank 8.
 # ---------------------------------------------------------------------------
 
 
-class _Tables5:
-    """Precomputed exact coefficient arrays for the mod-5 sweep."""
+def _pm_form(poly: UPoly, m) -> "tuple[int, int] | None":
+    """(e_minus, e_plus) with poly = (1-t^2)^e_minus (1+t^2)^e_plus, or None.
 
-    __slots__ = ("lin", "minus", "plus", "one", "v100", "v200", "v100_render", "v200_render")
-
-    def __init__(self, max_count: int = 300):
-        self.one = np.ones(1, dtype=np.int64)
-        self.lin = {}
-        for a in (1, 2, 3, 4):
-            base = np.array([1, a], dtype=np.int64)
-            rows = [self.one]
-            for _ in range(max_count):
-                rows.append(np.convolve(rows[-1], base) % 5)
-            self.lin[a] = rows
-        for attr, base_coeffs in (("minus", (1, 0, 4)), ("plus", (1, 0, 1))):
-            base = np.array(base_coeffs, dtype=np.int64)
-            rows = [self.one]
-            for _ in range(max_count):
-                rows.append(np.convolve(rows[-1], base) % 5)
-            setattr(self, attr, rows)
-        v100 = np.zeros(101, dtype=np.int64)
-        v100[0], v100[100] = 1, 4
-        self.v100 = v100
-        self.v200 = np.convolve(v100, v100) % 5
-        self.v100_render = UPoly(5, v100.tolist()).render()
-        self.v200_render = UPoly(5, self.v200.tolist()).render()
-
-
-_T5: "_Tables5 | None" = None
-
-
-def _tab5() -> _Tables5:
-    global _T5
-    if _T5 is None:
-        _T5 = _Tables5()
-    return _T5
-
-
-_POW5 = [5**k for k in range(N5)]
-
-
-def _alpha_from_index(idx: int) -> tuple[int, ...]:
-    return tuple((idx // _POW5[N5 - 1 - i]) % 5 for i in range(N5))
-
-
-def canonical_representatives() -> list[tuple[int, ...]]:
-    """One representative per coordinate-permutation class: the weakly
-    increasing vectors (the zero vector excluded)."""
-    return [
-        alpha
-        for alpha in itertools.combinations_with_replacement(range(5), N5)
-        if any(alpha)
-    ]
-
-
-def orbit_size(alpha) -> int:
-    """Number of distinct coordinate permutations of alpha."""
-    size = math.factorial(len(alpha))
-    for count in Counter(alpha).values():
-        size //= math.factorial(count)
-    return size
-
-
-def _point_counts(alpha):
-    """Exact exponent-value counts of the restricted weights: the exterior
-    square over coordinate pairs, and the positive half-spin character by a
-    sign-vector DP split by sign-product parity."""
-    m2 = [0, 0, 0, 0, 0]
-    n = len(alpha)
-    for i in range(n - 1):
-        ai = alpha[i]
-        for j in range(i + 1, n):
-            aj = alpha[j]
-            m2[(ai + aj) % 5] += 1
-            m2[(ai - aj) % 5] += 1
-            m2[(aj - ai) % 5] += 1
-            m2[(10 - ai - aj) % 5] += 1
-    plus = [1, 0, 0, 0, 0]
-    minus = [0, 0, 0, 0, 0]
-    for a in alpha:
-        np_ = [0, 0, 0, 0, 0]
-        nm_ = [0, 0, 0, 0, 0]
-        for s in range(5):
-            cp = plus[s]
-            if cp:
-                np_[(s + a) % 5] += cp
-                nm_[(s - a) % 5] += cp
-            cm = minus[s]
-            if cm:
-                nm_[(s + a) % 5] += cm
-                np_[(s - a) % 5] += cm
-        plus, minus = np_, nm_
-    # half weights divide the coordinate sum by 2; inv2(5) = 3
-    mD = [0, 0, 0, 0, 0]
-    for s in range(5):
-        if plus[s]:
-            mD[(3 * s) % 5] += plus[s]
-    return m2, mD, plus, minus
-
-
-def _poly_from_counts(m, tab: _Tables5):
-    f = tab.one
-    for a in (1, 2, 3, 4):
-        c = m[a]
-        if c:
-            f = np.convolve(f, tab.lin[a][c]) % 5
-    return f
-
-def _pm_check(f, m, tab: _Tables5):
-    """(e_minus, e_plus) of the plus/minus product form, or None.
-
-    The counts predict (m[1], m[2]); the prediction is accepted only when
-    multiplying (1-t^2)^m1 (1+t^2)^m2 back out reproduces the expanded class
-    exactly.  On disagreement the greedy repeated-division routine decides."""
+    Mod 5, (1+t)(1+4t) = 1 - t^2 and (1+2t)(1+3t) = 1 + t^2, so the counts
+    predict (m[1], m[2]); the prediction is accepted only when multiplying
+    the product back out reproduces poly exactly.  On disagreement the greedy
+    repeated-division routine decides."""
     a_cnt, b_cnt = m[1], m[2]
-    g = np.convolve(tab.minus[a_cnt], tab.plus[b_cnt]) % 5
-    if np.array_equal(f, g):
+    if UPoly(P5, (1, 0, 4)) ** a_cnt * UPoly(P5, (1, 0, 1)) ** b_cnt == poly:
         return a_cnt, b_cnt
-    return pm_factorization(UPoly(5, f.tolist()))
+    return pm_factorization(poly)
 
 
-def _empty_acc(include_l1d: bool) -> dict:
-    acc = {
-        "points": 0,
-        "weighted_points": 0,
-        "s5_weight": 0,
-        "s5_first": [],
-        "occ": {},
-        "mixed_weight": 0,
-        "fail_closure": [],
-        "fail_pm": [],
-        "fail_nontrivial": [],
-        "fail_value": [],
-    }
-    if include_l1d:
-        acc["fail_l1d_pm"] = []
-        acc["fail_l1d_trivial"] = []
+_FAILURE_PROBLEMS = {
+    "fail_closure": "negation closure fails",
+    "fail_pm": "plus/minus product form fails",
+    "fail_nontrivial": "c(lambda2) is trivial somewhere",
+    "fail_value": "a consistent point has an unexpected value",
+}
+
+
+@functools.cache
+def _mod5_classes(table: CountTable):
+    """The mod-5 predicates, evaluated once per count class: the classes
+    failing each check, the classes of the consistent set S5 and of the
+    points with squares 1 and -1, and the orbit-weighted occurrences of each
+    S5 value."""
+    d = subring_bound(P5)
+    v100 = UPoly.one(P5) - UPoly.monomial(P5, 1, d)
+    allowed = (v100.render(), (v100**2).render())
+    classes: dict[str, list[int]] = {key: [] for key in _FAILURE_PROBLEMS}
+    classes.update(s5=[], mixed=[])
+    occ: dict[str, int] = {}
+    for k, ((m2, mD, m1), (f2, fD, _)) in enumerate(zip(table.counts, table.polys)):
+        if not (
+            m2[1] == m2[4]
+            and m2[2] == m2[3]
+            and mD[1] == mD[4]
+            and mD[2] == mD[3]
+            and sum(m2) == 112
+            and sum(mD) == 128
+        ):
+            classes["fail_closure"].append(k)
+        if _pm_form(f2, m2) is None or _pm_form(fD, mD) is None:
+            classes["fail_pm"].append(k)
+        if f2.is_one:
+            classes["fail_nontrivial"].append(k)
+        fr = f2 * fD
+        if in_subring(fr, d):
+            classes["s5"].append(k)
+            key = fr.render()
+            occ[key] = occ.get(key, 0) + table.weights[k]
+            if key not in allowed:
+                classes["fail_value"].append(k)
+        # some coordinate squares to 1 and another to -1
+        if m1[1] and m1[2]:
+            classes["mixed"].append(k)
+    return {key: tuple(ks) for key, ks in classes.items()}, tuple(occ.items())
+
+
+def sweep_mod5(mode: str = "full", progress=None) -> dict:
+    """Run the rank-8 mod-5 sweep and return its accumulator: point and
+    orbit-weight totals, the orbit-weighted size and first points of the
+    consistent set S5, the occurrences of each S5 value, and the first
+    failing points of each check.  The table and its per-class predicates
+    are memoized per mode."""
+    table = count_table(P5, N5, _MOD5_CHARS, mode, progress)
+    classes, occ = _mod5_classes(table)
+    acc = {key: table.first(classes[key], FAIL_CAP) for key in _FAILURE_PROBLEMS}
+    acc.update(
+        mode=mode,
+        points=table.points,
+        weighted_points=table.weighted_points,
+        s5_weight=sum(table.weights[k] for k in classes["s5"]),
+        s5_first=table.first(classes["s5"], WITNESS_CAP),
+        occ=dict(occ),
+        mixed_weight=sum(table.weights[k] for k in classes["mixed"]),
+    )
     return acc
 
 
-def _note_fail(acc: dict, key: str, alpha) -> None:
-    if len(acc[key]) < FAIL_CAP:
-        acc[key].append(_render_alpha(alpha))
-
-
-def _scan_into(acc: dict, alpha, weight: int, tab: _Tables5, include_l1d: bool) -> None:
-    m2, mD, plus, minus = _point_counts(alpha)
-    acc["points"] += 1
-    acc["weighted_points"] += weight
-    if not (
-        m2[1] == m2[4]
-        and m2[2] == m2[3]
-        and mD[1] == mD[4]
-        and mD[2] == mD[3]
-        and sum(m2) == 112
-        and sum(mD) == 128
-    ):
-        _note_fail(acc, "fail_closure", alpha)
-    f2 = _poly_from_counts(m2, tab)
-    fD = _poly_from_counts(mD, tab)
-    if _pm_check(f2, m2, tab) is None or _pm_check(fD, mD, tab) is None:
-        _note_fail(acc, "fail_pm", alpha)
-    if f2.shape[0] <= 1:
-        _note_fail(acc, "fail_nontrivial", alpha)
-    fr = np.convolve(f2, fD) % 5
-    nz = np.flatnonzero(fr)
-    if not (nz % 100).any():
-        acc["s5_weight"] += weight
-        if len(acc["s5_first"]) < WITNESS_CAP:
-            acc["s5_first"].append(_render_alpha(alpha))
-        if np.array_equal(fr, tab.v100):
-            key = tab.v100_render
-        elif np.array_equal(fr, tab.v200):
-            key = tab.v200_render
-        else:
-            key = UPoly(5, fr.tolist()).render()
-            _note_fail(acc, "fail_value", alpha)
-        acc["occ"][key] = acc["occ"].get(key, 0) + weight
-    has_plus_square = any(a in (1, 4) for a in alpha)
-    has_minus_square = any(a in (2, 3) for a in alpha)
-    if has_plus_square and has_minus_square:
-        acc["mixed_weight"] += weight
-    if include_l1d:
-        m1 = [0, 0, 0, 0, 0]
-        for a in alpha:
-            m1[a] += 1
-            m1[(5 - a) % 5] += 1
-        mld = list(m1)
-        for s in range(5):
-            tot = plus[s] + minus[s]
-            if tot:
-                mld[(3 * s) % 5] += tot
-        fld = _poly_from_counts(mld, tab)
-        pmld = _pm_check(fld, mld, tab)
-        if pmld is None:
-            _note_fail(acc, "fail_l1d_pm", alpha)
-        elif pmld[0] + pmld[1] == 0:
-            _note_fail(acc, "fail_l1d_trivial", alpha)
-
-
-def _merge_acc(total: dict, part: dict) -> None:
-    for key, value in part.items():
-        if isinstance(value, int):
-            total[key] += value
-        elif key == "occ":
-            for k, v in value.items():
-                total["occ"][k] = total["occ"].get(k, 0) + v
-        elif key == "s5_first":
-            room = WITNESS_CAP - len(total[key])
-            if room > 0:
-                total[key].extend(value[:room])
-        else:
-            room = FAIL_CAP - len(total[key])
-            if room > 0:
-                total[key].extend(value[:room])
-
-
-def _sweep5_block(args) -> dict:
-    mode, lo, hi, include_l1d = args
-    tab = _tab5()
-    acc = _empty_acc(include_l1d)
-    if mode == "full":
-        for idx in range(lo, hi):
-            _scan_into(acc, _alpha_from_index(idx), 1, tab, include_l1d)
-    else:
-        reps = itertools.islice(
-            itertools.combinations_with_replacement(range(5), N5), lo, hi
-        )
-        for alpha in reps:
-            if not any(alpha):
-                continue
-            _scan_into(acc, alpha, orbit_size(alpha), tab, include_l1d)
-    return acc
-
-
-def sweep_mod5(
-    mode: str = "full",
-    workers: int = 1,
-    progress=None,
-    include_lambda1_delta: bool = False,
-    block_size: int = 16384,
-) -> dict:
-    """Run the mod-5 sweep and return the merged accumulator.
-
-    mode "full" visits every nonzero point; mode "canonical" visits one
-    weakly-increasing representative per coordinate-permutation class and
-    weights it by its orbit size (full mode is the oracle for canonical
-    mode).  Work is split into contiguous lexicographic blocks; partial
-    accumulators are folded in block order, so the result does not depend on
-    the worker count.
-    """
-    if mode not in ("full", "canonical"):
-        raise ValueError(f"mode must be 'full' or 'canonical', got {mode!r}")
-    if mode == "full":
-        limit = 5**N5
-        starts = range(1, limit, block_size)
-        blocks = [(s, min(s + block_size, limit)) for s in starts]
-    else:
-        count = math.comb(N5 + 4, 4)
-        starts = range(0, count, block_size)
-        blocks = [(s, min(s + block_size, count)) for s in starts]
-    args = [(mode, lo, hi, include_lambda1_delta) for lo, hi in blocks]
-
-    partials: list[dict] = []
-    if workers <= 1:
-        for i, a in enumerate(args):
-            partials.append(_sweep5_block(a))
-            if progress is not None:
-                progress(i + 1, len(args))
-    else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=workers) as pool:
-            for i, part in enumerate(pool.imap(_sweep5_block, args)):
-                partials.append(part)
-                if progress is not None:
-                    progress(i + 1, len(args))
-
-    acc = _empty_acc(include_lambda1_delta)
-    for part in partials:
-        _merge_acc(acc, part)
-    acc["mode"] = mode
-    return acc
-
-
-def _sweep_problems(acc: dict) -> list[str]:
+def _sweep_problems(acc: dict, checks) -> list[str]:
+    """Problems with the point and orbit-weight totals, negation closure and
+    the statement's own checks (keys of the accumulator's failure lists)."""
     problems = []
     expected_points = TOTAL_POINTS_5 if acc["mode"] == "full" else len(
         canonical_representatives()
@@ -566,14 +524,10 @@ def _sweep_problems(acc: dict) -> list[str]:
         problems.append(
             f"orbit-weighted total {acc['weighted_points']}, expected {TOTAL_POINTS_5}"
         )
-    if acc["fail_closure"]:
-        problems.append("negation closure fails")
-    return problems
+    return problems + [_FAILURE_PROBLEMS[k] for k in ("fail_closure", *checks) if acc[k]]
 
 
-def classify_e8_mod5(
-    mode: str = "full", workers: int = 1, progress=None
-) -> CheckResult:
+def classify_e8_mod5(mode: str = "full", progress=None) -> CheckResult:
     """Sweep the rank-8 restriction points mod 5.
 
     For every point: the expanded classes of the exterior square and the
@@ -583,23 +537,16 @@ def classify_e8_mod5(
     be nonempty with every value equal to 1 - t^100 or (1 - t^100)^2; the
     certificate reports which of the two occur and how often.
     """
-    tab = _tab5()
-    acc = sweep_mod5(mode=mode, workers=workers, progress=progress)
-    problems = _sweep_problems(acc)
-    if acc["fail_pm"]:
-        problems.append("plus/minus product form fails")
-    if acc["fail_nontrivial"]:
-        problems.append("c(lambda2) is trivial somewhere")
-    if acc["fail_value"]:
-        problems.append("a consistent point has an unexpected value")
+    acc = sweep_mod5(mode=mode, progress=progress)
+    checks = ("fail_pm", "fail_nontrivial", "fail_value")
+    problems = _sweep_problems(acc, checks)
     if acc["s5_weight"] == 0:
         problems.append("consistent set is empty")
 
-    c100 = {}
-    if tab.v100_render in acc["occ"]:
-        c100[tab.v100_render] = 4  # coefficient of t^100, i.e. -1 mod 5
-    if tab.v200_render in acc["occ"]:
-        c100[tab.v200_render] = 3  # -2 mod 5
+    # the coefficient of t^100 in each consistent value: -1 and -2 mod 5
+    v100 = UPoly.one(P5) - UPoly.monomial(P5, 1, subring_bound(P5))
+    values = {v100.render(): 4, (v100**2).render(): 3}
+    c100 = {key: c for key, c in values.items() if key in acc["occ"]}
 
     evidence = {
         "mode": mode,
@@ -623,11 +570,7 @@ def classify_e8_mod5(
             " subgroup is not decided here; occurrences of both are reported",
         ],
     }
-    failures = {
-        k: acc[k]
-        for k in ("fail_closure", "fail_pm", "fail_nontrivial", "fail_value")
-        if acc[k]
-    }
+    failures = {k: acc[k] for k in ("fail_closure", *checks) if acc[k]}
     if failures:
         evidence["witnesses"] = failures
     return CheckResult(
@@ -643,15 +586,12 @@ def classify_e8_mod5(
     )
 
 
-def check_prop43(mode: str = "canonical", workers: int = 1, progress=None) -> CheckResult:
+def check_prop43(mode: str = "canonical", progress=None) -> CheckResult:
     """c(lambda2) mod 5 is a product of 1 - t^2 and 1 + t^2 factors and is
     nontrivial, at every nonzero point."""
-    acc = sweep_mod5(mode=mode, workers=workers, progress=progress)
-    problems = _sweep_problems(acc)
-    if acc["fail_pm"]:
-        problems.append("plus/minus product form fails")
-    if acc["fail_nontrivial"]:
-        problems.append("c(lambda2) is trivial somewhere")
+    acc = sweep_mod5(mode=mode, progress=progress)
+    checks = ("fail_pm", "fail_nontrivial")
+    problems = _sweep_problems(acc, checks)
     evidence = {
         "mode": mode,
         "character": "lambda2",
@@ -665,10 +605,8 @@ def check_prop43(mode: str = "canonical", workers: int = 1, progress=None) -> Ch
             " 1 - t^4 = (1 - t^2)(1 + t^2); the product form is unaffected",
         ],
     }
-    if acc["fail_pm"] or acc["fail_nontrivial"]:
-        evidence["witnesses"] = {
-            k: acc[k] for k in ("fail_pm", "fail_nontrivial") if acc[k]
-        }
+    if failures := {k: acc[k] for k in checks if acc[k]}:
+        evidence["witnesses"] = failures
     return CheckResult(
         statement="prop-4.3",
         status=VERIFIED if not problems else FALSIFIED,
@@ -677,13 +615,11 @@ def check_prop43(mode: str = "canonical", workers: int = 1, progress=None) -> Ch
     )
 
 
-def check_prop44(mode: str = "canonical", workers: int = 1, progress=None) -> CheckResult:
+def check_prop44(mode: str = "canonical", progress=None) -> CheckResult:
     """c(delta+) mod 5 is a product of 1 - t^2 and 1 + t^2 factors at every
     nonzero point."""
-    acc = sweep_mod5(mode=mode, workers=workers, progress=progress)
-    problems = _sweep_problems(acc)
-    if acc["fail_pm"]:
-        problems.append("plus/minus product form fails")
+    acc = sweep_mod5(mode=mode, progress=progress)
+    problems = _sweep_problems(acc, ("fail_pm",))
     evidence = {
         "mode": mode,
         "character": "delta+",
@@ -699,82 +635,3 @@ def check_prop44(mode: str = "canonical", workers: int = 1, progress=None) -> Ch
         parameters={"p": P5, "rank": N5, "mode": mode, "character": "delta+"},
         evidence=evidence,
     )
-
-
-def divisibility_sweep(
-    name: str,
-    p: int,
-    n: int,
-    mode: str = "full",
-    workers: int = 1,
-    progress=None,
-) -> CheckResult:
-    """Check the divisibility claims over every nonzero point: by 1 - t^2 at
-    (p, n) = (3, 4), and by 1 - t^2 or 1 + t^2 (the weaker product form, with
-    at least one factor present) at (5, 8)."""
-    if name not in _CHAR_NAMES:
-        raise ValueError(f"unknown character name {name!r}")
-    if (p, n) == (3, 4):
-        char = _char_for(name, n)
-        one_minus_t2 = UPoly(p, (1, 0, p - 1))
-        witnesses = []
-        points = 0
-        for alpha in _nonzero_alphas(p, n):
-            points += 1
-            pt = RestrictionPoint(p, alpha)
-            if total_chern(char, pt).divexact(one_minus_t2) is None:
-                if len(witnesses) < FAIL_CAP:
-                    witnesses.append(pt.render())
-        status = VERIFIED if not witnesses else FALSIFIED
-        statement = "prop-3.2" if name == "lambda1+delta" else "prop-3.3"
-        evidence = {
-            "character": name,
-            "points": points,
-            "all_divisible": not witnesses,
-            "divisor": one_minus_t2.render(),
-        }
-        if witnesses:
-            evidence["witnesses"] = witnesses
-        return CheckResult(
-            statement=statement,
-            status=status,
-            parameters={"p": p, "rank": n, "character": name, "scope": "divisibility"},
-            evidence=evidence,
-        )
-    if (p, n) == (5, 8):
-        include_l1d = name == "lambda1+delta"
-        acc = sweep_mod5(
-            mode=mode,
-            workers=workers,
-            progress=progress,
-            include_lambda1_delta=include_l1d,
-        )
-        problems = _sweep_problems(acc)
-        if include_l1d:
-            fail_pm = acc["fail_l1d_pm"]
-            fail_triv = acc["fail_l1d_trivial"]
-        else:
-            fail_pm = acc["fail_pm"]
-            fail_triv = acc["fail_nontrivial"]
-        if fail_pm:
-            problems.append("plus/minus product form fails")
-        if fail_triv:
-            problems.append("some value has no 1 -+ t^2 factor at all")
-        evidence = {
-            "character": name,
-            "mode": mode,
-            "points_scanned": acc["points"],
-            "points_weighted": acc["weighted_points"],
-            "product_form_all": not fail_pm,
-            "at_least_one_factor_all": not fail_triv,
-        }
-        if fail_pm or fail_triv:
-            evidence["witnesses"] = {"pm": fail_pm, "trivial": fail_triv}
-        return CheckResult(
-            statement="prop-4.3",
-            status=VERIFIED if not problems else FALSIFIED,
-            parameters={"p": p, "rank": n, "character": name, "mode": mode,
-                        "scope": "divisibility"},
-            evidence=evidence,
-        )
-    raise ValueError(f"unsupported (p, n) = ({p}, {n}); expected (3, 4) or (5, 8)")

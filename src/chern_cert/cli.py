@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -25,10 +24,6 @@ from .verify import run_statement, statements_for
 GROUPS = ("F4", "E6", "E7", "E8")
 
 
-def _default_workers() -> int:
-    return os.cpu_count() or 1
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="print the full JSON to stdout")
     parser.add_argument("--out", metavar="PATH", help="certificate output path")
@@ -37,7 +32,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes (default: available parallelism)",
+        help="accepted for compatibility and must be positive; sweeps run in one process",
     )
 
 
@@ -59,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--mode", choices=("canonical", "full"), default=None,
                           help="sweep mode for the mod-5 statements (default canonical)")
     p_verify.add_argument("--full-dickson", action="store_true",
-                          help="include the full p=5 invariant expansion (multi-minute)")
+                          help="include the full p=5 invariant expansion (about 2 s)")
     _add_common(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)
 
@@ -132,16 +127,10 @@ def _cmd_verify(args) -> int:
         statements = (args.target,)
         out_dir = default_cert_dir()
         single_out = Path(args.out) if args.out else None
-    workers = args.workers or _default_workers()
     certs = []
     payloads = []
     for statement in statements:
-        cert = run_statement(
-            statement,
-            mode=args.mode,
-            workers=workers,
-            full_dickson=args.full_dickson,
-        )
+        cert = run_statement(statement, mode=args.mode, full_dickson=args.full_dickson)
         path = single_out if single_out else out_dir / f"{statement}.json"
         cert.write(path)
         print(
@@ -200,7 +189,6 @@ def _cmd_chern(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    workers = args.workers or _default_workers()
     if args.p == 3:
         statement = "theorem-1.1"
         mode = "full"  # the 80-point sweep is always exhaustive
@@ -216,7 +204,6 @@ def _cmd_enumerate(args) -> int:
     cert = run_statement(
         statement,
         mode=mode,
-        workers=workers,
         progress=_progress_printer(f"enumerate p={args.p} mode={mode}"),
     )
     _emit_certificate(cert, args, statement)
@@ -233,10 +220,7 @@ def _cmd_dickson(args) -> int:
     result = lemma_facts(args.p, full=full)
     cert = Certificate.from_result(
         result,
-        run={
-            "workers": 1,
-            "elapsed_seconds": round(time.perf_counter() - started, 6),
-        },
+        run={"elapsed_seconds": round(time.perf_counter() - started, 6)},
     )
     _emit_certificate(cert, args, result.statement)
     return 0 if cert.verified else 1
@@ -244,7 +228,7 @@ def _cmd_dickson(args) -> int:
 
 def _cmd_branch(args) -> int:
     if args.rep is None:
-        cert = run_statement("prop-2.2-branching", workers=1)
+        cert = run_statement("prop-2.2-branching")
         _emit_certificate(cert, args, "prop-2.2-branching")
         return 0 if cert.verified else 1
     if args.rank is None:
@@ -296,6 +280,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    if args.workers is not None and args.workers < 1:
+        print(f"error: --workers must be a positive integer, got {args.workers}", file=sys.stderr)
+        return 2
     return args.handler(args)
 
 

@@ -10,8 +10,8 @@ unit.  Restricting y1 -> t, y2 -> 0, y3 -> 0 before expansion collapses the
 orbit product to (X^p - t^(p-1) X)^(p^2) = X^(p^3) - t^((p-1)p^2) X^(p^2),
 which pins the rank-1 images of the invariants.
 
-The full 3-variable expansion is cheap at p = 3 and takes a multi-minute
-budget at p = 5; the rank-1 restriction path never needs it.
+The full 3-variable expansion takes well under a second at p = 3 and about
+2 s at p = 5; the rank-1 restriction path never needs it.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ def compute(p: int) -> DicksonSet:
     """Expand the orbit product and extract c_{3,0}, c_{3,1}, c_{3,2} and e3.
 
     Sub-second at p = 3; the p = 5 expansion multiplies out 125 linear factors
-    and takes a multi-minute budget, so callers gate it explicitly.
+    and takes about 2 s, so callers gate it explicitly.
     """
     check_odd_prime(p)
     if p in _CACHE:

@@ -19,7 +19,6 @@ import math
 from collections.abc import Iterable, Mapping
 
 __all__ = [
-    "FpScalar",
     "UPoly",
     "MPoly",
     "check_odd_prime",
@@ -44,77 +43,6 @@ def inv2(p: int) -> int:
     """The inverse of 2 mod p, i.e. (p + 1) / 2."""
     check_odd_prime(p)
     return (p + 1) // 2
-
-
-class FpScalar:
-    """Canonical residue modulo an odd prime."""
-
-    __slots__ = ("p", "value")
-
-    def __init__(self, p: int, value: int = 0):
-        check_odd_prime(p)
-        self.p = p
-        self.value = int(value) % p
-
-    def _coerce(self, other) -> "FpScalar":
-        if isinstance(other, FpScalar):
-            if other.p != self.p:
-                raise ValueError(f"modulus mismatch: {self.p} vs {other.p}")
-            return other
-        if isinstance(other, int):
-            return FpScalar(self.p, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpScalar(self.p, self.value + other.value)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpScalar(self.p, self.value - other.value)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpScalar(self.p, self.value * other.value)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpScalar(self.p, -self.value)
-
-    def __pow__(self, exponent: int):
-        return FpScalar(self.p, pow(self.value, exponent, self.p))
-
-    def inverse(self) -> "FpScalar":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return FpScalar(self.p, pow(self.value, -1, self.p))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return (
-            isinstance(other, FpScalar)
-            and self.p == other.p
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.value))
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"FpScalar({self.p}, {self.value})"
 
 
 class UPoly:
@@ -284,7 +212,7 @@ class UPoly:
         return " + ".join(parts)
 
 
-def chern_of_exponents(p: int, exponents: Iterable[int | FpScalar]) -> UPoly:
+def chern_of_exponents(p: int, exponents: Iterable[int]) -> UPoly:
     """Total Chern class of a sum of line characters z^a: the exact product
     of (1 + a*t) over the given exponent multiset (empty product is 1)."""
     check_odd_prime(p)
@@ -299,7 +227,7 @@ def chern_of_exponents(p: int, exponents: Iterable[int | FpScalar]) -> UPoly:
     return UPoly(p, coeffs)
 
 
-def pair_factor(p: int, ai: int | FpScalar, aj: int | FpScalar) -> UPoly:
+def pair_factor(p: int, ai: int, aj: int) -> UPoly:
     """Expansion of (1-(ai+aj)t)(1-(ai-aj)t)(1-(-ai+aj)t)(1-(-ai-aj)t), the
     contribution of one coordinate pair to the exterior-square Chern class."""
     a, b = int(ai), int(aj)

@@ -22,7 +22,6 @@ __all__ = [
     "check_branching",
     "run_statement",
     "statements_for",
-    "verify_statements",
 ]
 
 STATEMENT_PRIME: dict[str, "int | None"] = {
@@ -135,16 +134,13 @@ def check_branching() -> CheckResult:
 def _result_for(
     statement: str,
     mode: "str | None",
-    workers: int,
     progress,
     full_dickson: bool,
 ) -> CheckResult:
     if statement == "theorem-1.1":
         return classify.classify_f4_mod3()
     if statement == "theorem-4.1":
-        return classify.classify_e8_mod5(
-            mode=mode or "canonical", workers=workers, progress=progress
-        )
+        return classify.classify_e8_mod5(mode=mode or "canonical", progress=progress)
     if statement == "lemma-3.1-facts":
         return dickson.lemma_facts(3, full=True)
     if statement == "lemma-4.2-facts":
@@ -156,35 +152,26 @@ def _result_for(
     if statement == "prop-3.3":
         return classify.check_prop33()
     if statement == "prop-4.3":
-        return classify.check_prop43(
-            mode=mode or "canonical", workers=workers, progress=progress
-        )
+        return classify.check_prop43(mode=mode or "canonical", progress=progress)
     if statement == "prop-4.4":
-        return classify.check_prop44(
-            mode=mode or "canonical", workers=workers, progress=progress
-        )
+        return classify.check_prop44(mode=mode or "canonical", progress=progress)
     raise ValueError(f"unknown statement {statement!r}")
 
 
 def run_statement(
     statement: str,
     mode: "str | None" = None,
-    workers: int = 1,
     progress=None,
     full_dickson: bool = False,
 ) -> Certificate:
-    """Run one statement check and wrap it in a certificate.  Timings and the
-    worker count go into the volatile run section, outside the canonical
-    payload."""
+    """Run one statement check and wrap it in a certificate.  The timing goes
+    into the volatile run section, outside the canonical payload."""
     if statement not in STATEMENTS:
         raise ValueError(f"unknown statement {statement!r} (expected one of {STATEMENTS})")
     started = time.perf_counter()
-    result = _result_for(statement, mode, workers, progress, full_dickson)
+    result = _result_for(statement, mode, progress, full_dickson)
     elapsed = time.perf_counter() - started
-    return Certificate.from_result(
-        result,
-        run={"workers": workers, "elapsed_seconds": round(elapsed, 6)},
-    )
+    return Certificate.from_result(result, run={"elapsed_seconds": round(elapsed, 6)})
 
 
 def statements_for(p: "int | None") -> tuple[str, ...]:
@@ -195,15 +182,3 @@ def statements_for(p: "int | None") -> tuple[str, ...]:
     return tuple(
         s for s in STATEMENTS if STATEMENT_PRIME[s] in (p, None)
     )
-
-
-def verify_statements(
-    statements, mode: "str | None" = None, workers: int = 1, progress=None,
-    full_dickson: bool = False,
-) -> list[Certificate]:
-    return [
-        run_statement(
-            s, mode=mode, workers=workers, progress=progress, full_dickson=full_dickson
-        )
-        for s in statements
-    ]

@@ -83,6 +83,22 @@ class TestCertificate:
         loaded = Certificate.load(path)
         assert loaded.payload() == cert.payload()
 
+    def test_load_rejects_edited_evidence(self, tmp_path):
+        path = Certificate.from_result(_result()).write(tmp_path / "c.json")
+        doc = json.loads(path.read_text())
+        doc["evidence"]["identities"] = [{"identity": "edited", "ok": True}]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="does not match"):
+            Certificate.load(path)
+
+    def test_load_rejects_missing_hash(self, tmp_path):
+        doc = Certificate.from_result(_result()).to_dict()
+        del doc["canonical_sha256"]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="missing"):
+            Certificate.load(path)
+
     def test_file_is_ascii_json(self, tmp_path):
         cert = Certificate.from_result(_result())
         path = cert.write(tmp_path / "c.json")

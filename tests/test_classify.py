@@ -1,5 +1,5 @@
 """Classification sweeps: the 80-point mod-3 run, the mod-5 machinery, and
-the tuned-path-versus-character-pipeline cross-checks."""
+the count-class-kernel-versus-character-pipeline cross-checks."""
 
 import itertools
 
@@ -7,10 +7,7 @@ import pytest
 
 from chern_cert.chern import RestrictionPoint, total_chern
 from chern_cert.classify import (
-    _pm_check,
-    _point_counts,
-    _poly_from_counts,
-    _tab5,
+    _pm_form,
     canonical_representatives,
     check_prop32,
     check_prop33,
@@ -18,12 +15,12 @@ from chern_cert.classify import (
     check_prop44,
     classify_e8_mod5,
     classify_f4_mod3,
-    divisibility_sweep,
+    count_table,
     orbit_size,
     sweep_mod5,
 )
 from chern_cert.fppoly import UPoly, pm_factorization
-from chern_cert.spinchar import exterior_square_weights, half_spin_weights
+from chern_cert.spinchar import exterior_square_weights, half_spin_weights, vector_weights
 
 V200 = "1 + 3*t^100 + t^200"  # (1 - t^100)^2 over F_5
 
@@ -43,7 +40,13 @@ def chars():
 
 @pytest.fixture(scope="module")
 def canonical():
-    return classify_e8_mod5(mode="canonical", workers=1)
+    return classify_e8_mod5(mode="canonical")
+
+
+@pytest.fixture(scope="module")
+def mod5_table():
+    # the table the mod-5 statements read
+    return count_table(5, 8, ("lambda2", "delta+", "lambda1"), "canonical")
 
 
 class TestClassifyF4Mod3:
@@ -99,38 +102,58 @@ class TestProp3Checks:
         assert result.evidence["consistent_count"] == 32
 
     def test_divisibility_sweeps_mod3(self):
-        for name in ("lambda1+delta", "lambda2"):
-            result = divisibility_sweep(name, 3, 4)
-            assert result.verified
-            assert result.evidence["points"] == 80
-            assert result.evidence["all_divisible"] is True
+        one_minus_t2 = UPoly(3, (1, 0, 2))
+        table = count_table(3, 4, ("lambda1+delta", "lambda2"))
+        assert table.points == 80
+        for k, cls in enumerate(table.polys):
+            for poly in cls:
+                assert poly.divexact(one_minus_t2) is not None, table.counts[k]
 
 
 class TestTunedPathAgainstCharacterPipeline:
-    """The mod-5 sweep's counting/convolution path must agree with the plain
-    character pipeline; canonical representatives cover every permutation
-    class, which the equivariance property extends to all points."""
+    """The count-class kernel must agree with the plain character pipeline;
+    canonical representatives cover every permutation class, which the
+    equivariance property extends to all points."""
 
-    def test_all_canonical_representatives(self, chars):
-        tab = _tab5()
-        for alpha in canonical_representatives():
+    def test_all_canonical_representatives(self, chars, mod5_table):
+        reps = canonical_representatives()
+        assert [mod5_table.alpha(i) for i in range(mod5_table.points)] == reps
+        for i, alpha in enumerate(reps):
             pt = RestrictionPoint(5, alpha)
-            m2, mD, _, _ = _point_counts(alpha)
-            f2 = _poly_from_counts(m2, tab)
-            fD = _poly_from_counts(mD, tab)
+            k = mod5_table.class_of[i]
+            (m2, mD, _), (f2, fD, _) = mod5_table.counts[k], mod5_table.polys[k]
             g2 = total_chern(chars["lambda2"], pt)
             gD = total_chern(chars["delta+"], pt)
-            assert UPoly(5, f2.tolist()) == g2, alpha
-            assert UPoly(5, fD.tolist()) == gD, alpha
-            assert _pm_check(f2, m2, tab) == pm_factorization(g2), alpha
-            assert _pm_check(fD, mD, tab) == pm_factorization(gD), alpha
+            assert f2 == g2, alpha
+            assert fD == gD, alpha
+            assert _pm_form(f2, m2) == pm_factorization(g2), alpha
+            assert _pm_form(fD, mD) == pm_factorization(gD), alpha
 
-    def test_exponent_count_totals(self):
-        for alpha in ((1, 0, 0, 0, 0, 0, 0, 0), (1, 2, 3, 4, 0, 1, 2, 3)):
-            m2, mD, plus, minus = _point_counts(alpha)
+    def test_every_point_mod3_and_orbit_weights(self):
+        names = ("lambda1+delta", "lambda2")
+        full = count_table(3, 4, names)
+        alphas = [a for a in itertools.product(range(3), repeat=4) if any(a)]
+        assert [full.alpha(i) for i in range(full.points)] == alphas
+        chars = (
+            vector_weights(4) + half_spin_weights(4, "both"),
+            exterior_square_weights(4),
+        )
+        for i, alpha in enumerate(alphas):
+            pt = RestrictionPoint(3, alpha)
+            got = full.polys[full.class_of[i]]
+            assert got == tuple(total_chern(c, pt) for c in chars), alpha
+        # canonical mode weights each class by orbit sizes to the same totals
+        canonical = count_table(3, 4, names, "canonical")
+        assert canonical.points == len(canonical_representatives(3, 4))
+        assert dict(zip(canonical.counts, canonical.weights)) == dict(
+            zip(full.counts, full.weights)
+        )
+
+    def test_exponent_count_totals(self, mod5_table):
+        assert len(mod5_table.counts) == 53
+        for m2, mD, _ in mod5_table.counts:
             assert sum(m2) == 112
             assert sum(mD) == 128
-            assert sum(plus) == 128 and sum(minus) == 128
 
 
 class TestSweepMod5:
@@ -161,16 +184,6 @@ class TestSweepMod5:
         total = sum(orbit_size(a) for a in canonical_representatives())
         assert total == 5**8 - 1
 
-    def test_worker_count_does_not_change_results(self, canonical):
-        two = classify_e8_mod5(mode="canonical", workers=2)
-        assert two.evidence == canonical.evidence
-        assert two.status == canonical.status
-
-    def test_block_size_does_not_change_results(self):
-        a = sweep_mod5(mode="canonical", workers=1, block_size=50)
-        b = sweep_mod5(mode="canonical", workers=1, block_size=10_000)
-        assert a == b
-
     def test_prop43_and_prop44(self):
         p43 = check_prop43(mode="canonical")
         assert p43.verified
@@ -180,12 +193,17 @@ class TestSweepMod5:
         assert p44.verified
         assert p44.evidence["pm_form_all"] is True
 
-    def test_divisibility_sweep_mod5_both_characters(self):
-        for name in ("lambda2", "lambda1+delta"):
-            result = divisibility_sweep(name, 5, 8, mode="canonical")
-            assert result.verified, name
-            assert result.evidence["product_form_all"] is True
-            assert result.evidence["at_least_one_factor_all"] is True
+    def test_divisibility_sweep_mod5_both_characters(self, mod5_table):
+        # lambda1+delta mod 5 is a product of 1 - t^2 and 1 + t^2 factors, at
+        # least one of them, at every point (lambda2 is pinned by prop-4.3)
+        table = count_table(5, 8, ("lambda1+delta",), "canonical")
+        assert table.weighted_points == 5**8 - 1
+        for (m,), (poly,) in zip(table.counts, table.polys):
+            form = _pm_form(poly, m)
+            assert form is not None, m
+            assert sum(form) > 0, m
+        for (m2, _, _), (f2, _, _) in zip(mod5_table.counts, mod5_table.polys):
+            assert sum(_pm_form(f2, m2)) > 0
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -193,6 +211,4 @@ class TestSweepMod5:
 
     def test_invalid_character_rejected(self):
         with pytest.raises(ValueError):
-            divisibility_sweep("delta-", 5, 8)
-        with pytest.raises(ValueError):
-            divisibility_sweep("lambda2", 7, 3)
+            count_table(5, 8, ("delta-",), "canonical")

@@ -108,6 +108,13 @@ class TestVerify:
     def test_unknown_statement_is_usage_error(self):
         assert main(["verify", "theorem-9.9"]) == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_nonpositive_workers_is_usage_error(self, workers, capsys, cert_dir):
+        assert main(["verify", "theorem-1.1", "--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--workers" in err
+        assert not cert_dir.exists()
+
 
 class TestEnumerate:
     def test_mod3(self, capsys, cert_dir):
@@ -131,6 +138,13 @@ class TestEnumerate:
 
     def test_mod5_wrong_rep(self):
         assert main(["enumerate", "--p", "5", "--rep", "rho4"]) == 2
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_nonpositive_workers_is_usage_error(self, workers, capsys, cert_dir):
+        assert main(["enumerate", "--p", "3", "--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--workers" in err
+        assert not cert_dir.exists()
 
 
 class TestDickson:

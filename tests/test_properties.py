@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chern_cert.chern import RestrictionPoint, total_chern
@@ -54,6 +54,7 @@ class TestRoundTrips:
     def test_mul_then_divexact(self, a, b):
         if a.p != b.p:
             b = UPoly(a.p, b.coeffs)
+            assume(not b.is_zero)  # reducing mod a.p can zero it
         assert (a * b).divexact(b) == a
 
     @given(st.integers(0, 12), st.integers(0, 12), primes)
