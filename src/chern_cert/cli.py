@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from .certificates import STATEMENTS, Certificate, default_cert_dir
@@ -54,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--mode", choices=("canonical", "full"), default=None,
                           help="sweep mode for the mod-5 statements (default canonical)")
     p_verify.add_argument("--full-dickson", action="store_true",
-                          help="include the full p=5 invariant expansion (about 2 s)")
+                          help="include the full p=5 invariant expansion (about 0.2 s)")
     _add_common(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)
 
@@ -212,10 +213,6 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_dickson(args) -> int:
     full = args.full or args.check_sl3 or (args.p == 3 and not args.restrict)
-    if args.restrict and not (args.full or args.check_sl3):
-        full = False
-    import time
-
     started = time.perf_counter()
     result = lemma_facts(args.p, full=full)
     cert = Certificate.from_result(

@@ -15,8 +15,10 @@ instances can be shared freely between concurrent workers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable, Mapping
+from operator import add
 
 __all__ = [
     "UPoly",
@@ -279,6 +281,29 @@ def frobenius_image(a: UPoly, times: int = 1) -> UPoly:
     return UPoly(a.p, coeffs)
 
 
+def _linear_power(
+    p: int, n: int, column: list[tuple[int, int]], e: int
+) -> dict[tuple[int, ...], int]:
+    """(sum_i m_i * y_i)^e over F_p, e >= 1, by the multinomial theorem for
+    the nonzero entries (i, m_i) of column: the coefficient of prod_i y_i^k_i
+    is e! / prod_i k_i! * prod_i m_i^k_i.  Zero coefficients are dropped."""
+    r = len(column)
+    if not r:
+        return {}
+    out: dict[tuple[int, ...], int] = {}
+    # stars and bars: r - 1 bars among e + r - 1 slots split e into r parts
+    for bars in itertools.combinations(range(e + r - 1), r - 1):
+        coeff = math.factorial(e)
+        exps = [0] * n
+        for (i, m), lo, hi in zip(column, (-1,) + bars, bars + (e + r - 1,)):
+            k = hi - lo - 1
+            coeff = coeff // math.factorial(k) * pow(m, k)
+            exps[i] = k
+        if coeff % p:
+            out[tuple(exps)] = coeff % p
+    return out
+
+
 class MPoly:
     """Sparse multivariate polynomial over F_p with a fixed variable arity.
 
@@ -454,30 +479,34 @@ class MPoly:
             )
         if any(len(row) != n for row in matrix):
             raise ValueError("matrix must be square")
-        images = [
-            MPoly.linear_form(
-                self.p, self.arity, [matrix[i][j] for i in range(n)]
-            )
+        p = self.p
+        columns = [
+            [(i, int(matrix[i][j]) % p) for i in range(n) if int(matrix[i][j]) % p]
             for j in range(n)
         ]
-        pow_cache: dict[tuple[int, int], MPoly] = {}
-
-        def image_power(j: int, e: int) -> MPoly:
-            key = (j, e)
-            if key not in pow_cache:
-                pow_cache[key] = images[j] ** e
-            return pow_cache[key]
-
-        out = MPoly.zero(self.p, self.arity)
+        powers: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
+        data: dict[tuple[int, ...], int] = {}
         for key, coeff in self.terms.items():
-            term = MPoly.constant(self.p, self.arity, coeff)
+            # the image of this term, over the leading n variables
+            partial = {(0,) * n: coeff}
             for j in range(n):
-                if key[j]:
-                    term = term * image_power(j, key[j])
-            fixed = (0,) * n + key[n:]
-            if any(fixed):
-                term = term * MPoly.monomial(self.p, self.arity, fixed)
-            out = out + term
+                e = key[j]
+                if not e:
+                    continue
+                if (j, e) not in powers:
+                    powers[j, e] = _linear_power(p, n, columns[j], e)
+                product: dict[tuple[int, ...], int] = {}
+                for ka, ca in partial.items():
+                    for kb, cb in powers[j, e].items():
+                        k = tuple(map(add, ka, kb))
+                        product[k] = (product.get(k, 0) + ca * cb) % p
+                partial = product
+            fixed = key[n:]
+            for k, c in partial.items():
+                k += fixed
+                data[k] = (data.get(k, 0) + c) % p
+        out = MPoly.zero(p, self.arity)
+        out.terms = {k: c for k, c in data.items() if c}
         return out
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:

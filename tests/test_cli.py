@@ -163,6 +163,24 @@ class TestDickson:
         assert doc["parameters"]["full_expansion"] is False
         assert doc["evidence"]["restriction_images"]["c2"] == "t^100"
 
+    @pytest.mark.parametrize(
+        "flags,full",
+        [
+            (["--p", "5", "--full"], True),
+            (["--p", "5", "--check-sl3"], True),
+            (["--p", "5", "--restrict", "--full"], True),
+            (["--p", "5"], False),
+            (["--p", "5", "--restrict"], False),
+            (["--p", "3", "--restrict"], False),
+        ],
+    )
+    def test_flag_matrix(self, capsys, flags, full):
+        code = main(["dickson", *flags, "--json"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["parameters"]["full_expansion"] is full
+        assert doc["evidence"]["full_expansion"] is full
+
 
 class TestBranch:
     def test_suite(self, capsys, cert_dir):

@@ -1,6 +1,8 @@
 """Rank-3 Dickson invariants: defining identity, degrees, restriction, and
 linear-group invariance."""
 
+import itertools
+
 import pytest
 
 from chern_cert import dickson
@@ -17,9 +19,19 @@ class TestOrbitProductMod3:
         top = product.coefficient_in_var(3, 27)
         assert top == MPoly.one(3, 3)
 
-    def test_defining_identity_reconstructs(self):
-        # sum_i (-1)^(3-i) c_{3,i} X^(p^i) multiplies back to the orbit product
+    def test_matches_plain_factor_product(self):
+        # the dense kernel against the 27 factors X + l_v multiplied out with
+        # MPoly arithmetic alone
         p = 3
+        x = MPoly.variable(p, 4, 3)
+        plain = MPoly.one(p, 4)
+        for v in itertools.product(range(p), repeat=3):
+            plain = plain * (x + MPoly.linear_form(p, 4, v))
+        assert dickson.orbit_product(p) == plain
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_defining_identity_reconstructs(self, p):
+        # sum_i (-1)^(3-i) c_{3,i} X^(p^i) multiplies back to the orbit product
         product = dickson.orbit_product(p)
         ds = dickson.compute(p)
         rebuilt = MPoly.zero(p, 4)
@@ -171,6 +183,15 @@ class TestLemmaFacts:
     def test_rejects_unsupported_prime(self):
         with pytest.raises(ValueError):
             dickson.lemma_facts(7)
+
+    @pytest.mark.parametrize("p", [2, 7, 11])
+    def test_expansion_rejects_unsupported_prime(self, p):
+        # p = 7 is an odd prime, but the facts and the dense kernel are for
+        # p in (3, 5) only
+        with pytest.raises(ValueError):
+            dickson.orbit_product(p)
+        with pytest.raises(ValueError):
+            dickson.compute(p)
 
 
 class TestOrbitProductMod5:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from chern_cert.chern import RestrictionPoint, total_chern
 from chern_cert.fppoly import (
+    MPoly,
     UPoly,
     chern_of_exponents,
     frobenius_image,
@@ -34,6 +35,43 @@ def upolys(draw, max_degree=50, allow_zero=True):
     if not allow_zero and poly.is_zero:
         poly = poly + UPoly.one(p)
     return poly
+
+
+@st.composite
+def substitutions(draw):
+    """A polynomial over F_p in 1..4 variables and a square matrix acting on
+    all of them or on all but the last, singular matrices included."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    arity = draw(st.integers(1, 4))
+    n = draw(st.sampled_from((arity, arity - 1)))
+    keys = st.tuples(*(st.integers(0, 4) for _ in range(arity)))
+    terms = draw(st.dictionaries(keys, st.integers(0, p - 1), max_size=6))
+    entries = st.integers(-p, 2 * p)
+    matrix = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    return MPoly(p, arity, terms), matrix
+
+
+def naive_substitute(f, matrix):
+    """The composition term by term from MPoly +, * and ** alone."""
+    n = len(matrix)
+    images = [
+        MPoly.linear_form(f.p, f.arity, [matrix[i][j] for i in range(n)])
+        for j in range(n)
+    ]
+    out = MPoly.zero(f.p, f.arity)
+    for key, coeff in f.terms.items():
+        term = MPoly.monomial(f.p, f.arity, (0,) * n + key[n:], coeff)
+        for j in range(n):
+            term = term * images[j] ** key[j]
+        out = out + term
+    return out
+
+
+class TestSubstituteLinear:
+    @given(substitutions())
+    def test_matches_naive_composition(self, case):
+        f, matrix = case
+        assert f.substitute_linear(matrix) == naive_substitute(f, matrix)
 
 
 class TestFrobenius:
