@@ -3,13 +3,20 @@ points, reproducing the mod-3 and mod-5 headline identities.
 
 A point's total Chern class for a character depends only on how often each
 exponent value occurs among the restricted weights.  One kernel,
-``count_table``, serves both primes: it takes the nonzero points in
-lexicographic order, restricts them in blocks as points @ weights.T / 2 mod
-p, counts each exponent value per row, and groups the rows by count vector.
-Each count class's polynomial is expanded once, every statement predicate is
-evaluated once per class, and each point keeps only its class id, from which
-witness lists are read back in point order.  All 390624 mod-5 points fall
-into 53 count classes.
+``count_table``, serves both primes, and it never restricts a point on its
+own.  A point of (F_p)^n splits into a front half (its first n // 2
+coordinates) and a back half, so the points form a grid of front rows and
+back columns whose row-major order is the lexicographic point order.  A
+weight's exponent at cell (f, b) is (w_f . f + w_b . b) / 2 mod p, so a
+character's counts at the cell are a front histogram (weights with back
+part 0) plus a back histogram (front part 0) plus, per group of the other
+weights sharing a back part, a front histogram rolled by the group's back
+exponent.  At p = 5 the swept characters have 24 such groups and each half
+has 625 points; the grid is filled a few front rows at a time and its rows
+are grouped by count vector.  Each count class's polynomial is expanded
+once, every statement predicate is evaluated once per class, and each
+point keeps only its class id, from which witness lists are read back in
+point order.  All 390624 mod-5 points fall into 53 count classes.
 
 Tables are memoized per (p, rank, characters, mode), so the statements that
 share a sweep share one table; the sweep runs in one process.
@@ -52,7 +59,7 @@ __all__ = [
 
 WITNESS_CAP = 32
 FAIL_CAP = 8
-BLOCK_ROWS = 1024  # points restricted at once; bounds the sweep's peak memory
+BLOCK_CELLS = 4096  # grid cells filled at once; bounds the full sweep's working set
 
 P5, N5 = 5, 8
 TOTAL_POINTS_5 = 5**N5 - 1
@@ -110,7 +117,9 @@ class CountTable:
     each exponent value 0..p-1 in class k, polys[k][j] the class's total
     Chern class and weights[k] its orbit-weighted number of points;
     class_of holds each point's class id in sweep order (full mode: every
-    nonzero point, canonical mode: the weakly increasing representatives).
+    nonzero point in lexicographic order, canonical mode: the weakly
+    increasing representatives), and blocks is the number of grid blocks
+    the sweep filled.
     """
 
     p: int
@@ -121,6 +130,7 @@ class CountTable:
     weights: tuple
     class_of: np.ndarray
     reps: "tuple | None"
+    blocks: int
 
     @property
     def points(self) -> int:
@@ -129,10 +139,6 @@ class CountTable:
     @property
     def weighted_points(self) -> int:
         return sum(self.weights)
-
-    @property
-    def blocks(self) -> int:
-        return -(-self.points // BLOCK_ROWS)
 
     def alpha(self, i: int) -> tuple[int, ...]:
         if self.reps is not None:
@@ -145,13 +151,95 @@ class CountTable:
             return []
         hit = np.zeros(len(self.weights), dtype=bool)
         hit[list(classes)] = True
-        found: list[int] = []
-        for lo in range(0, self.points, BLOCK_ROWS):
-            rows = np.flatnonzero(hit[self.class_of[lo : lo + BLOCK_ROWS]])
-            found.extend((lo + rows[: cap - len(found)]).tolist())
-            if len(found) == cap:
-                break
-        return [_render_alpha(self.alpha(i)) for i in found]
+        return [_render_alpha(self.alpha(i)) for i in np.flatnonzero(hit[self.class_of])[:cap]]
+
+
+def _half_points(p: int, k: int) -> np.ndarray:
+    """Every point of (F_p)^k, one row each, in lexicographic order."""
+    return np.arange(p**k)[:, None] // p ** np.arange(k - 1, -1, -1) % p
+
+
+def _histogram(points: np.ndarray, pairs, p: int, dtype) -> np.ndarray:
+    """hist[x, v]: the total multiplicity of the (half-weight, multiplicity)
+    pairs whose exponent half-weight . x / 2 mod p equals v at point x."""
+    hist = np.zeros((len(points), p), dtype=dtype)
+    if pairs:
+        halves = np.array([h for h, _ in pairs], dtype=np.int64)
+        mult = np.array([m for _, m in pairs])
+        exps = points @ halves.T * inv2(p) % p
+        for v in range(p):
+            hist[:, v] = (exps == v) @ mult
+    return hist
+
+
+def _split(name: str, char, nf: int, p: int):
+    """Sort a character's weights by the halves they see mod p: front-only
+    (back part 0), back-only (front part 0) and cross weights grouped by
+    their back part.  Raises ValueError unless the kinds put back together
+    give exactly the character's weight multiset."""
+    front, back, cross = [], [], {}
+    for w, m in char.sorted_weights():
+        key = tuple(x % p for x in w[nf:])
+        if not any(key):
+            front.append((w, m))
+        elif not any(x % p for x in w[:nf]):
+            back.append((w, m))
+        else:
+            cross.setdefault(key, []).append((w, m))
+    rebuilt = Counter()
+    for w, m in itertools.chain(front, back, *cross.values()):
+        rebuilt[w] += m
+    if rebuilt != Counter(dict(char.weights)):
+        raise ValueError(f"the front/back split of {name} loses or repeats weights")
+    return front, back, cross
+
+
+def _check_permutation_invariant(name: str, char) -> None:
+    """Orbit weighting is sound only for characters whose weight multiset
+    each adjacent coordinate transposition leaves unchanged."""
+    weights = dict(char.weights)
+    for i in range(char.rank - 1):
+        swapped = {w[:i] + (w[i + 1], w[i]) + w[i + 2 :]: m for w, m in weights.items()}
+        if swapped != weights:
+            raise ValueError(
+                f"canonical mode needs permutation-invariant characters;"
+                f" swapping coordinates {i} and {i + 1} changes {name}"
+            )
+
+
+def _grid_terms(name: str, char, front, back, p: int, dtype):
+    """The front histogram, the back histogram and, per cross group, the
+    pre-rolled front histogram R[f, s, v] = hist[f, (v - s) mod p] with the
+    group's back exponents e[b]: the counts at cell (f, b) are
+    Hf[f] + Hb[b] + sum over groups of R[f, e[b]]."""
+    nf = front.shape[1]
+    fo, bo, cross = _split(name, char, nf, p)
+    roll = (np.arange(p) - np.arange(p)[:, None]) % p
+    groups = []
+    for key, pairs in cross.items():
+        rolled = _histogram(front, [(w[:nf], m) for w, m in pairs], p, dtype)[:, roll]
+        groups.append((rolled, back @ np.array(key, dtype=np.int64) * inv2(p) % p))
+    hf = _histogram(front, [(w[:nf], m) for w, m in fo], p, dtype)
+    hb = _histogram(back, [(w[nf:], m) for w, m in bo], p, dtype)
+    return hf, hb, groups
+
+
+def _fill_rows(terms, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+    """Counts at every cell of front rows lo..hi-1, into out[j, f - lo, b]."""
+    for (hf, hb, groups), block in zip(terms, out):
+        np.add(hf[lo:hi, None], hb[None], out=block)
+        for rolled, exps in groups:
+            block += np.take(rolled[lo:hi], exps, axis=1)
+    return out
+
+
+def _fill_cells(terms, f: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Counts at the cells (f[i], b[i]), into out[j, i]."""
+    for (hf, hb, groups), block in zip(terms, out):
+        np.add(hf[f], hb[b], out=block)
+        for rolled, exps in groups:
+            block += rolled[f, exps[b]]
+    return out
 
 
 _TABLES: dict[tuple, CountTable] = {}
@@ -161,12 +249,22 @@ def count_table(p: int, n: int, names, mode: str = "full", progress=None) -> Cou
     """Sweep the nonzero points of (F_p)^n and group them by the exponent
     counts of the named characters.
 
-    Mode "full" visits every nonzero point; mode "canonical" visits one
-    weakly increasing representative per coordinate-permutation class and
-    weights it by its orbit size, which is sound because every swept
-    character is invariant under coordinate permutations (full mode is the
-    oracle for canonical mode).  progress(done, total) is called per block;
-    a memoized table reports all its blocks done at once.
+    A point splits into a front half (its first n // 2 coordinates) and a
+    back half, so it is the cell (f, b) of a p^(n//2) by p^(n - n//2) grid
+    whose row-major order is the lexicographic point order.  Each
+    character's counts at a cell are a front histogram plus a back
+    histogram plus, per group of cross weights sharing a back part, a
+    pre-rolled front histogram read at the group's back exponent (see
+    _grid_terms); no point is restricted on its own.
+
+    Mode "full" fills every cell but the zero point, a few whole front rows
+    (at most BLOCK_CELLS cells) per block; mode "canonical" gathers the
+    cells of the weakly increasing representatives in one block and weights
+    each by its orbit size, which is sound because every swept character is
+    invariant under coordinate permutations (checked; full mode is the
+    oracle for canonical mode).  Rows are grouped by count vector block by
+    block.  progress(done, total) is called per block; a memoized table
+    reports all its blocks done at once.
     """
     if mode not in ("full", "canonical"):
         raise ValueError(f"mode must be 'full' or 'canonical', got {mode!r}")
@@ -178,39 +276,44 @@ def count_table(p: int, n: int, names, mode: str = "full", progress=None) -> Cou
         return table
 
     chars = [_char_for(name, n) for name in names]
-    dtype = np.promote_types(np.int16, np.min_scalar_type(n * (p - 1) ** 2))
-    char_weights = [w for char in chars for w, mult in char.sorted_weights() for _ in range(mult)]
-    restrict = np.array(char_weights, dtype=dtype).T * inv2(p) % p
-    bounds = np.cumsum([0] + [char.dim for char in chars]).tolist()
+    if mode == "canonical":
+        for name, char in zip(names, chars):
+            _check_permutation_invariant(name, char)
+    dtype = np.min_scalar_type(max(c.dim for c in chars))
+    front, back = _half_points(p, n // 2), _half_points(p, n - n // 2)
+    terms = [_grid_terms(name, c, front, back, p, dtype) for name, c in zip(names, chars)]
+    width = len(chars) * p
+
     if mode == "full":
         reps, orbit, total = None, None, p**n - 1
-        digits = p ** np.arange(n - 1, -1, -1)
+        rows = max(1, BLOCK_CELLS // len(back))
+        nblocks = -(-len(front) // rows)
+        grid = np.empty((len(chars), rows, len(back), p), dtype=dtype)
+
+        def blocks():
+            # point i is cell i + 1: the zero point, cell 0, is dropped
+            for lo in range(0, len(front), rows):
+                hi = min(lo + rows, len(front))
+                filled = _fill_rows(terms, lo, hi, grid[:, : hi - lo])
+                flat = np.ascontiguousarray(filled.transpose(1, 2, 0, 3)).reshape(-1, width)
+                yield (0, flat[1:]) if lo == 0 else (lo * len(back) - 1, flat)
+
     else:
         reps = tuple(canonical_representatives(p, n))
-        orbit, total = np.array([orbit_size(a) for a in reps]), len(reps)
+        orbit, total, nblocks = np.array([orbit_size(a) for a in reps]), len(reps), 1
+        f, b = np.divmod(np.array(reps) @ p ** np.arange(n - 1, -1, -1), len(back))
 
-    counts = np.empty(
-        (BLOCK_ROWS, len(chars), p), dtype=np.min_scalar_type(max(c.dim for c in chars))
-    )
-    row_type = np.dtype((np.void, counts[0].nbytes))
+        def blocks():
+            cells = _fill_cells(terms, f, b, np.empty((len(chars), total, p), dtype=dtype))
+            yield 0, np.ascontiguousarray(cells.transpose(1, 0, 2)).reshape(-1, width)
+
+    row_type = np.dtype((np.void, width * dtype.itemsize))
     class_of = np.empty(total, dtype=np.uint8)
     index: dict[bytes, int] = {}
     class_weight: list[int] = []
-    blocks = -(-total // BLOCK_ROWS)
-    for b in range(blocks):
-        lo, hi = b * BLOCK_ROWS, min(total, (b + 1) * BLOCK_ROWS)
-        if reps is None:
-            pts = (np.arange(lo + 1, hi + 1)[:, None] // digits % p).astype(dtype)
-        else:
-            pts = np.array(reps[lo:hi], dtype=dtype)
-        exps = pts @ restrict % p
-        block = counts[: hi - lo]
-        for j in range(len(chars)):
-            cols = exps[:, bounds[j] : bounds[j + 1]]
-            for v in range(p):
-                block[:, j, v] = np.count_nonzero(cols == v, axis=1)
-        keys = block.reshape(hi - lo, -1).view(row_type).ravel()
-        uniq, inverse = np.unique(keys, return_inverse=True)
+    for done, (lo, block) in enumerate(blocks(), 1):
+        hi = lo + len(block)
+        uniq, inverse = np.unique(block.view(row_type).ravel(), return_inverse=True)
         ids = [index.setdefault(u.tobytes(), len(index)) for u in uniq]
         class_weight.extend([0] * (len(index) - len(class_weight)))
         sums = np.bincount(inverse, None if orbit is None else orbit[lo:hi])
@@ -220,10 +323,10 @@ def count_table(p: int, n: int, names, mode: str = "full", progress=None) -> Cou
             class_of = class_of.astype(np.min_scalar_type(len(index)))
         class_of[lo:hi] = np.array(ids)[inverse]
         if progress is not None:
-            progress(b + 1, blocks)
+            progress(done, nblocks)
 
     class_counts = tuple(
-        tuple(tuple(row) for row in np.frombuffer(k, dtype=counts.dtype).reshape(-1, p).tolist())
+        tuple(tuple(row) for row in np.frombuffer(k, dtype=dtype).reshape(-1, p).tolist())
         for k in index
     )
     polys = tuple(
@@ -233,7 +336,9 @@ def count_table(p: int, n: int, names, mode: str = "full", progress=None) -> Cou
         for cls in class_counts
     )
     class_of.flags.writeable = False
-    table = CountTable(p, n, mode, class_counts, polys, tuple(class_weight), class_of, reps)
+    table = CountTable(
+        p, n, mode, class_counts, polys, tuple(class_weight), class_of, reps, nblocks
+    )
     _TABLES[key] = table
     return table
 

@@ -38,7 +38,6 @@ __all__ = [
 
 _RANK = 3
 _PRIMES = (3, 5)
-_VAR_NAMES = ("y1", "y2", "y3", "X")
 
 
 def subring_bound(p: int) -> int:

@@ -378,11 +378,6 @@ class MPoly:
             return -1
         return max(sum(k) for k in self.terms)
 
-    def degree_in(self, var: int) -> int:
-        if not self.terms:
-            return -1
-        return max(k[var] for k in self.terms)
-
     def support_in_var(self, var: int) -> list[int]:
         return sorted({k[var] for k in self.terms})
 

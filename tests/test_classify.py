@@ -5,7 +5,8 @@ import itertools
 
 import pytest
 
-from chern_cert.chern import RestrictionPoint, total_chern
+from chern_cert import classify
+from chern_cert.chern import RestrictionPoint, restricted_exponents, total_chern
 from chern_cert.classify import (
     _pm_form,
     canonical_representatives,
@@ -19,8 +20,14 @@ from chern_cert.classify import (
     orbit_size,
     sweep_mod5,
 )
-from chern_cert.fppoly import UPoly, pm_factorization
-from chern_cert.spinchar import exterior_square_weights, half_spin_weights, vector_weights
+from chern_cert.dickson import subring_bound
+from chern_cert.fppoly import UPoly, chern_of_exponents, in_subring, pm_factorization
+from chern_cert.spinchar import (
+    Character,
+    exterior_square_weights,
+    half_spin_weights,
+    vector_weights,
+)
 
 V200 = "1 + 3*t^100 + t^200"  # (1 - t^100)^2 over F_5
 
@@ -154,6 +161,66 @@ class TestTunedPathAgainstCharacterPipeline:
         for m2, mD, _ in mod5_table.counts:
             assert sum(m2) == 112
             assert sum(mD) == 128
+
+
+class TestSplitGrid:
+    """The full split grid against canonical mode and against a plain
+    point-by-point sweep, and the structural checks on its input."""
+
+    def test_full_and_canonical_class_weights_agree(self, mod5_table):
+        full = count_table(5, 8, ("lambda2", "delta+", "lambda1"))
+        assert full.points == 5**8 - 1
+        assert len(full.counts) == 53
+        assert dict(zip(full.counts, full.weights)) == dict(
+            zip(mod5_table.counts, mod5_table.weights)
+        )
+
+    def test_first_s5_points(self, chars):
+        # c(lambda2) c(delta+) is the class of the joint exponent list; it
+        # depends only on that multiset, so equal sorted lists share one
+        # expansion
+        d = subring_bound(5)
+        consistent: dict[tuple, bool] = {}
+        expected = []
+        for alpha in itertools.islice(itertools.product(range(5), repeat=8), 1, 2000):
+            pt = RestrictionPoint(5, alpha)
+            exps = restricted_exponents(chars["lambda2"], pt) + restricted_exponents(
+                chars["delta+"], pt
+            )
+            key = tuple(sorted(exps))
+            if key not in consistent:
+                consistent[key] = in_subring(chern_of_exponents(5, exps), d)
+            if consistent[key]:
+                expected.append(",".join(map(str, alpha)))
+                if len(expected) == 32:
+                    break
+        assert len(expected) == 32
+        assert expected[-1] == "0,0,0,2,3,3,3,3"
+        assert sweep_mod5("full")["s5_first"] == expected
+
+    def test_canonical_mode_rejects_asymmetric_character(self, monkeypatch):
+        monkeypatch.setattr(classify, "_TABLES", {})
+        lopsided = Character(3, {(2, 0, 0): 1, (-2, 0, 0): 1})
+        monkeypatch.setattr(classify, "_char_for", lambda name, n: lopsided)
+        with pytest.raises(ValueError, match="permutation"):
+            count_table(3, 3, ("lambda1",), "canonical")
+        # full mode visits every point and needs no symmetry
+        assert count_table(3, 3, ("lambda1",)).weighted_points == 26
+
+    def test_split_that_loses_a_weight_is_rejected(self, monkeypatch):
+        class Dropping(Character):
+            __slots__ = ()
+
+            def sorted_weights(self):
+                return super().sorted_weights()[1:]
+
+        monkeypatch.setattr(classify, "_TABLES", {})
+        monkeypatch.setattr(
+            classify, "_char_for", lambda name, n: Dropping(n, vector_weights(n).weights)
+        )
+        for mode in ("full", "canonical"):
+            with pytest.raises(ValueError, match="split"):
+                count_table(5, 4, ("lambda1",), mode)
 
 
 class TestSweepMod5:

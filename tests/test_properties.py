@@ -2,12 +2,14 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chern_cert.chern import RestrictionPoint, total_chern
+from chern_cert.chern import RestrictionPoint, restricted_exponents, total_chern
+from chern_cert.classify import _CHAR_NAMES, count_table
 from chern_cert.fppoly import (
     MPoly,
     UPoly,
@@ -65,6 +67,41 @@ def naive_substitute(f, matrix):
             term = term * images[j] ** key[j]
         out = out + term
     return out
+
+
+# the swept characters, built here from the weight systems themselves
+GRID_CHARS = {
+    "lambda1": vector_weights,
+    "lambda2": exterior_square_weights,
+    "delta+": lambda n: half_spin_weights(n, "+"),
+    "lambda1+delta": lambda n: vector_weights(n) + half_spin_weights(n, "both"),
+}
+
+
+@st.composite
+def grid_points(draw):
+    """A prime, a rank (odd ranks split unevenly), a tuple of swept
+    characters and a nonzero point."""
+    p = draw(primes)
+    n = draw(st.integers(2, 7))
+    names = draw(st.lists(st.sampled_from(_CHAR_NAMES), min_size=1, max_size=4, unique=True))
+    alpha = draw(st.tuples(*(st.integers(0, p - 1) for _ in range(n))).filter(any))
+    return p, n, tuple(names), alpha
+
+
+class TestCountGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(grid_points())
+    def test_counts_match_restricted_exponents(self, case):
+        p, n, names, alpha = case
+        table = count_table(p, n, names)
+        # full mode lists the nonzero points in lexicographic order
+        i = int("".join(map(str, alpha)), p) - 1
+        assert table.alpha(i) == alpha
+        pt = RestrictionPoint(p, alpha)
+        for name, counts in zip(names, table.counts[table.class_of[i]]):
+            exps = Counter(restricted_exponents(GRID_CHARS[name](n), pt))
+            assert counts == tuple(exps[v] for v in range(p)), name
 
 
 class TestSubstituteLinear:
