@@ -33,13 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import FALSIFIED, VERIFIED, CheckResult
-from .chern import RestrictionPoint, chern_named, total_chern
 from .dickson import subring_bound
 from .fppoly import UPoly, chern_of_exponents, in_subring, inv2, pm_factorization
 from .spinchar import (
     REP_NAMES,
     exterior_square_weights,
     half_spin_weights,
+    registry,
     vector_weights,
 )
 
@@ -65,7 +65,9 @@ P5, N5 = 5, 8
 TOTAL_POINTS_5 = 5**N5 - 1
 
 _CHAR_NAMES = ("lambda1", "lambda2", "delta+", "lambda1+delta")
-_MOD3_CHARS = ("lambda1+delta", "lambda2")
+# the two swept characters first, then the registered representations,
+# whose classes theorem-1.1 reads off the same count classes
+_MOD3_CHARS = ("lambda1+delta", "lambda2", *REP_NAMES)
 # lambda1 restricts to +-alpha_i, so its counts record which squares occur
 _MOD5_CHARS = ("lambda2", "delta+", "lambda1")
 
@@ -79,7 +81,11 @@ def _char_for(name: str, n: int):
         return half_spin_weights(n, "+")
     if name == "lambda1+delta":
         return vector_weights(n) + half_spin_weights(n, "both")
-    raise ValueError(f"unknown character name {name!r} (expected {_CHAR_NAMES})")
+    if name in REP_NAMES:
+        return registry(name, n)
+    raise ValueError(
+        f"unknown character name {name!r} (expected one of {_CHAR_NAMES + REP_NAMES})"
+    )
 
 
 def _render_alpha(alpha) -> str:
@@ -354,8 +360,9 @@ def _mod3_sweep():
     table = count_table(3, 4, _MOD3_CHARS)
     one_minus_t2 = UPoly(3, (1, 0, 2))
     d = subring_bound(3)
-    divisible = [tuple(c.divexact(one_minus_t2) is not None for c in cls) for cls in table.polys]
-    in_sub = [tuple(in_subring(c, d) for c in cls) for cls in table.polys]
+    swept = [cls[:2] for cls in table.polys]
+    divisible = [tuple(c.divexact(one_minus_t2) is not None for c in cls) for cls in swept]
+    in_sub = [tuple(in_subring(c, d) for c in cls) for cls in swept]
     return table, divisible, in_sub
 
 
@@ -365,37 +372,39 @@ def classify_f4_mod3() -> CheckResult:
     Checks, for every point: both c(lambda1+delta) and c(lambda2) are
     divisible by 1 - t^2, and c(lambda2) != 1.  Collects the joint-consistent
     set S of points where both classes lie in F_3[t^18]; S must be nonempty
-    and both classes must equal 1 - t^18 on it.  Finally recomputes the five
-    registered restricted representations at every point of S and checks the
-    values against the closed powers of 1 - t^18.
+    and both classes must equal 1 - t^18 on it.  Finally checks the five
+    registered restricted representations against the closed powers of
+    1 - t^18, once per count class of S: the registered characters are
+    columns of the same count table, and a class fixes the exponent counts
+    of every column, so each class polynomial is the value at every point
+    of the class.
     """
     p, n, d = 3, 4, subring_bound(3)
-    lam1_delta = _char_for("lambda1+delta", n)
-    lam2 = _char_for("lambda2", n)
     target = UPoly.one(p) - UPoly.monomial(p, 1, d)
     table, divisible, in_sub = _mod3_sweep()
+    col = {name: j for j, name in enumerate(_MOD3_CHARS)}
 
     problems: list[str] = []
     witnesses: list[dict] = []
-    consistent: list[RestrictionPoint] = []
+    consistent: list[str] = []
     divisible_all = all(all(cls) for cls in divisible)
-    nontrivial_all = not any(c_l2.is_one for _, c_l2 in table.polys)
+    nontrivial_all = not any(cls[1].is_one for cls in table.polys)
 
     for i, k in enumerate(table.class_of.tolist()):
-        pt = RestrictionPoint(p, table.alpha(i))
-        c_ld, c_l2 = table.polys[k]
+        alpha = _render_alpha(table.alpha(i))
+        c_ld, c_l2 = table.polys[k][:2]
         if not divisible[k][0]:
-            witnesses.append({"alpha": pt.render(), "check": "lambda1+delta divisibility"})
+            witnesses.append({"alpha": alpha, "check": "lambda1+delta divisibility"})
         if not divisible[k][1]:
-            witnesses.append({"alpha": pt.render(), "check": "lambda2 divisibility"})
+            witnesses.append({"alpha": alpha, "check": "lambda2 divisibility"})
         if c_l2.is_one:
-            witnesses.append({"alpha": pt.render(), "check": "lambda2 nontriviality"})
+            witnesses.append({"alpha": alpha, "check": "lambda2 nontriviality"})
         if all(in_sub[k]):
-            consistent.append(pt)
+            consistent.append(alpha)
             if c_ld != target or c_l2 != target:
                 witnesses.append(
                     {
-                        "alpha": pt.render(),
+                        "alpha": alpha,
                         "check": "consistent value",
                         "lambda1+delta": c_ld.render(),
                         "lambda2": c_l2.render(),
@@ -410,9 +419,10 @@ def classify_f4_mod3() -> CheckResult:
     if any(w.get("check") == "consistent value" for w in witnesses):
         problems.append("a consistent point has an unexpected value")
 
+    classes = [table.polys[k] for k in range(len(table.polys)) if all(in_sub[k])]
     named: dict[str, "str | None"] = {}
     for name in REP_NAMES:
-        values = {chern_named(name, pt).render() for pt in consistent}
+        values = {cls[col[name]].render() for cls in classes}
         if len(values) > 1:
             problems.append(f"{name} is not constant on the consistent set")
         named[name] = sorted(values)[0] if values else None
@@ -433,15 +443,8 @@ def classify_f4_mod3() -> CheckResult:
     # the adjoint class factors as the product of the two swept classes, and
     # the rank-4 rho8 class equals c(lambda1+delta)^8 * c(lambda2); both
     # readings of that line must agree with the registry computation
-    adj_ok = all(
-        chern_named("rho4adj", pt) == total_chern(lam1_delta, pt) * total_chern(lam2, pt)
-        for pt in consistent
-    )
-    alt_ok = all(
-        chern_named("rho8", pt)
-        == (total_chern(lam1_delta, pt) ** 8) * total_chern(lam2, pt)
-        for pt in consistent
-    )
+    adj_ok = all(cls[col["rho4adj"]] == cls[0] * cls[1] for cls in classes)
+    alt_ok = all(cls[col["rho8"]] == (cls[0] ** 8) * cls[1] for cls in classes)
     if not adj_ok:
         problems.append("rho4adj product identity fails on the consistent set")
     if not alt_ok:
@@ -452,7 +455,7 @@ def classify_f4_mod3() -> CheckResult:
         "subring_exponent": d,
         "divisible_by_1_minus_t2_all": divisible_all,
         "lambda2_nontrivial_all": nontrivial_all,
-        "consistent_alphas": sorted(pt.render() for pt in consistent),
+        "consistent_alphas": sorted(consistent),
         "consistent_count": len(consistent),
         "consistent_value": target.render(),
         "polynomials": named,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from collections.abc import Iterable, Mapping
 from operator import add
 
@@ -177,13 +178,6 @@ class UPoly:
             return None
         return UPoly(p, quot)
 
-    def evaluate(self, x: int) -> int:
-        """Value at t = x, as a canonical residue."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.p
-        return acc
-
     def __eq__(self, other):
         return (
             isinstance(other, UPoly)
@@ -216,16 +210,34 @@ class UPoly:
 
 def chern_of_exponents(p: int, exponents: Iterable[int]) -> UPoly:
     """Total Chern class of a sum of line characters z^a: the exact product
-    of (1 + a*t) over the given exponent multiset (empty product is 1)."""
+    of (1 + a*t) over the given exponent multiset (empty product is 1).
+
+    The product depends only on how often each residue v occurs.  A value
+    with multiplicity m = sum_i d_i p^i (base-p digits d_i) contributes
+    (1 + v t)^m = prod_i (1 + v t^(p^i))^(d_i), because raising to the p-th
+    power is additive in characteristic p and v^p = v in F_p (Lucas's
+    theorem, coefficient by coefficient).  Each digit factor is sparse, with
+    coefficients C(d, k) v^k at t^(k p^i), so a multiset of N exponents
+    costs one short product per nonzero digit instead of N factors."""
     check_odd_prime(p)
+    counts = Counter(int(a) % p for a in exponents)
     coeffs = [1]
-    for a in exponents:
-        a = int(a) % p
-        if a == 0:
+    for v, m in counts.items():
+        if v == 0:
             continue  # the factor is exactly 1
-        coeffs.append(0)
-        for k in range(len(coeffs) - 2, -1, -1):
-            coeffs[k + 1] = (coeffs[k + 1] + a * coeffs[k]) % p
+        step = 1
+        while m:
+            m, d = divmod(m, p)
+            if d:
+                out = coeffs + [0] * (d * step)
+                for k in range(1, d + 1):
+                    c = math.comb(d, k) * pow(v, k, p) % p
+                    if c:
+                        shift = k * step
+                        for i, a in enumerate(coeffs):
+                            out[i + shift] += c * a
+                coeffs = [a % p for a in out]
+            step *= p
     return UPoly(p, coeffs)
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "exterior_square_weights",
     "half_spin_weights",
     "registry",
-    "registry_entries",
     "rep_group",
     "char_equal",
     "REP_NAMES",
@@ -222,10 +221,6 @@ def registry(name: str, rank: int) -> Character:
         raise ValueError(
             f"no registry entry {name!r} at rank {rank} (available: {available})"
         ) from None
-
-
-def registry_entries() -> list[tuple[str, int]]:
-    return sorted(_registry())
 
 
 def rep_group(name: str) -> str:

@@ -5,8 +5,8 @@ import itertools
 
 import pytest
 
-from chern_cert import classify
-from chern_cert.chern import RestrictionPoint, restricted_exponents, total_chern
+from chern_cert import chern, classify
+from chern_cert.chern import RestrictionPoint, chern_named, restricted_exponents, total_chern
 from chern_cert.classify import (
     _pm_form,
     canonical_representatives,
@@ -23,6 +23,7 @@ from chern_cert.classify import (
 from chern_cert.dickson import subring_bound
 from chern_cert.fppoly import UPoly, chern_of_exponents, in_subring, pm_factorization
 from chern_cert.spinchar import (
+    REP_NAMES,
     Character,
     exterior_square_weights,
     half_spin_weights,
@@ -94,6 +95,42 @@ class TestClassifyF4Mod3:
         assert result.evidence["rho4adj_product_identity"] is True
         assert result.evidence["rho8_alternate_reading_agrees"] is True
 
+    def test_rho8_missing_a_weight_is_falsified(self, monkeypatch):
+        real = classify._char_for
+
+        def lossy(name, n):
+            char = real(name, n)
+            if name != "rho8":
+                return char
+            weights = dict(char.weights)
+            weights[(2, 0, 0, 0)] -= 1  # a lambda1 weight, exponent alpha_1
+            return Character(n, weights)
+
+        monkeypatch.setattr(classify, "_TABLES", {})
+        monkeypatch.setattr(classify, "_char_for", lossy)
+        result = classify_f4_mod3()
+        assert not result.verified
+        assert result.evidence["polynomials"]["rho8"] != "1 + 2*t^162"
+        assert result.evidence["rho8_alternate_reading_agrees"] is False
+
+    def test_one_expansion_per_class_and_character(self, monkeypatch):
+        calls = []
+        real = classify.chern_of_exponents
+
+        def counted(p, exponents):
+            calls.append(p)
+            return real(p, exponents)
+
+        def forbidden(*args):
+            raise AssertionError("theorem-1.1 must not work point by point")
+
+        monkeypatch.setattr(classify, "_TABLES", {})
+        monkeypatch.setattr(classify, "chern_of_exponents", counted)
+        # every per-point class (chern_named, total_chern) expands here
+        monkeypatch.setattr(chern, "chern_of_exponents", forbidden)
+        assert classify_f4_mod3().verified
+        assert len(calls) == 3 * 7
+
 
 class TestProp3Checks:
     def test_prop32(self):
@@ -137,8 +174,10 @@ class TestTunedPathAgainstCharacterPipeline:
             assert _pm_form(fD, mD) == pm_factorization(gD), alpha
 
     def test_every_point_mod3_and_orbit_weights(self):
-        names = ("lambda1+delta", "lambda2")
+        # the table theorem-1.1 reads: the swept characters, then the registry
+        names = classify._MOD3_CHARS
         full = count_table(3, 4, names)
+        assert sorted(full.weights) == [24, 24, 32]
         alphas = [a for a in itertools.product(range(3), repeat=4) if any(a)]
         assert [full.alpha(i) for i in range(full.points)] == alphas
         chars = (
@@ -148,7 +187,8 @@ class TestTunedPathAgainstCharacterPipeline:
         for i, alpha in enumerate(alphas):
             pt = RestrictionPoint(3, alpha)
             got = full.polys[full.class_of[i]]
-            assert got == tuple(total_chern(c, pt) for c in chars), alpha
+            assert got[:2] == tuple(total_chern(c, pt) for c in chars), alpha
+            assert got[2:] == tuple(chern_named(name, pt) for name in REP_NAMES), alpha
         # canonical mode weights each class by orbit sizes to the same totals
         canonical = count_table(3, 4, names, "canonical")
         assert canonical.points == len(canonical_representatives(3, 4))

@@ -5,7 +5,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chern_cert.chern import RestrictionPoint, restricted_exponents, total_chern
@@ -102,6 +102,30 @@ class TestCountGrid:
         for name, counts in zip(names, table.counts[table.class_of[i]]):
             exps = Counter(restricted_exponents(GRID_CHARS[name](n), pt))
             assert counts == tuple(exps[v] for v in range(p)), name
+
+
+@st.composite
+def exponent_lists(draw):
+    """A prime and up to 300 exponents, negative ones included, drawn as
+    runs of one value so that multiplicities reach several base-p digits."""
+    p = draw(st.sampled_from((3, 5, 7, 11, 1000003)))
+    runs = draw(st.lists(st.tuples(st.integers(-2 * p, 2 * p), st.integers(1, 60)), max_size=12))
+    exps = [v for v, m in runs for _ in range(m)][:300]
+    return p, draw(st.permutations(exps))
+
+
+class TestChernOfExponentsDigits:
+    @given(exponent_lists())
+    @example((3, []))
+    @example((3, [1] * 26 + [-1] * 108))  # multiplicities 222 and 11000 in base 3
+    @example((1000003, [1000002] * 300))
+    @settings(deadline=None)
+    def test_matches_factor_by_factor_product(self, case):
+        p, exps = case
+        naive = UPoly.one(p)
+        for a in exps:
+            naive = naive * UPoly(p, (1, a))
+        assert chern_of_exponents(p, exps) == naive
 
 
 class TestSubstituteLinear:

@@ -8,7 +8,6 @@ from chern_cert.spinchar import (
     exterior_square_weights,
     half_spin_weights,
     registry,
-    registry_entries,
     rep_group,
     trivial,
     vector_weights,
@@ -93,10 +92,6 @@ class TestRegistry:
         assert rep_group("rho8") == "E8"
         with pytest.raises(ValueError):
             rep_group("rho5")
-
-    def test_entries_listing(self):
-        assert ("rho8", 8) in registry_entries()
-        assert len(registry_entries()) == 8
 
 
 class TestBranching:
