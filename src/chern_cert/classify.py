@@ -18,8 +18,9 @@ once, every statement predicate is evaluated once per class, and each
 point keeps only its class id, from which witness lists are read back in
 point order.  All 390624 mod-5 points fall into 53 count classes.
 
-Tables are memoized per (p, rank, characters, mode), so the statements that
-share a sweep share one table; the sweep runs in one process.
+Tables are memoized per (p, characters, mode), so the statements that share
+a sweep share one table and a changed character gets a table of its own;
+the sweep runs in one process.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .dickson import subring_bound
 from .fppoly import UPoly, chern_of_exponents, in_subring, inv2, pm_factorization
 from .spinchar import (
     REP_NAMES,
+    Character,
     exterior_square_weights,
     half_spin_weights,
     registry,
@@ -63,30 +65,6 @@ BLOCK_CELLS = 4096  # grid cells filled at once; bounds the full sweep's working
 
 P5, N5 = 5, 8
 TOTAL_POINTS_5 = 5**N5 - 1
-
-_CHAR_NAMES = ("lambda1", "lambda2", "delta+", "lambda1+delta")
-# the two swept characters first, then the registered representations,
-# whose classes theorem-1.1 reads off the same count classes
-_MOD3_CHARS = ("lambda1+delta", "lambda2", *REP_NAMES)
-# lambda1 restricts to +-alpha_i, so its counts record which squares occur
-_MOD5_CHARS = ("lambda2", "delta+", "lambda1")
-
-
-def _char_for(name: str, n: int):
-    if name == "lambda1":
-        return vector_weights(n)
-    if name == "lambda2":
-        return exterior_square_weights(n)
-    if name == "delta+":
-        return half_spin_weights(n, "+")
-    if name == "lambda1+delta":
-        return vector_weights(n) + half_spin_weights(n, "both")
-    if name in REP_NAMES:
-        return registry(name, n)
-    raise ValueError(
-        f"unknown character name {name!r} (expected one of {_CHAR_NAMES + REP_NAMES})"
-    )
-
 
 def _render_alpha(alpha) -> str:
     return ",".join(str(a) for a in alpha)
@@ -178,7 +156,7 @@ def _histogram(points: np.ndarray, pairs, p: int, dtype) -> np.ndarray:
     return hist
 
 
-def _split(name: str, char, nf: int, p: int):
+def _split(char: Character, nf: int, p: int):
     """Sort a character's weights by the halves they see mod p: front-only
     (back part 0), back-only (front part 0) and cross weights grouped by
     their back part.  Raises ValueError unless the kinds put back together
@@ -196,11 +174,11 @@ def _split(name: str, char, nf: int, p: int):
     for w, m in itertools.chain(front, back, *cross.values()):
         rebuilt[w] += m
     if rebuilt != Counter(dict(char.weights)):
-        raise ValueError(f"the front/back split of {name} loses or repeats weights")
+        raise ValueError(f"the front/back split of {char!r} loses or repeats weights")
     return front, back, cross
 
 
-def _check_permutation_invariant(name: str, char) -> None:
+def _check_permutation_invariant(char: Character) -> None:
     """Orbit weighting is sound only for characters whose weight multiset
     each adjacent coordinate transposition leaves unchanged."""
     weights = dict(char.weights)
@@ -209,17 +187,17 @@ def _check_permutation_invariant(name: str, char) -> None:
         if swapped != weights:
             raise ValueError(
                 f"canonical mode needs permutation-invariant characters;"
-                f" swapping coordinates {i} and {i + 1} changes {name}"
+                f" swapping coordinates {i} and {i + 1} changes {char!r}"
             )
 
 
-def _grid_terms(name: str, char, front, back, p: int, dtype):
+def _grid_terms(char: Character, front, back, p: int, dtype):
     """The front histogram, the back histogram and, per cross group, the
     pre-rolled front histogram R[f, s, v] = hist[f, (v - s) mod p] with the
     group's back exponents e[b]: the counts at cell (f, b) are
     Hf[f] + Hb[b] + sum over groups of R[f, e[b]]."""
     nf = front.shape[1]
-    fo, bo, cross = _split(name, char, nf, p)
+    fo, bo, cross = _split(char, nf, p)
     roll = (np.arange(p) - np.arange(p)[:, None]) % p
     groups = []
     for key, pairs in cross.items():
@@ -251,9 +229,9 @@ def _fill_cells(terms, f: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndar
 _TABLES: dict[tuple, CountTable] = {}
 
 
-def count_table(p: int, n: int, names, mode: str = "full", progress=None) -> CountTable:
-    """Sweep the nonzero points of (F_p)^n and group them by the exponent
-    counts of the named characters.
+def count_table(p: int, chars, mode: str = "full", progress=None) -> CountTable:
+    """Sweep the nonzero points of (F_p)^n, n the characters' common rank,
+    and group them by the exponent counts of the characters.
 
     A point splits into a front half (its first n // 2 coordinates) and a
     back half, so it is the cell (f, b) of a p^(n//2) by p^(n - n//2) grid
@@ -274,20 +252,24 @@ def count_table(p: int, n: int, names, mode: str = "full", progress=None) -> Cou
     """
     if mode not in ("full", "canonical"):
         raise ValueError(f"mode must be 'full' or 'canonical', got {mode!r}")
-    key = (p, n, tuple(names), mode)
+    chars = tuple(chars)
+    ranks = sorted({c.rank for c in chars})
+    if len(ranks) != 1:
+        raise ValueError(f"count_table needs characters of one rank, got ranks {ranks}")
+    n = ranks[0]
+    key = (p, chars, mode)
     if key in _TABLES:
         table = _TABLES[key]
         if progress is not None:
             progress(table.blocks, table.blocks)
         return table
 
-    chars = [_char_for(name, n) for name in names]
     if mode == "canonical":
-        for name, char in zip(names, chars):
-            _check_permutation_invariant(name, char)
+        for char in chars:
+            _check_permutation_invariant(char)
     dtype = np.min_scalar_type(max(c.dim for c in chars))
     front, back = _half_points(p, n // 2), _half_points(p, n - n // 2)
-    terms = [_grid_terms(name, c, front, back, p, dtype) for name, c in zip(names, chars)]
+    terms = [_grid_terms(c, front, back, p, dtype) for c in chars]
     width = len(chars) * p
 
     if mode == "full":
@@ -349,15 +331,31 @@ def count_table(p: int, n: int, names, mode: str = "full", progress=None) -> Cou
     return table
 
 
+def _consistent_value(p: int) -> UPoly:
+    """1 - t^d, d = p^3 - p^2: the value expected on the consistent set."""
+    return UPoly.one(p) - UPoly.monomial(p, 1, subring_bound(p))
+
+
 # ---------------------------------------------------------------------------
 # Mod 3: the 80-point sweep at rank 4.
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _mod3_chars() -> tuple[Character, ...]:
+    """The swept characters lambda1+delta and lambda2, then the registered
+    representations, whose classes theorem-1.1 reads off the same table."""
+    return (
+        vector_weights(4) + half_spin_weights(4, "both"),
+        exterior_square_weights(4),
+        *(registry(name, 4) for name in REP_NAMES),
+    )
+
+
 def _mod3_sweep():
     """The rank-4 mod-3 table and, per count class, whether each swept class
     (lambda1+delta, lambda2) is divisible by 1 - t^2 and lies in F_3[t^18]."""
-    table = count_table(3, 4, _MOD3_CHARS)
+    table = count_table(3, _mod3_chars())
     one_minus_t2 = UPoly(3, (1, 0, 2))
     d = subring_bound(3)
     swept = [cls[:2] for cls in table.polys]
@@ -380,9 +378,9 @@ def classify_f4_mod3() -> CheckResult:
     of the class.
     """
     p, n, d = 3, 4, subring_bound(3)
-    target = UPoly.one(p) - UPoly.monomial(p, 1, d)
+    target = _consistent_value(p)
     table, divisible, in_sub = _mod3_sweep()
-    col = {name: j for j, name in enumerate(_MOD3_CHARS)}
+    col = {name: j for j, name in enumerate(REP_NAMES, 2)}
 
     problems: list[str] = []
     witnesses: list[dict] = []
@@ -435,10 +433,8 @@ def classify_f4_mod3() -> CheckResult:
         "rho8": target**9,
     }
     for name, poly in expected.items():
-        if named.get(name) != poly.render():
-            problems.append(
-                f"{name} = {named.get(name)}, expected {poly.render()}"
-            )
+        if named[name] != poly.render():
+            problems.append(f"{name} = {named[name]}, expected {poly.render()}")
 
     # the adjoint class factors as the product of the two swept classes, and
     # the rank-4 rho8 class equals c(lambda1+delta)^8 * c(lambda2); both
@@ -475,7 +471,7 @@ def classify_f4_mod3() -> CheckResult:
 def check_prop32() -> CheckResult:
     """c(lambda1+delta) mod 3: divisible by 1 - t^2 at every nonzero point,
     and equal to 1 - t^18 at every point where it lies in F_3[t^18]."""
-    return _prop3_single("lambda1+delta", "prop-3.2", require_nontrivial=False)
+    return _prop3_single("lambda1+delta", 0, "prop-3.2", require_nontrivial=False)
 
 
 def check_prop33() -> CheckResult:
@@ -483,14 +479,14 @@ def check_prop33() -> CheckResult:
     point, and equal to 1 - t^18 at every point where both swept classes lie
     in F_3[t^18] (the joint filter mirrors the route through the adjoint
     representation, whose class is the product of the two)."""
-    return _prop3_single("lambda2", "prop-3.3", require_nontrivial=True)
+    return _prop3_single("lambda2", 1, "prop-3.3", require_nontrivial=True)
 
 
-def _prop3_single(name: str, statement: str, require_nontrivial: bool) -> CheckResult:
+def _prop3_single(name: str, j: int, statement: str, require_nontrivial: bool) -> CheckResult:
+    """The checks for the swept character in column j of the mod-3 table."""
     p, n, d = 3, 4, subring_bound(3)
-    j = _MOD3_CHARS.index(name)
-    target = UPoly.one(p) - UPoly.monomial(p, 1, d)
-    joint = name == "lambda2"
+    target = _consistent_value(p)
+    joint = j == 1
     table, divisible, in_sub = _mod3_sweep()
 
     problems: list[str] = []
@@ -549,6 +545,18 @@ def _pm_form(poly: UPoly, m) -> "tuple[int, int] | None":
     return pm_factorization(poly)
 
 
+@functools.cache
+def _mod5_chars() -> tuple[Character, ...]:
+    """lambda2, delta+ and lambda1, which restricts to +-alpha_i, so its
+    counts record which squares occur."""
+    return exterior_square_weights(N5), half_spin_weights(N5, "+"), vector_weights(N5)
+
+
+_MIXED_NOTE = (
+    "coordinate pairs with squares (1,-1) contribute"
+    " 1 - t^4 = (1 - t^2)(1 + t^2); the product form is unaffected"
+)
+
 _FAILURE_PROBLEMS = {
     "fail_closure": "negation closure fails",
     "fail_pm": "plus/minus product form fails",
@@ -564,7 +572,7 @@ def _mod5_classes(table: CountTable):
     points with squares 1 and -1, and the orbit-weighted occurrences of each
     S5 value."""
     d = subring_bound(P5)
-    v100 = UPoly.one(P5) - UPoly.monomial(P5, 1, d)
+    v100 = _consistent_value(P5)
     allowed = (v100.render(), (v100**2).render())
     classes: dict[str, list[int]] = {key: [] for key in _FAILURE_PROBLEMS}
     classes.update(s5=[], mixed=[])
@@ -596,13 +604,13 @@ def _mod5_classes(table: CountTable):
     return {key: tuple(ks) for key, ks in classes.items()}, tuple(occ.items())
 
 
-def sweep_mod5(mode: str = "full", progress=None) -> dict:
+def sweep_mod5(mode: str, progress=None) -> dict:
     """Run the rank-8 mod-5 sweep and return its accumulator: point and
     orbit-weight totals, the orbit-weighted size and first points of the
     consistent set S5, the occurrences of each S5 value, and the first
     failing points of each check.  The table and its per-class predicates
     are memoized per mode."""
-    table = count_table(P5, N5, _MOD5_CHARS, mode, progress)
+    table = count_table(P5, _mod5_chars(), mode, progress)
     classes, occ = _mod5_classes(table)
     acc = {key: table.first(classes[key], FAIL_CAP) for key in _FAILURE_PROBLEMS}
     acc.update(
@@ -635,7 +643,7 @@ def _sweep_problems(acc: dict, checks) -> list[str]:
     return problems + [_FAILURE_PROBLEMS[k] for k in ("fail_closure", *checks) if acc[k]]
 
 
-def classify_e8_mod5(mode: str = "full", progress=None) -> CheckResult:
+def classify_e8_mod5(mode: str, progress=None) -> CheckResult:
     """Sweep the rank-8 restriction points mod 5.
 
     For every point: the expanded classes of the exterior square and the
@@ -652,8 +660,8 @@ def classify_e8_mod5(mode: str = "full", progress=None) -> CheckResult:
         problems.append("consistent set is empty")
 
     # the coefficient of t^100 in each consistent value: -1 and -2 mod 5
-    v100 = UPoly.one(P5) - UPoly.monomial(P5, 1, subring_bound(P5))
-    values = {v100.render(): 4, (v100**2).render(): 3}
+    d, v100 = subring_bound(P5), _consistent_value(P5)
+    values = {v.render(): v.coefficient(d) for v in (v100, v100**2)}
     c100 = {key: c for key, c in values.items() if key in acc["occ"]}
 
     evidence = {
@@ -663,7 +671,7 @@ def classify_e8_mod5(mode: str = "full", progress=None) -> CheckResult:
         "pm_form_all": not acc["fail_pm"],
         "lambda2_nontrivial_all": not acc["fail_nontrivial"],
         "even_exponent_closure_all": not acc["fail_closure"],
-        "subring_exponent": subring_bound(5),
+        "subring_exponent": d,
         "s5_count": acc["s5_weight"],
         "s5_values": sorted(acc["occ"]),
         "s5_value_occurrences": dict(sorted(acc["occ"].items())),
@@ -672,8 +680,7 @@ def classify_e8_mod5(mode: str = "full", progress=None) -> CheckResult:
         "witness_cap": WITNESS_CAP,
         "mixed_square_pair_points": acc["mixed_weight"],
         "notes": [
-            "coordinate pairs with squares (1,-1) contribute"
-            " 1 - t^4 = (1 - t^2)(1 + t^2); the product form is unaffected",
+            _MIXED_NOTE,
             "which of the two consistent values is realized by the geometric"
             " subgroup is not decided here; occurrences of both are reported",
         ],
@@ -684,17 +691,12 @@ def classify_e8_mod5(mode: str = "full", progress=None) -> CheckResult:
     return CheckResult(
         statement="theorem-4.1",
         status=VERIFIED if not problems else FALSIFIED,
-        parameters={
-            "p": P5,
-            "rank": N5,
-            "mode": mode,
-            "points": TOTAL_POINTS_5,
-        },
+        parameters={"p": P5, "rank": N5, "mode": mode, "points": TOTAL_POINTS_5},
         evidence=evidence,
     )
 
 
-def check_prop43(mode: str = "canonical", progress=None) -> CheckResult:
+def check_prop43(mode: str, progress=None) -> CheckResult:
     """c(lambda2) mod 5 is a product of 1 - t^2 and 1 + t^2 factors and is
     nontrivial, at every nonzero point."""
     acc = sweep_mod5(mode=mode, progress=progress)
@@ -708,10 +710,7 @@ def check_prop43(mode: str = "canonical", progress=None) -> CheckResult:
         "pm_form_all": not acc["fail_pm"],
         "nontrivial_all": not acc["fail_nontrivial"],
         "mixed_square_pair_points": acc["mixed_weight"],
-        "notes": [
-            "coordinate pairs with squares (1,-1) contribute"
-            " 1 - t^4 = (1 - t^2)(1 + t^2); the product form is unaffected",
-        ],
+        "notes": [_MIXED_NOTE],
     }
     if failures := {k: acc[k] for k in checks if acc[k]}:
         evidence["witnesses"] = failures
@@ -723,7 +722,7 @@ def check_prop43(mode: str = "canonical", progress=None) -> CheckResult:
     )
 
 
-def check_prop44(mode: str = "canonical", progress=None) -> CheckResult:
+def check_prop44(mode: str, progress=None) -> CheckResult:
     """c(delta+) mod 5 is a product of 1 - t^2 and 1 + t^2 factors at every
     nonzero point."""
     acc = sweep_mod5(mode=mode, progress=progress)

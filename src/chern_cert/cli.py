@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("target", choices=STATEMENTS + ("all",))
     p_verify.add_argument("--p", type=int, choices=(3, 5), default=None,
                           help="with 'all': restrict to statements at this prime")
-    p_verify.add_argument("--mode", choices=("canonical", "full"), default=None,
+    p_verify.add_argument("--mode", choices=("canonical", "full"), default="canonical",
                           help="sweep mode for the mod-5 statements (default canonical)")
     p_verify.add_argument("--full-dickson", action="store_true",
                           help="include the full p=5 invariant expansion (about 0.2 s)")

@@ -62,9 +62,6 @@ class DicksonSet:
     def c(self, i: int) -> MPoly:
         return self.cs[i]
 
-    def polynomial_degrees(self) -> tuple[int, int, int]:
-        return tuple(c.total_degree for c in self.cs)
-
     def cohomological_degrees(self) -> tuple[int, int, int]:
         # the y-variables sit in cohomological degree 2
         return tuple(2 * c.total_degree for c in self.cs)
@@ -281,7 +278,6 @@ def rank1_restriction(p: int) -> dict:
         "e3_image": e3_image,
         "routes_agree": routes_agree,
         "closed_form": _render_bivariate(closed, p),
-        "direct_form": _render_bivariate(direct, p),
     }
 
 

@@ -92,10 +92,6 @@ class UPoly:
     def is_one(self) -> bool:
         return self.coeffs == (1,)
 
-    @property
-    def constant_term(self) -> int:
-        return self.coeffs[0] if self.coeffs else 0
-
     def coefficient(self, exponent: int) -> int:
         if 0 <= exponent < len(self.coeffs):
             return self.coeffs[exponent]

@@ -9,7 +9,8 @@ arithmetic; a weight is valid only when its entries are all even or all odd.
 
 Characters are finite multisets of weights with positive multiplicities
 (genuine characters only; virtual combinations are rejected).  They are
-immutable after construction and safe to share across workers.
+immutable after construction, hash by their weight multiset and are safe
+to share across workers.
 """
 
 from __future__ import annotations
@@ -99,6 +100,9 @@ class Character:
             and self.rank == other.rank
             and dict(self.weights) == dict(other.weights)
         )
+
+    def __hash__(self):
+        return hash((self.rank, frozenset(self.weights.items())))
 
     def __repr__(self):
         return f"Character(rank={self.rank}, dim={self.dim})"

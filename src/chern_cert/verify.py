@@ -133,14 +133,14 @@ def check_branching() -> CheckResult:
 
 def _result_for(
     statement: str,
-    mode: "str | None",
+    mode: str,
     progress,
     full_dickson: bool,
 ) -> CheckResult:
     if statement == "theorem-1.1":
         return classify.classify_f4_mod3()
     if statement == "theorem-4.1":
-        return classify.classify_e8_mod5(mode=mode or "canonical", progress=progress)
+        return classify.classify_e8_mod5(mode=mode, progress=progress)
     if statement == "lemma-3.1-facts":
         return dickson.lemma_facts(3, full=True)
     if statement == "lemma-4.2-facts":
@@ -152,15 +152,15 @@ def _result_for(
     if statement == "prop-3.3":
         return classify.check_prop33()
     if statement == "prop-4.3":
-        return classify.check_prop43(mode=mode or "canonical", progress=progress)
+        return classify.check_prop43(mode=mode, progress=progress)
     if statement == "prop-4.4":
-        return classify.check_prop44(mode=mode or "canonical", progress=progress)
+        return classify.check_prop44(mode=mode, progress=progress)
     raise ValueError(f"unknown statement {statement!r}")
 
 
 def run_statement(
     statement: str,
-    mode: "str | None" = None,
+    mode: str = "canonical",
     progress=None,
     full_dickson: bool = False,
 ) -> Certificate:

@@ -52,9 +52,23 @@ def canonical():
 
 
 @pytest.fixture(scope="module")
-def mod5_table():
+def mod5_chars():
+    return (exterior_square_weights(8), half_spin_weights(8, "+"), vector_weights(8))
+
+
+@pytest.fixture(scope="module")
+def mod5_table(mod5_chars):
     # the table the mod-5 statements read
-    return count_table(5, 8, ("lambda2", "delta+", "lambda1"), "canonical")
+    return count_table(5, mod5_chars, "canonical")
+
+
+def without_rho8_lambda1_weight(chars):
+    """The mod-3 columns with rho8 missing one copy of the lambda1 weight
+    (2, 0, 0, 0), whose exponent is alpha_1."""
+    *rest, rho8 = chars
+    weights = dict(rho8.weights)
+    weights[(2, 0, 0, 0)] -= 1
+    return (*rest, Character(4, weights))
 
 
 class TestClassifyF4Mod3:
@@ -96,22 +110,25 @@ class TestClassifyF4Mod3:
         assert result.evidence["rho8_alternate_reading_agrees"] is True
 
     def test_rho8_missing_a_weight_is_falsified(self, monkeypatch):
-        real = classify._char_for
-
-        def lossy(name, n):
-            char = real(name, n)
-            if name != "rho8":
-                return char
-            weights = dict(char.weights)
-            weights[(2, 0, 0, 0)] -= 1  # a lambda1 weight, exponent alpha_1
-            return Character(n, weights)
-
-        monkeypatch.setattr(classify, "_TABLES", {})
-        monkeypatch.setattr(classify, "_char_for", lossy)
+        # the fault lands after the true table is memoized; the memo is keyed
+        # by the characters themselves, so it cannot hand back the old table
+        assert classify_f4_mod3().verified
+        lossy = without_rho8_lambda1_weight(classify._mod3_chars())
+        monkeypatch.setattr(classify, "_mod3_chars", lambda: lossy)
         result = classify_f4_mod3()
         assert not result.verified
         assert result.evidence["polynomials"]["rho8"] != "1 + 2*t^162"
         assert result.evidence["rho8_alternate_reading_agrees"] is False
+
+    def test_memo_keeps_a_changed_character_apart(self):
+        chars = classify._mod3_chars()
+        true = count_table(3, chars)
+        faulted = count_table(3, without_rho8_lambda1_weight(chars))
+        assert count_table(3, chars) is true
+        i = int("1110", 3) - 1  # the consistent point 1,1,1,0 in sweep order
+        assert true.alpha(i) == faulted.alpha(i) == (1, 1, 1, 0)
+        assert true.polys[true.class_of[i]][-1].render() == "1 + 2*t^162"
+        assert faulted.polys[faulted.class_of[i]][-1].render() != "1 + 2*t^162"
 
     def test_one_expansion_per_class_and_character(self, monkeypatch):
         calls = []
@@ -147,7 +164,7 @@ class TestProp3Checks:
 
     def test_divisibility_sweeps_mod3(self):
         one_minus_t2 = UPoly(3, (1, 0, 2))
-        table = count_table(3, 4, ("lambda1+delta", "lambda2"))
+        table = count_table(3, classify._mod3_chars()[:2])
         assert table.points == 80
         for k, cls in enumerate(table.polys):
             for poly in cls:
@@ -175,8 +192,8 @@ class TestTunedPathAgainstCharacterPipeline:
 
     def test_every_point_mod3_and_orbit_weights(self):
         # the table theorem-1.1 reads: the swept characters, then the registry
-        names = classify._MOD3_CHARS
-        full = count_table(3, 4, names)
+        columns = classify._mod3_chars()
+        full = count_table(3, columns)
         assert sorted(full.weights) == [24, 24, 32]
         alphas = [a for a in itertools.product(range(3), repeat=4) if any(a)]
         assert [full.alpha(i) for i in range(full.points)] == alphas
@@ -190,7 +207,7 @@ class TestTunedPathAgainstCharacterPipeline:
             assert got[:2] == tuple(total_chern(c, pt) for c in chars), alpha
             assert got[2:] == tuple(chern_named(name, pt) for name in REP_NAMES), alpha
         # canonical mode weights each class by orbit sizes to the same totals
-        canonical = count_table(3, 4, names, "canonical")
+        canonical = count_table(3, columns, "canonical")
         assert canonical.points == len(canonical_representatives(3, 4))
         assert dict(zip(canonical.counts, canonical.weights)) == dict(
             zip(full.counts, full.weights)
@@ -207,8 +224,8 @@ class TestSplitGrid:
     """The full split grid against canonical mode and against a plain
     point-by-point sweep, and the structural checks on its input."""
 
-    def test_full_and_canonical_class_weights_agree(self, mod5_table):
-        full = count_table(5, 8, ("lambda2", "delta+", "lambda1"))
+    def test_full_and_canonical_class_weights_agree(self, mod5_chars, mod5_table):
+        full = count_table(5, mod5_chars)
         assert full.points == 5**8 - 1
         assert len(full.counts) == 53
         assert dict(zip(full.counts, full.weights)) == dict(
@@ -238,14 +255,12 @@ class TestSplitGrid:
         assert expected[-1] == "0,0,0,2,3,3,3,3"
         assert sweep_mod5("full")["s5_first"] == expected
 
-    def test_canonical_mode_rejects_asymmetric_character(self, monkeypatch):
-        monkeypatch.setattr(classify, "_TABLES", {})
+    def test_canonical_mode_rejects_asymmetric_character(self):
         lopsided = Character(3, {(2, 0, 0): 1, (-2, 0, 0): 1})
-        monkeypatch.setattr(classify, "_char_for", lambda name, n: lopsided)
         with pytest.raises(ValueError, match="permutation"):
-            count_table(3, 3, ("lambda1",), "canonical")
+            count_table(3, (lopsided,), "canonical")
         # full mode visits every point and needs no symmetry
-        assert count_table(3, 3, ("lambda1",)).weighted_points == 26
+        assert count_table(3, (lopsided,)).weighted_points == 26
 
     def test_split_that_loses_a_weight_is_rejected(self, monkeypatch):
         class Dropping(Character):
@@ -254,13 +269,13 @@ class TestSplitGrid:
             def sorted_weights(self):
                 return super().sorted_weights()[1:]
 
+        # Dropping compares equal to vector_weights(4), so a memoized table
+        # of that character would be handed back without a split
         monkeypatch.setattr(classify, "_TABLES", {})
-        monkeypatch.setattr(
-            classify, "_char_for", lambda name, n: Dropping(n, vector_weights(n).weights)
-        )
+        dropping = Dropping(4, vector_weights(4).weights)
         for mode in ("full", "canonical"):
             with pytest.raises(ValueError, match="split"):
-                count_table(5, 4, ("lambda1",), mode)
+                count_table(5, (dropping,), mode)
 
 
 class TestSweepMod5:
@@ -303,7 +318,8 @@ class TestSweepMod5:
     def test_divisibility_sweep_mod5_both_characters(self, mod5_table):
         # lambda1+delta mod 5 is a product of 1 - t^2 and 1 + t^2 factors, at
         # least one of them, at every point (lambda2 is pinned by prop-4.3)
-        table = count_table(5, 8, ("lambda1+delta",), "canonical")
+        lambda1_delta = vector_weights(8) + half_spin_weights(8, "both")
+        table = count_table(5, (lambda1_delta,), "canonical")
         assert table.weighted_points == 5**8 - 1
         for (m,), (poly,) in zip(table.counts, table.polys):
             form = _pm_form(poly, m)
@@ -317,5 +333,7 @@ class TestSweepMod5:
             sweep_mod5(mode="bogus")
 
     def test_invalid_character_rejected(self):
-        with pytest.raises(ValueError):
-            count_table(5, 8, ("delta-",), "canonical")
+        with pytest.raises(ValueError, match="one rank"):
+            count_table(5, (), "canonical")
+        with pytest.raises(ValueError, match="one rank"):
+            count_table(3, (vector_weights(4), vector_weights(3)))

@@ -46,7 +46,6 @@ class TestOrbitProductMod3:
 
     def test_polynomial_and_cohomological_degrees(self):
         ds = dickson.compute(3)
-        assert ds.polynomial_degrees() == (26, 24, 18)
         assert ds.cohomological_degrees() == (52, 48, 36)
 
     def test_invariants_homogeneous(self):
@@ -199,7 +198,7 @@ class TestOrbitProductMod5:
         product = dickson.orbit_product(5)
         assert product.support_in_var(3) == [1, 5, 25, 125]
         ds = dickson.compute(5)
-        assert ds.polynomial_degrees() == (124, 120, 100)
+        assert ds.cohomological_degrees() == (248, 240, 200)
 
     def test_restriction_matches_direct_substitution(self):
         # substituting the expanded orbit product agrees with the collapsed

@@ -1,0 +1,45 @@
+"""Golden hashes of the canonical certificate payloads.
+
+Each entry is the SHA-256 of canonical_json(payload) with the toolchain
+fingerprint left out, since that changes with the Python and numpy versions
+and nothing else.  A refactor must leave every hash unchanged; a deliberate
+change of evidence updates the entry and says so in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from chern_cert.certificates import STATEMENTS, canonical_json
+from chern_cert.verify import run_statement
+
+GOLDEN = (
+    ("theorem-1.1", {}, "8d0b7c3de8a0afd17bc74be0cc48706cc5868f38149e79291352d92be37d9e7d"),
+    ("theorem-4.1", {}, "f822c2f3b3dcdc5b9f1e1e0a424ee7c879a2b02cd4d663132fdc95b6b046d983"),
+    ("lemma-3.1-facts", {}, "f65c2df8cd2508209288610c41c6ba5a56b16b401be7bbdc270a0845e83a9cd9"),
+    ("lemma-4.2-facts", {}, "725909ae7e0263a152990cdb1676d08c56461fb7e873d4a47050186c0f6c8e36"),
+    ("prop-2.2-branching", {}, "04b8adca586b408ef33a0993cd5a2e75f834b0e143e6dddeb94730e558d509ab"),
+    ("prop-3.2", {}, "f249a22db43175d68d13f892b15a61dfabf5f5f649a943b9e7e8e526c890eb00"),
+    ("prop-3.3", {}, "aacf93bb1bbac271586d4fd0e793059c075c836401474cc1602f41b662a16f76"),
+    ("prop-4.3", {}, "e8f3ef3110dced61b69286867e0bac494fc0a7d1ffc04eba086b0d2da13c6040"),
+    ("prop-4.4", {}, "d6bb3afe374b104b49cb1204096c5c9dc62d34ea6be81f5a8c34ad8907c5a766"),
+    ("theorem-4.1", {"mode": "full"}, "e23779f4b35c07ae8fcf9cadfbdc8075f0615dfdcc7d15d61ac6476bf4a6f140"),
+    ("prop-4.3", {"mode": "full"}, "6747449ede92715e403d6c40f596317bcbafc7b8af93fec66a6d874d5033cc47"),
+    ("prop-4.4", {"mode": "full"}, "42af808959b6f8315df096856a900d66ade9aef33824584031605c4f5bb480c4"),
+    ("lemma-4.2-facts", {"full_dickson": True}, "478a5ad2b28b48be7f61edd9d60bfd75bcb572952d6554eabf29e7289a11880c"),
+)
+
+
+def test_every_statement_has_a_default_entry():
+    assert [s for s, kwargs, _ in GOLDEN if not kwargs] == list(STATEMENTS)
+
+
+@pytest.mark.parametrize(
+    "statement, kwargs, digest",
+    GOLDEN,
+    ids=[s + "".join(f"-{k}={v}" for k, v in kw.items()) for s, kw, _ in GOLDEN],
+)
+def test_canonical_payload_hash_unchanged(statement, kwargs, digest):
+    payload = run_statement(statement, **kwargs).payload()
+    del payload["toolchain"]
+    assert hashlib.sha256(canonical_json(payload).encode("ascii")).hexdigest() == digest

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chern_cert.chern import RestrictionPoint, restricted_exponents, total_chern
-from chern_cert.classify import _CHAR_NAMES, count_table
+from chern_cert.classify import count_table
 from chern_cert.fppoly import (
     MPoly,
     UPoly,
@@ -81,27 +81,27 @@ GRID_CHARS = {
 @st.composite
 def grid_points(draw):
     """A prime, a rank (odd ranks split unevenly), a tuple of swept
-    characters and a nonzero point."""
+    characters at that rank and a nonzero point."""
     p = draw(primes)
     n = draw(st.integers(2, 7))
-    names = draw(st.lists(st.sampled_from(_CHAR_NAMES), min_size=1, max_size=4, unique=True))
+    names = draw(st.lists(st.sampled_from(sorted(GRID_CHARS)), min_size=1, max_size=4, unique=True))
     alpha = draw(st.tuples(*(st.integers(0, p - 1) for _ in range(n))).filter(any))
-    return p, n, tuple(names), alpha
+    return p, tuple(GRID_CHARS[name](n) for name in names), alpha
 
 
 class TestCountGrid:
     @settings(max_examples=60, deadline=None)
     @given(grid_points())
     def test_counts_match_restricted_exponents(self, case):
-        p, n, names, alpha = case
-        table = count_table(p, n, names)
+        p, chars, alpha = case
+        table = count_table(p, chars)
         # full mode lists the nonzero points in lexicographic order
         i = int("".join(map(str, alpha)), p) - 1
         assert table.alpha(i) == alpha
         pt = RestrictionPoint(p, alpha)
-        for name, counts in zip(names, table.counts[table.class_of[i]]):
-            exps = Counter(restricted_exponents(GRID_CHARS[name](n), pt))
-            assert counts == tuple(exps[v] for v in range(p)), name
+        for char, counts in zip(chars, table.counts[table.class_of[i]]):
+            exps = Counter(restricted_exponents(char, pt))
+            assert counts == tuple(exps[v] for v in range(p)), char
 
 
 @st.composite
