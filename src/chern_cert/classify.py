@@ -12,11 +12,14 @@ character's counts at the cell are a front histogram (weights with back
 part 0) plus a back histogram (front part 0) plus, per group of the other
 weights sharing a back part, a front histogram rolled by the group's back
 exponent.  At p = 5 the swept characters have 24 such groups and each half
-has 625 points; the grid is filled a few front rows at a time and its rows
-are grouped by count vector.  Each count class's polynomial is expanded
-once, every statement predicate is evaluated once per class, and each
-point keeps only its class id, from which witness lists are read back in
-point order.  All 390624 mod-5 points fall into 53 count classes.
+has 625 points.  A front row enters the counts only through its front
+signature (its front histogram and its unrolled group histograms), and the
+625 front rows have 20 distinct signatures, so only one row per signature
+is filled and grouped by count vector; every point reads its class id back
+from those rows.  Each count class's polynomial is expanded once, every
+statement predicate is evaluated once per class, and each point keeps only
+its class id, from which witness lists are read back in point order.  All
+390624 mod-5 points fall into 53 count classes.
 
 Tables are memoized per (p, characters, mode), so the statements that share
 a sweep share one table and a changed character gets a table of its own;
@@ -61,7 +64,6 @@ __all__ = [
 
 WITNESS_CAP = 32
 FAIL_CAP = 8
-BLOCK_CELLS = 4096  # grid cells filled at once; bounds the full sweep's working set
 
 P5, N5 = 5, 8
 TOTAL_POINTS_5 = 5**N5 - 1
@@ -102,8 +104,8 @@ class CountTable:
     Chern class and weights[k] its orbit-weighted number of points;
     class_of holds each point's class id in sweep order (full mode: every
     nonzero point in lexicographic order, canonical mode: the weakly
-    increasing representatives), and blocks is the number of grid blocks
-    the sweep filled.
+    increasing representatives).  Class ids are numbered by the first point
+    of each class, and every class holds at least one swept point.
     """
 
     p: int
@@ -114,7 +116,6 @@ class CountTable:
     weights: tuple
     class_of: np.ndarray
     reps: "tuple | None"
-    blocks: int
 
     @property
     def points(self) -> int:
@@ -226,6 +227,19 @@ def _fill_cells(terms, f: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndar
     return out
 
 
+def _group(cells: np.ndarray, index: dict) -> np.ndarray:
+    """The class id of each row of cells (one count vector per row), through
+    index, which maps a count vector's bytes to its id.  A count vector not
+    yet in index gets the next id, in the order of the row that first shows
+    it."""
+    rows = np.ascontiguousarray(cells).view(np.dtype((np.void, cells.shape[1] * cells.itemsize)))
+    uniq, inverse = np.unique(rows.ravel(), return_inverse=True)
+    ids = np.empty(len(uniq), dtype=np.intp)
+    for u in dict.fromkeys(inverse.tolist()):  # in order of first row
+        ids[u] = index.setdefault(uniq[u].tobytes(), len(index))
+    return ids[inverse]
+
+
 _TABLES: dict[tuple, CountTable] = {}
 
 
@@ -241,14 +255,24 @@ def count_table(p: int, chars, mode: str = "full", progress=None) -> CountTable:
     pre-rolled front histogram read at the group's back exponent (see
     _grid_terms); no point is restricted on its own.
 
-    Mode "full" fills every cell but the zero point, a few whole front rows
-    (at most BLOCK_CELLS cells) per block; mode "canonical" gathers the
-    cells of the weakly increasing representatives in one block and weights
-    each by its orbit size, which is sound because every swept character is
-    invariant under coordinate permutations (checked; full mode is the
-    oracle for canonical mode).  Rows are grouped by count vector block by
-    block.  progress(done, total) is called per block; a memoized table
-    reports all its blocks done at once.
+    Mode "full" fills only one front row per distinct front signature.  A
+    cell's counts are Hf[f] + Hb[b] + sum over groups g of R_g[f, e_g[b]],
+    and the front row f enters them only through Hf[f] and the unrolled
+    group histograms R_g[f, 0, :] (R_g[f, s, v] = R_g[f, 0, v - s]).  Two
+    front rows with equal signatures (that tuple, over every character)
+    therefore have equal counts at every back column.  This rests only on
+    the split, which _split checks, not on any symmetry.  At p = 5 the 625
+    front rows have 20 signatures; each point's class id is then read off
+    the small signature-by-column id table with one gather.  Mode
+    "canonical" fills the cells of the weakly increasing representatives
+    and weights each by its orbit size, which is sound because every swept
+    character is invariant under coordinate permutations (checked; full
+    mode is the oracle for canonical mode).
+
+    Classes are numbered by the first point they hold; a class that no
+    swept point hits (at p = 5 the zero point's) is dropped, so it is
+    never expanded or evaluated.  progress(1, 1) is called once, also for
+    a memoized table.
     """
     if mode not in ("full", "canonical"):
         raise ValueError(f"mode must be 'full' or 'canonical', got {mode!r}")
@@ -258,64 +282,61 @@ def count_table(p: int, chars, mode: str = "full", progress=None) -> CountTable:
         raise ValueError(f"count_table needs characters of one rank, got ranks {ranks}")
     n = ranks[0]
     key = (p, chars, mode)
-    if key in _TABLES:
-        table = _TABLES[key]
-        if progress is not None:
-            progress(table.blocks, table.blocks)
-        return table
+    if key not in _TABLES:
+        _TABLES[key] = _build_table(p, n, chars, mode)
+    if progress is not None:
+        progress(1, 1)
+    return _TABLES[key]
 
+
+def _build_table(p: int, n: int, chars: tuple, mode: str) -> CountTable:
+    """The count table of chars over (F_p)^n in mode; see count_table."""
     if mode == "canonical":
         for char in chars:
             _check_permutation_invariant(char)
     dtype = np.min_scalar_type(max(c.dim for c in chars))
     front, back = _half_points(p, n // 2), _half_points(p, n - n // 2)
     terms = [_grid_terms(c, front, back, p, dtype) for c in chars]
-    width = len(chars) * p
+    index: dict[bytes, int] = {}
 
     if mode == "full":
-        reps, orbit, total = None, None, p**n - 1
-        rows = max(1, BLOCK_CELLS // len(back))
-        nblocks = -(-len(front) // rows)
-        grid = np.empty((len(chars), rows, len(back), p), dtype=dtype)
-
-        def blocks():
-            # point i is cell i + 1: the zero point, cell 0, is dropped
-            for lo in range(0, len(front), rows):
-                hi = min(lo + rows, len(front))
-                filled = _fill_rows(terms, lo, hi, grid[:, : hi - lo])
-                flat = np.ascontiguousarray(filled.transpose(1, 2, 0, 3)).reshape(-1, width)
-                yield (0, flat[1:]) if lo == 0 else (lo * len(back) - 1, flat)
-
+        reps = None
+        sig = np.concatenate(
+            [part for hf, _, groups in terms for part in (hf, *(r[:, 0] for r, _ in groups))],
+            axis=1,
+        )
+        # signatures are numbered by first row, so filling each one's first
+        # row in turn visits cells in point order and numbers the classes by
+        # first point
+        row_sig = _group(sig, {})
+        rows = row_sig.tolist()
+        first = [rows.index(s) for s in range(max(rows) + 1)]
+        ids = np.empty((len(first), len(back)), dtype=np.intp)
+        row = np.empty((len(chars), 1, len(back), p), dtype=dtype)
+        for s, r in enumerate(first):
+            filled = _fill_rows(terms, r, r + 1, row)[:, 0]
+            ids[s] = _group(filled.transpose(1, 0, 2).reshape(len(back), -1), index)
+        weight = np.bincount(ids.ravel(), np.repeat(np.bincount(row_sig), len(back)))
+        weight[0] -= 1  # class 0 holds cell 0, the zero point, which is not swept
     else:
         reps = tuple(canonical_representatives(p, n))
-        orbit, total, nblocks = np.array([orbit_size(a) for a in reps]), len(reps), 1
         f, b = np.divmod(np.array(reps) @ p ** np.arange(n - 1, -1, -1), len(back))
+        cells = _fill_cells(terms, f, b, np.empty((len(chars), len(reps), p), dtype=dtype))
+        ids = _group(cells.transpose(1, 0, 2).reshape(len(reps), -1), index)
+        weight = np.bincount(ids, [orbit_size(a) for a in reps])
 
-        def blocks():
-            cells = _fill_cells(terms, f, b, np.empty((len(chars), total, p), dtype=dtype))
-            yield 0, np.ascontiguousarray(cells.transpose(1, 0, 2)).reshape(-1, width)
-
-    row_type = np.dtype((np.void, width * dtype.itemsize))
-    class_of = np.empty(total, dtype=np.uint8)
-    index: dict[bytes, int] = {}
-    class_weight: list[int] = []
-    for done, (lo, block) in enumerate(blocks(), 1):
-        hi = lo + len(block)
-        uniq, inverse = np.unique(block.view(row_type).ravel(), return_inverse=True)
-        ids = [index.setdefault(u.tobytes(), len(index)) for u in uniq]
-        class_weight.extend([0] * (len(index) - len(class_weight)))
-        sums = np.bincount(inverse, None if orbit is None else orbit[lo:hi])
-        for k, w in zip(ids, sums.tolist()):
-            class_weight[k] += int(w)
-        if len(index) > np.iinfo(class_of.dtype).max + 1:
-            class_of = class_of.astype(np.min_scalar_type(len(index)))
-        class_of[lo:hi] = np.array(ids)[inverse]
-        if progress is not None:
-            progress(done, nblocks)
-
+    keep = weight > 0
+    # each class's new id is the number of kept classes before it
+    renumber = (np.cumsum(keep) - keep).astype(np.min_scalar_type(int(keep.sum())))
+    class_of = renumber[ids]
+    if mode == "full":
+        # point i is cell i + 1; a dropped class holds only cell 0
+        class_of = class_of[row_sig].ravel()[1:]
+    class_of.flags.writeable = False
     class_counts = tuple(
         tuple(tuple(row) for row in np.frombuffer(k, dtype=dtype).reshape(-1, p).tolist())
-        for k in index
+        for k, kept in zip(index, keep)
+        if kept
     )
     polys = tuple(
         tuple(
@@ -323,12 +344,8 @@ def count_table(p: int, chars, mode: str = "full", progress=None) -> CountTable:
         )
         for cls in class_counts
     )
-    class_of.flags.writeable = False
-    table = CountTable(
-        p, n, mode, class_counts, polys, tuple(class_weight), class_of, reps, nblocks
-    )
-    _TABLES[key] = table
-    return table
+    weights = tuple(int(w) for w in weight[keep])
+    return CountTable(p, n, mode, class_counts, polys, weights, class_of, reps)
 
 
 def _consistent_value(p: int) -> UPoly:
@@ -532,15 +549,23 @@ def _prop3_single(name: str, j: int, statement: str, require_nontrivial: bool) -
 # ---------------------------------------------------------------------------
 
 
+def _square_binomial(sign: int, e: int) -> UPoly:
+    """(1 + sign*t^2)^e mod 5 by the binomial theorem."""
+    coeffs = [0] * (2 * e + 1)
+    for i in range(e + 1):
+        coeffs[2 * i] = math.comb(e, i) * sign**i
+    return UPoly(P5, coeffs)
+
+
 def _pm_form(poly: UPoly, m) -> "tuple[int, int] | None":
     """(e_minus, e_plus) with poly = (1-t^2)^e_minus (1+t^2)^e_plus, or None.
 
     Mod 5, (1+t)(1+4t) = 1 - t^2 and (1+2t)(1+3t) = 1 + t^2, so the counts
-    predict (m[1], m[2]); the prediction is accepted only when multiplying
-    the product back out reproduces poly exactly.  On disagreement the greedy
-    repeated-division routine decides."""
+    predict (m[1], m[2]); the prediction is accepted only when the product,
+    multiplied out from binomial coefficients, reproduces poly exactly.  On
+    disagreement the greedy repeated-division routine decides."""
     a_cnt, b_cnt = m[1], m[2]
-    if UPoly(P5, (1, 0, 4)) ** a_cnt * UPoly(P5, (1, 0, 1)) ** b_cnt == poly:
+    if _square_binomial(-1, a_cnt) * _square_binomial(1, b_cnt) == poly:
         return a_cnt, b_cnt
     return pm_factorization(poly)
 

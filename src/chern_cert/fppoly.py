@@ -126,12 +126,13 @@ class UPoly:
         self._check_same(other)
         if self.is_zero or other.is_zero:
             return UPoly.zero(self.p)
+        # skip the zero coefficients of both factors
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+            if a:
+                for j, b in terms:
+                    out[i + j] += a * b
         return UPoly(self.p, out)
 
     def __pow__(self, exponent: int) -> "UPoly":

@@ -2,6 +2,7 @@
 the count-class-kernel-versus-character-pipeline cross-checks."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -69,6 +70,29 @@ def without_rho8_lambda1_weight(chars):
     weights = dict(rho8.weights)
     weights[(2, 0, 0, 0)] -= 1
     return (*rest, Character(4, weights))
+
+
+def lopsided(n):
+    """A rank-n character with front-only, back-only and cross weights of two
+    back parts, with multiplicities, that no coordinate transposition keeps."""
+
+    def w(*entries):  # (coordinate, entry) pairs
+        out = [0] * n
+        for i, e in entries:
+            out[i] = e
+        return tuple(out)
+
+    last = n - 1
+    return Character(
+        n,
+        {
+            w((0, 2)): 1,
+            w((last, -2)): 2,
+            w((0, 2), (last, 2)): 1,
+            w((1, -2), (last, 2)): 3,
+            w((0, 4), (last - 1, 2)): 1,
+        },
+    )
 
 
 class TestClassifyF4Mod3:
@@ -276,6 +300,60 @@ class TestSplitGrid:
         for mode in ("full", "canonical"):
             with pytest.raises(ValueError, match="split"):
                 count_table(5, (dropping,), mode)
+
+
+class TestDistinctFrontRows:
+    """Full mode fills one front row per front signature and reads every
+    point's class back from those rows."""
+
+    @pytest.mark.parametrize("p, n", [(3, 4), (3, 5), (5, 4)])
+    def test_every_point_against_restricted_exponents(self, p, n):
+        chars = (vector_weights(n), lopsided(n), exterior_square_weights(n), half_spin_weights(n, "+"))
+        table = count_table(p, chars)
+        alphas = [a for a in itertools.product(range(p), repeat=n) if any(a)]
+        assert table.points == len(alphas)
+        for i, alpha in enumerate(alphas):
+            assert table.alpha(i) == alpha
+            pt = RestrictionPoint(p, alpha)
+            for char, counts in zip(chars, table.counts[table.class_of[i]]):
+                exps = Counter(restricted_exponents(char, pt))
+                assert counts == tuple(exps[v] for v in range(p)), (alpha, char)
+        assert all(w > 0 for w in table.weights)
+        assert sum(table.weights) == p**n - 1
+        assert Counter(table.class_of.tolist()) == dict(enumerate(table.weights))
+
+    def test_one_row_fill_per_front_signature(self, monkeypatch):
+        filled = []
+        real = classify._fill_rows
+
+        def counted(terms, lo, hi, out):
+            filled.append(hi - lo)
+            return real(terms, lo, hi, out)
+
+        monkeypatch.setattr(classify, "_TABLES", {})
+        monkeypatch.setattr(classify, "_fill_rows", counted)
+        count_table(5, classify._mod5_chars())
+        assert sum(filled) == 20  # of 625 front rows
+        filled.clear()
+        count_table(3, classify._mod3_chars())
+        assert sum(filled) == 3  # of 9
+
+    def test_lambda2_missing_a_weight_is_falsified(self, monkeypatch):
+        lambda2, *rest = classify._mod5_chars()
+        weights = dict(lambda2.weights)
+        del weights[(0,) * 6 + (2, 2)]
+        lossy = (Character(8, weights), *rest)
+        monkeypatch.setattr(classify, "_mod5_chars", lambda: lossy)
+        result = classify_e8_mod5("full")
+        assert not result.verified
+        witnesses = result.evidence["witnesses"]["fail_closure"]
+        assert witnesses
+        # the first witness, recomputed point by point under the same fault
+        alpha = tuple(int(a) for a in witnesses[0].split(","))
+        exps = Counter(restricted_exponents(lossy[0], RestrictionPoint(5, alpha)))
+        assert exps != Counter({-v % 5: m for v, m in exps.items()})
+        with pytest.raises(ValueError, match="permutation"):
+            classify_e8_mod5("canonical")
 
 
 class TestSweepMod5:

@@ -128,6 +128,34 @@ class TestChernOfExponentsDigits:
         assert chern_of_exponents(p, exps) == naive
 
 
+@st.composite
+def sparse_coefficient_pairs(draw):
+    """A prime and two coefficient lists, mostly zeros; empty lists and
+    all-zero lists give zero polynomials."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    coeff = st.one_of(st.just(0), st.just(0), st.just(p), st.integers(-2 * p, 2 * p))
+    return p, draw(st.lists(coeff, max_size=40)), draw(st.lists(coeff, max_size=40))
+
+
+def dense_convolution(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+class TestSparseMultiply:
+    @given(sparse_coefficient_pairs())
+    @example((5, [], [1, 2]))
+    @example((5, [0, 5, 0], [1]))
+    @example((5, [1, 0, 4], [1, 0, 0, 0, 1]))
+    @example((3, [0, 0, 1], [0, 2, 0, 0, 3, 1]))
+    def test_matches_dense_convolution(self, case):
+        p, a, b = case
+        assert UPoly(p, a) * UPoly(p, b) == UPoly(p, dense_convolution(a, b))
+
+
 class TestSubstituteLinear:
     @given(substitutions())
     def test_matches_naive_composition(self, case):
