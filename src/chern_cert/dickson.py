@@ -10,10 +10,12 @@ unit.  Restricting y1 -> t, y2 -> 0, y3 -> 0 before expansion collapses the
 orbit product to (X^p - t^(p-1) X)^(p^2) = X^(p^3) - t^((p-1)p^2) X^(p^2),
 which pins the rank-1 images of the invariants.
 
-The full 3-variable expansion is a dense numpy product of the p^3 factors.
-On a 2-CPU machine it takes about 0.002 s at p = 3 and 0.12 s at p = 5, and
-the p = 5 facts with the transvection checks about 0.2 s; the rank-1
-restriction path never needs it.
+The full 3-variable expansion builds the orbit product up a tower of
+coordinate subspaces with sparse MPoly arithmetic, and e3 apart from it as a
+dense numpy product of its linear factors.  On a 2-CPU machine the orbit
+product takes about 0.0015 s at p = 3 and 0.02 s at p = 5, and the p = 5
+facts with the transvection checks about 0.06 s; the rank-1 restriction
+path never needs the expansion.
 """
 
 from __future__ import annotations
@@ -74,33 +76,36 @@ def _check_supported_prime(p: int) -> None:
         raise ValueError(f"Dickson facts are stated for p in {_PRIMES}, got {p}")
 
 
-def orbit_product(p: int) -> MPoly:
-    """The full orbit product as a polynomial in (y1, y2, y3, X).
+def _dense_product(p: int, forms) -> MPoly:
+    """The product of the given linear forms over F_p, as a polynomial in
+    len(form) variables.
 
-    The factors (X + l_v) are multiplied in itertools.product order into a
-    dense uint8 array indexed by the y-exponents (a, b, c); after k factors
-    the product is homogeneous of degree k, so the X exponent is k - a - b - c.
-    An axis grows only with a factor whose coefficient on it is nonzero;
-    (p - 1) p^2 factors have one, so no exponent exceeds (p - 1) p^2.  Before
-    reduction a cell holds at most (p - 1)(1 + 3(p - 1)), 52 at p = 5, so
-    uint8 is exact.
+    The forms are multiplied in the given order into a dense uint8 array
+    indexed by the exponents of all variables but the last; after k forms the
+    product is homogeneous of degree k, so the last exponent is k minus the
+    others.  An axis grows only with a form whose coefficient on it is
+    nonzero.  Before reduction a cell holds at most len(form) (p - 1)^2, 64
+    at p = 5 with four variables, so uint8 is exact.
     """
     # imported on first use: loading numpy here, before classify does, raised
     # the peak RSS of `verify all` by about 1 MiB
     import numpy as np
 
-    _check_supported_prime(p)
-    size = (p - 1) * p**2 + 1
-    cur = np.zeros((size,) * _RANK, dtype=np.uint8)
+    forms = [tuple(c % p for c in form) for form in forms]
+    arity = len(forms[0])
+    if arity * (p - 1) ** 2 > np.iinfo(np.uint8).max:
+        raise ValueError(f"uint8 cells cannot hold {arity} forms' terms at p = {p}")
+    dims = arity - 1
+    cur = np.zeros([1 + sum(1 for f in forms if f[a]) for a in range(dims)], dtype=np.uint8)
     nxt = np.zeros_like(cur)
-    cur[(0,) * _RANK] = 1
-    ext = [1] * _RANK
-    for v in itertools.product(range(p), repeat=_RANK):
+    cur[(0,) * dims] = 1
+    ext = [1] * dims
+    for *head, last in forms:
         # the two buffers take turns; extents only grow, so every cell of
         # nxt outside box is still zero
         box = tuple(slice(0, e) for e in ext)
-        nxt[box] = cur[box]  # the X term: exponents (a, b, c) unchanged
-        for axis, coeff in enumerate(v):
+        np.multiply(cur[box], last, out=nxt[box])  # the last variable's term
+        for axis, coeff in enumerate(head):
             if coeff:
                 shifted = box[:axis] + (slice(1, ext[axis] + 1),) + box[axis + 1 :]
                 nxt[shifted] += cur[box] * np.uint8(coeff)
@@ -108,12 +113,42 @@ def orbit_product(p: int) -> MPoly:
         grown = tuple(slice(0, e) for e in ext)
         np.remainder(nxt[grown], p, out=nxt[grown])
         cur, nxt = nxt, cur
-    degree = p**_RANK
+    nonzero = np.nonzero(cur)
+    degree = len(forms)
     terms = {
-        (a, b, c, degree - a - b - c): int(cur[a, b, c])
-        for a, b, c in zip(*(axis.tolist() for axis in np.nonzero(cur)))
+        key + (degree - sum(key),): c
+        for key, c in zip(zip(*(axis.tolist() for axis in nonzero)), cur[nonzero].tolist())
     }
-    return MPoly(p, _RANK + 1, terms)
+    return MPoly(p, arity, terms)
+
+
+def orbit_product(p: int) -> MPoly:
+    """The full orbit product prod_v (X + l_v) as a polynomial in
+    (y1, y2, y3, X), built up a tower of coordinate subspaces.
+
+    R_0 = X and R_k(X) = prod_{a in F_p} R_{k-1}(X + a*y_{4-k}), first for
+    y3, then y2, then y1.  By induction R_k is the product of X + l_v over
+    the v spanned by the last k coordinates, so R_3 is the p^3 factors
+    regrouped; nothing else about the invariants is used.  At p = 5 the
+    stages have 2, 12 and 377 terms.  Each stage multiplies the shifts by
+    +-1, +-2, ... first and the unshifted R_{k-1} last: at p = 5 the last
+    stage's partial products then stay under 430 terms (921 in the order
+    0, 1, ..., p - 1), which halves its term products.
+    """
+    _check_supported_prime(p)
+    arity = _RANK + 1
+    x = arity - 1
+    order = [a for b in range(1, (p + 1) // 2) for a in (b, p - b)] + [0]
+    tower = MPoly.variable(p, arity, x)
+    for axis in reversed(range(_RANK)):
+        product = MPoly.one(p, arity)
+        for a in order:
+            # X -> X + a*y_axis, every other variable fixed
+            shift = [[int(i == j) for j in range(arity)] for i in range(arity)]
+            shift[axis][x] = a
+            product = product * tower.substitute_linear(shift)
+        tower = product
+    return tower
 
 
 def antipodal_representatives(p: int) -> list[tuple[int, ...]]:
@@ -129,10 +164,9 @@ def antipodal_representatives(p: int) -> list[tuple[int, ...]]:
 
 
 def _e3(p: int) -> MPoly:
-    prod = MPoly.one(p, _RANK)
-    for v in antipodal_representatives(p):
-        prod = prod * MPoly.linear_form(p, _RANK, v)
-    return prod
+    # multiplied out apart from orbit_product, so that e3^2 = +-c_{3,0}
+    # compares two independent expansions
+    return _dense_product(p, antipodal_representatives(p))
 
 
 _CACHE: dict[int, DicksonSet] = {}
@@ -141,8 +175,9 @@ _CACHE: dict[int, DicksonSet] = {}
 def compute(p: int) -> DicksonSet:
     """Expand the orbit product and extract c_{3,0}, c_{3,1}, c_{3,2} and e3.
 
-    The p = 5 expansion multiplies out 125 linear factors in about 0.12 s
-    (0.002 s at p = 3); at p = 5 callers ask for it explicitly.
+    At p = 5 the orbit product and e3 take about 0.025 s together on a
+    2-CPU machine (0.0025 s at p = 3); at p = 5 callers ask for them
+    explicitly.
     """
     _check_supported_prime(p)
     if p in _CACHE:
@@ -321,7 +356,8 @@ def sl3_invariance_check(p: int, ds: "DicksonSet | None" = None) -> CheckResult:
     ds = ds or compute(p)
     violations = []
     polys = {"c0": ds.c(0), "c1": ds.c(1), "c2": ds.c(2), "e3": ds.e3}
-    for gi, m in enumerate(transvection_generators(p)):
+    generators = transvection_generators(p)
+    for gi, m in enumerate(generators):
         for name, poly in polys.items():
             if poly.substitute_linear(m) != poly:
                 violations.append({"generator": gi, "matrix": m, "invariant": name})
@@ -331,7 +367,7 @@ def sl3_invariance_check(p: int, ds: "DicksonSet | None" = None) -> CheckResult:
         status=status,
         parameters={"p": p, "rank": _RANK, "scope": "sl3-invariance"},
         evidence={
-            "generators_checked": len(transvection_generators(p)),
+            "generators_checked": len(generators),
             "invariants_checked": sorted(polys),
             "violations": violations,
         },
@@ -350,7 +386,7 @@ def lemma_facts(p: int, full: "bool | None" = None) -> CheckResult:
 
     full defaults to True at p = 3 and False at p = 5: the restriction path
     does not need the expansion, which with the transvection checks adds
-    about 0.2 s at p = 5.
+    about 0.06 s at p = 5 on a 2-CPU machine.
     """
     _check_supported_prime(p)
     if full is None:

@@ -290,26 +290,51 @@ def frobenius_image(a: UPoly, times: int = 1) -> UPoly:
     return UPoly(a.p, coeffs)
 
 
+def _product_terms(a: dict, b: dict, out: "dict | None" = None) -> dict:
+    """Add the product of two term dicts to out (a new dict by default) and
+    return it; coefficients are not reduced mod p."""
+    out = {} if out is None else out
+    get = out.get
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = tuple(map(add, ka, kb))
+            out[key] = get(key, 0) + ca * cb
+    return out
+
+
 def _linear_power(
-    p: int, n: int, column: list[tuple[int, int]], e: int
+    p: int, arity: int, column: list[tuple[int, int]], e: int
 ) -> dict[tuple[int, ...], int]:
-    """(sum_i m_i * y_i)^e over F_p, e >= 1, by the multinomial theorem for
-    the nonzero entries (i, m_i) of column: the coefficient of prod_i y_i^k_i
-    is e! / prod_i k_i! * prod_i m_i^k_i.  Zero coefficients are dropped."""
+    """(sum_i m_i * y_i)^e over F_p, e >= 1, for the nonzero entries (i, m_i)
+    of column, as terms over arity variables.
+
+    With e = sum_k d_k p^k in base p, the power is
+    prod_k (sum_i m_i y_i^(p^k))^(d_k), because raising to the p-th power is
+    additive in characteristic p and m^p = m in F_p.  Each digit factor is
+    expanded by the multinomial theorem; as d_k < p none of its coefficients
+    d_k! / prod_i k_i! * prod_i m_i^k_i vanishes mod p, and the factors of
+    different digits occupy different base-p digits of every exponent, so
+    their product has no coinciding terms and no zero coefficient."""
     r = len(column)
     if not r:
         return {}
-    out: dict[tuple[int, ...], int] = {}
-    # stars and bars: r - 1 bars among e + r - 1 slots split e into r parts
-    for bars in itertools.combinations(range(e + r - 1), r - 1):
-        coeff = math.factorial(e)
-        exps = [0] * n
-        for (i, m), lo, hi in zip(column, (-1,) + bars, bars + (e + r - 1,)):
-            k = hi - lo - 1
-            coeff = coeff // math.factorial(k) * pow(m, k)
-            exps[i] = k
-        if coeff % p:
-            out[tuple(exps)] = coeff % p
+    out = {(0,) * arity: 1}
+    step = 1
+    while e:
+        e, d = divmod(e, p)
+        if d:
+            factor = {}
+            # stars and bars: r - 1 bars among d + r - 1 slots split d into r parts
+            for bars in itertools.combinations(range(d + r - 1), r - 1):
+                coeff = math.factorial(d)
+                exps = [0] * arity
+                for (i, m), lo, hi in zip(column, (-1,) + bars, bars + (d + r - 1,)):
+                    k = hi - lo - 1
+                    coeff = coeff // math.factorial(k) * m**k
+                    exps[i] = k * step
+                factor[tuple(exps)] = coeff % p
+            out = {k: c % p for k, c in _product_terms(out, factor).items()}
+        step *= p
     return out
 
 
@@ -430,17 +455,10 @@ class MPoly:
             return out
         self._check_same(other)
         p = self.p
-        data: dict[tuple[int, ...], int] = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ka, kb))
-                v = (data.get(key, 0) + ca * cb) % p
-                if v:
-                    data[key] = v
-                else:
-                    data.pop(key, None)
-        out = MPoly.zero(self.p, self.arity)
-        out.terms = data
+        out = MPoly.zero(p, self.arity)
+        out.terms = {
+            k: c % p for k, c in _product_terms(self.terms, other.terms).items() if c % p
+        }
         return out
 
     __rmul__ = __mul__
@@ -488,29 +506,28 @@ class MPoly:
             [(i, int(matrix[i][j]) % p) for i in range(n) if int(matrix[i][j]) % p]
             for j in range(n)
         ]
+        # an identity column keeps its variable's exponent where it is
+        moved = [j for j in range(n) if columns[j] != [(j, 1)]]
         powers: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
         data: dict[tuple[int, ...], int] = {}
+        unit = {(0,) * self.arity: 1}
         for key, coeff in self.terms.items():
-            # the image of this term, over the leading n variables
-            partial = {(0,) * n: coeff}
-            for j in range(n):
+            kept = list(key)
+            factors = []
+            for j in moved:
+                kept[j] = 0
                 e = key[j]
-                if not e:
-                    continue
-                if (j, e) not in powers:
-                    powers[j, e] = _linear_power(p, n, columns[j], e)
-                product: dict[tuple[int, ...], int] = {}
-                for ka, ca in partial.items():
-                    for kb, cb in powers[j, e].items():
-                        k = tuple(map(add, ka, kb))
-                        product[k] = (product.get(k, 0) + ca * cb) % p
-                partial = product
-            fixed = key[n:]
-            for k, c in partial.items():
-                k += fixed
-                data[k] = (data.get(k, 0) + c) % p
+                if e:
+                    if (j, e) not in powers:
+                        powers[j, e] = _linear_power(p, self.arity, columns[j], e)
+                    factors.append(powers[j, e])
+            partial = {tuple(kept): coeff}
+            for factor in factors[:-1]:
+                partial = _product_terms(partial, factor)
+            # the last factor's products go straight into the image
+            _product_terms(partial, factors[-1] if factors else unit, data)
         out = MPoly.zero(p, self.arity)
-        out.terms = {k: c for k, c in data.items() if c}
+        out.terms = {k: c % p for k, c in data.items() if c % p}
         return out
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:

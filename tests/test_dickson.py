@@ -20,8 +20,8 @@ class TestOrbitProductMod3:
         assert top == MPoly.one(3, 3)
 
     def test_matches_plain_factor_product(self):
-        # the dense kernel against the 27 factors X + l_v multiplied out with
-        # MPoly arithmetic alone
+        # the subspace tower against the 27 factors X + l_v multiplied out
+        # with MPoly arithmetic alone
         p = 3
         x = MPoly.variable(p, 4, 3)
         plain = MPoly.one(p, 4)
@@ -74,6 +74,15 @@ class TestSquareRootInvariant:
 
     def test_e3_representative_count_mod5(self):
         assert len(dickson.antipodal_representatives(5)) == 62
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_e3_matches_plain_factor_product(self, p):
+        # _dense_product against the antipodal forms multiplied out with
+        # MPoly arithmetic alone
+        plain = MPoly.one(p, 3)
+        for v in dickson.antipodal_representatives(p):
+            plain = plain * MPoly.linear_form(p, 3, v)
+        assert dickson._e3(p) == plain
 
 
 class TestRank1Restriction:
@@ -185,7 +194,7 @@ class TestLemmaFacts:
 
     @pytest.mark.parametrize("p", [2, 7, 11])
     def test_expansion_rejects_unsupported_prime(self, p):
-        # p = 7 is an odd prime, but the facts and the dense kernel are for
+        # p = 7 is an odd prime, but the facts and the expansion are for
         # p in (3, 5) only
         with pytest.raises(ValueError):
             dickson.orbit_product(p)
@@ -194,6 +203,14 @@ class TestLemmaFacts:
 
 
 class TestOrbitProductMod5:
+    def test_matches_dense_factor_product(self):
+        # the subspace tower against the 125 factors X + l_v multiplied one
+        # at a time by _dense_product (the plain MPoly product of 125
+        # factors takes seconds)
+        p = 5
+        forms = [v + (1,) for v in itertools.product(range(p), repeat=3)]
+        assert dickson.orbit_product(p) == dickson._dense_product(p, forms)
+
     def test_x_support_and_degrees(self):
         product = dickson.orbit_product(5)
         assert product.support_in_var(3) == [1, 5, 25, 125]
@@ -212,3 +229,37 @@ class TestOrbitProductMod5:
                 collapsed[key] = (collapsed.get(key, 0) + c) % p
         collapsed = {k: v for k, v in collapsed.items() if v}
         assert collapsed == {(125, 0): 1, (25, 100): 4}
+
+
+def _flip(product: MPoly, key: tuple) -> MPoly:
+    """product with the coefficient at key doubled, so it stays nonzero."""
+    return MPoly(product.p, product.arity, {**product.terms, key: 2 * product.terms[key]})
+
+
+class TestMutations:
+    """Faults injected at existing seams must turn the facts Falsified."""
+
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("index", [0, 1, 2, -1])
+    def test_flipped_orbit_coefficient_breaks_invariance(self, monkeypatch, p, index):
+        product = dickson.orbit_product(p)
+        # a term of some c_{3,i}; flipping the monic X^(p^3) term would raise
+        keys = sorted(k for k in product.terms if k[3] != p**3)
+        flipped = _flip(product, keys[index])
+        monkeypatch.setattr(dickson, "orbit_product", lambda q: flipped)
+        monkeypatch.setattr(dickson, "_CACHE", {})
+        result = dickson.lemma_facts(p, full=True)
+        assert not result.verified
+        assert "transvection invariance failed" in result.evidence["problems"]
+        assert result.evidence["invariance_violations"]
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_dropped_antipodal_representative_breaks_e3(self, monkeypatch, p):
+        reps = dickson.antipodal_representatives(p)
+        monkeypatch.setattr(dickson, "antipodal_representatives", lambda q: reps[1:])
+        monkeypatch.setattr(dickson, "_CACHE", {})
+        result = dickson.lemma_facts(p, full=True)
+        assert not result.verified
+        problems = result.evidence["problems"]
+        assert "e3^2 is not a unit multiple of c_{3,0}" in problems
+        assert any(problem.startswith("e3 degree") for problem in problems)

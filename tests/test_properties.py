@@ -163,6 +163,40 @@ class TestSubstituteLinear:
         assert f.substitute_linear(matrix) == naive_substitute(f, matrix)
 
 
+@st.composite
+def digit_substitutions(draw):
+    """Like substitutions(), but with exponents up to 2 p^2, which have
+    three base-p digits, on at most three variables."""
+    p = draw(primes)
+    arity = draw(st.integers(1, 3))
+    n = draw(st.sampled_from((arity, arity - 1)))
+    keys = st.tuples(*(st.integers(0, 2 * p * p) for _ in range(arity)))
+    terms = draw(st.dictionaries(keys, st.integers(0, p - 1), max_size=4))
+    entries = st.integers(-p, 2 * p)
+    matrix = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    return MPoly(p, arity, terms), matrix
+
+
+class TestSubstituteLinearDigits:
+    @given(digit_substitutions())
+    @example((MPoly(5, 3, {(50, 31, 7): 2}), [[1, 1, 0], [1, 1, 0], [0, 1, 1]]))
+    @example((MPoly(3, 2, {(17, 0): 1, (0, 18): 2}), [[1, 2], [2, 0]]))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_naive_composition(self, case):
+        f, matrix = case
+        assert f.substitute_linear(matrix) == naive_substitute(f, matrix)
+
+
+class TestMPolyCancellation:
+    def test_product_stores_no_zero_coefficient(self):
+        # (y1 + y2)(y1 - y2) = y1^2 - y2^2: the two y1*y2 terms cancel
+        p = 5
+        y1, y2 = MPoly.variable(p, 2, 0), MPoly.variable(p, 2, 1)
+        product = (y1 + y2) * (y1 - y2)
+        assert product.terms == {(2, 0): 1, (0, 2): 4}
+        assert 0 not in product.terms.values()
+
+
 class TestFrobenius:
     @given(upolys())
     def test_pth_power_stretches_exponents(self, a):
