@@ -68,15 +68,12 @@ def canonical_json(obj) -> str:
 
 
 def toolchain_fingerprint() -> dict:
-    import numpy
-
     from . import __version__
 
     return {
         "package": "chern-cert",
         "package_version": __version__,
         "python": sys.version.split()[0],
-        "numpy": numpy.__version__,
     }
 
 

