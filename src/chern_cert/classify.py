@@ -20,9 +20,10 @@ from those rows.  The kernel is pure Python: a cell's counts for every
 character are packed into one int, so a cell is a sum of a few ints and a
 dict groups the cells.  A class polynomial is expanded once per class and
 character, on the first read of that character's column, every statement
-predicate is evaluated once per class, and each point keeps only its class
-id, one byte, from which witness lists are read back in point order.  All
-390624 mod-5 points fall into 53 count classes.
+predicate, mod 3 and mod 5, is evaluated once per class, and each point
+keeps only its class id, one byte, from which consistent sets and witness
+lists are read back in point order.  All 390624 mod-5 points fall into 53
+count classes, and the 80 mod-3 points into 3.
 
 Tables are memoized per (p, characters, mode), so the statements that share
 a sweep share one table and a changed character gets a table of its own;
@@ -390,7 +391,7 @@ def _group(cells: list[int], index: dict) -> list[int]:
 _TABLES: dict[tuple, CountTable] = {}
 
 
-def count_table(p: int, chars, mode: str = "full", progress=None) -> CountTable:
+def count_table(p: int, chars, mode: str = "full") -> CountTable:
     """Sweep the nonzero points of (F_p)^n, n the characters' common rank,
     and group them by the exponent counts of the characters.
 
@@ -417,8 +418,7 @@ def count_table(p: int, chars, mode: str = "full", progress=None) -> CountTable:
 
     Classes are numbered by the first point they hold; a class that no
     swept point hits (at p = 5 the zero point's) is dropped, so it is
-    never expanded or evaluated.  progress(1, 1) is called once, also for
-    a memoized table.
+    never expanded or evaluated.
     """
     if mode not in ("full", "canonical"):
         raise ValueError(f"mode must be 'full' or 'canonical', got {mode!r}")
@@ -430,8 +430,6 @@ def count_table(p: int, chars, mode: str = "full", progress=None) -> CountTable:
     key = (p, chars, mode)
     if key not in _TABLES:
         _TABLES[key] = _build_table(p, n, chars, mode)
-    if progress is not None:
-        progress(1, 1)
     return _TABLES[key]
 
 
@@ -519,76 +517,99 @@ def _mod3_chars() -> tuple[Character, ...]:
     )
 
 
-def _mod3_sweep():
-    """The rank-4 mod-3 table and, per count class, whether each swept class
-    (lambda1+delta, lambda2) is divisible by 1 - t^2 and lies in F_3[t^18]."""
-    table = count_table(3, _mod3_chars())
+_SWEPT3 = ("lambda1+delta", "lambda2")
+
+
+@functools.cache
+def _mod3_classes(table: CountTable) -> dict[str, frozenset[int]]:
+    """The mod-3 predicates, evaluated once per count class, for each swept
+    column j (0: lambda1+delta, 1: lambda2): the classes where the column
+    breaks negation closure (m[1] != m[2], since -1 = 2 mod 3) or the
+    constant size 24 of both characters ("closure{j}"), is not divisible by
+    1 - t^2 ("indivisible{j}"), is trivial ("trivial{j}"), lies in
+    F_3[t^18] ("sub{j}") or differs from 1 - t^18 ("off{j}")."""
     one_minus_t2 = UPoly(3, (1, 0, 2))
-    d = subring_bound(3)
-    swept = list(zip(table.column(0), table.column(1)))
-    divisible = [tuple(c.divexact(one_minus_t2) is not None for c in cls) for cls in swept]
-    in_sub = [tuple(in_subring(c, d) for c in cls) for cls in swept]
-    return table, divisible, in_sub
+    d, target = subring_bound(3), _consistent_value(3)
+    predicates = {
+        "closure": lambda m, c: m[1] != m[2] or sum(m) != 24,
+        "indivisible": lambda m, c: c.divexact(one_minus_t2) is None,
+        "trivial": lambda m, c: c.is_one,
+        "sub": lambda m, c: in_subring(c, d),
+        "off": lambda m, c: c != target,
+    }
+    return {
+        f"{name}{j}": frozenset(
+            k for k, (cls, c) in enumerate(zip(table.counts, table.column(j))) if test(cls[j], c)
+        )
+        for name, test in predicates.items()
+        for j in range(len(_SWEPT3))
+    }
+
+
+def _mod3_walk(table: CountTable, consistent, checks) -> tuple[list[str], list[dict]]:
+    """One walk over the 80 points in sweep order: the points whose class is
+    in consistent, and a witness per failed check, in check order within a
+    point.  A check is (label, failing classes, fields), and its witness
+    carries the point, the label and, per field name, the class polynomial
+    of that column; each check keeps its first WITNESS_CAP witnesses."""
+    alphas: list[str] = []
+    witnesses: list[dict] = []
+    kept: Counter = Counter()
+    for i, k in enumerate(table.class_of.tolist()):
+        alpha = _render_alpha(table.alpha(i))
+        if k in consistent:
+            alphas.append(alpha)
+        for label, failing, fields in checks:
+            if k in failing and kept[label] < WITNESS_CAP:
+                kept[label] += 1
+                witness = {"alpha": alpha, "check": label}
+                witness.update((name, table.column(j)[k].render()) for name, j in fields.items())
+                witnesses.append(witness)
+    return alphas, witnesses
 
 
 def classify_f4_mod3() -> CheckResult:
     """Sweep all 80 nonzero restriction points of the rank-4 torus mod 3.
 
-    Checks, for every point: both c(lambda1+delta) and c(lambda2) are
-    divisible by 1 - t^2, and c(lambda2) != 1.  Collects the joint-consistent
-    set S of points where both classes lie in F_3[t^18]; S must be nonempty
-    and both classes must equal 1 - t^18 on it.  Finally checks the five
-    registered restricted representations against the closed powers of
-    1 - t^18, once per count class of S: the registered characters are
-    columns of the same count table, and a class fixes the exponent counts
-    of every column, so each class polynomial is the value at every point
-    of the class.
+    Checks, for every point: both swept classes c(lambda1+delta) and
+    c(lambda2) come from negation-closed exponent lists of the full size 24
+    and are divisible by 1 - t^2, and c(lambda2) != 1.  Collects the
+    joint-consistent set S of points where both classes lie in F_3[t^18]; S
+    must be nonempty and both classes must equal 1 - t^18 on it.  Finally
+    checks the five registered restricted representations against the
+    closed powers of 1 - t^18.  Every predicate is evaluated once per count
+    class (3 classes): the registered characters are columns of the same
+    count table, and a class fixes the exponent counts of every column, so
+    each class polynomial is the value at every point of the class.
     """
     p, n, d = 3, 4, subring_bound(3)
     target = _consistent_value(p)
-    table, divisible, in_sub = _mod3_sweep()
+    table = count_table(p, _mod3_chars())
+    cls = _mod3_classes(table)
     polys = table.polys  # theorem-1.1 reads every column
     col = {name: j for j, name in enumerate(REP_NAMES, 2)}
 
-    problems: list[str] = []
-    witnesses: list[dict] = []
-    consistent: list[str] = []
-    divisible_all = all(all(cls) for cls in divisible)
-    nontrivial_all = not any(cls[1].is_one for cls in polys)
-
-    for i, k in enumerate(table.class_of.tolist()):
-        alpha = _render_alpha(table.alpha(i))
-        c_ld, c_l2 = polys[k][:2]
-        if not divisible[k][0]:
-            witnesses.append({"alpha": alpha, "check": "lambda1+delta divisibility"})
-        if not divisible[k][1]:
-            witnesses.append({"alpha": alpha, "check": "lambda2 divisibility"})
-        if c_l2.is_one:
-            witnesses.append({"alpha": alpha, "check": "lambda2 nontriviality"})
-        if all(in_sub[k]):
-            consistent.append(alpha)
-            if c_ld != target or c_l2 != target:
-                witnesses.append(
-                    {
-                        "alpha": alpha,
-                        "check": "consistent value",
-                        "lambda1+delta": c_ld.render(),
-                        "lambda2": c_l2.render(),
-                    }
-                )
-    if not divisible_all:
-        problems.append("divisibility by 1 - t^2 fails")
-    if not nontrivial_all:
-        problems.append("c(lambda2) is trivial somewhere")
+    joint = cls["sub0"] & cls["sub1"]
+    checks = (
+        ("closure", cls["closure0"] | cls["closure1"], {}),
+        ("lambda1+delta divisibility", cls["indivisible0"], {}),
+        ("lambda2 divisibility", cls["indivisible1"], {}),
+        ("lambda2 nontriviality", cls["trivial1"], {}),
+        (
+            "consistent value",
+            joint & (cls["off0"] | cls["off1"]),
+            {"lambda1+delta": 0, "lambda2": 1},
+        ),
+    )
+    consistent, witnesses = _mod3_walk(table, joint, checks)
+    problems = [label for label, failing, _ in checks if failing]
     if not consistent:
         problems.append("joint-consistent set is empty")
-    if any(w.get("check") == "consistent value" for w in witnesses):
-        problems.append("a consistent point has an unexpected value")
 
-    classes = [polys[k] for k in range(len(polys)) if all(in_sub[k])]
+    classes = [polys[k] for k in sorted(joint)]
     named: dict[str, "str | None"] = {}
     for name in REP_NAMES:
-        values = {cls[col[name]].render() for cls in classes}
+        values = {c[col[name]].render() for c in classes}
         if len(values) > 1:
             problems.append(f"{name} is not constant on the consistent set")
         named[name] = sorted(values)[0] if values else None
@@ -607,8 +628,8 @@ def classify_f4_mod3() -> CheckResult:
     # the adjoint class factors as the product of the two swept classes, and
     # the rank-4 rho8 class equals c(lambda1+delta)^8 * c(lambda2); both
     # readings of that line must agree with the registry computation
-    adj_ok = all(cls[col["rho4adj"]] == cls[0] * cls[1] for cls in classes)
-    alt_ok = all(cls[col["rho8"]] == (cls[0] ** 8) * cls[1] for cls in classes)
+    adj_ok = all(c[col["rho4adj"]] == c[0] * c[1] for c in classes)
+    alt_ok = all(c[col["rho8"]] == (c[0] ** 8) * c[1] for c in classes)
     if not adj_ok:
         problems.append("rho4adj product identity fails on the consistent set")
     if not alt_ok:
@@ -617,8 +638,8 @@ def classify_f4_mod3() -> CheckResult:
     evidence = {
         "points_total": 3**n - 1,
         "subring_exponent": d,
-        "divisible_by_1_minus_t2_all": divisible_all,
-        "lambda2_nontrivial_all": nontrivial_all,
+        "divisible_by_1_minus_t2_all": not (cls["indivisible0"] | cls["indivisible1"]),
+        "lambda2_nontrivial_all": not cls["trivial1"],
         "consistent_alphas": sorted(consistent),
         "consistent_count": len(consistent),
         "consistent_value": target.render(),
@@ -627,7 +648,7 @@ def classify_f4_mod3() -> CheckResult:
         "rho8_alternate_reading_agrees": alt_ok,
     }
     if witnesses:
-        evidence["witnesses"] = witnesses[:WITNESS_CAP]
+        evidence["witnesses"] = witnesses
     return CheckResult(
         statement="theorem-1.1",
         status=VERIFIED if not problems else FALSIFIED,
@@ -639,7 +660,7 @@ def classify_f4_mod3() -> CheckResult:
 def check_prop32() -> CheckResult:
     """c(lambda1+delta) mod 3: divisible by 1 - t^2 at every nonzero point,
     and equal to 1 - t^18 at every point where it lies in F_3[t^18]."""
-    return _prop3_single("lambda1+delta", 0, "prop-3.2", require_nontrivial=False)
+    return _prop3_single(0, "prop-3.2")
 
 
 def check_prop33() -> CheckResult:
@@ -647,50 +668,40 @@ def check_prop33() -> CheckResult:
     point, and equal to 1 - t^18 at every point where both swept classes lie
     in F_3[t^18] (the joint filter mirrors the route through the adjoint
     representation, whose class is the product of the two)."""
-    return _prop3_single("lambda2", 1, "prop-3.3", require_nontrivial=True)
+    return _prop3_single(1, "prop-3.3")
 
 
-def _prop3_single(name: str, j: int, statement: str, require_nontrivial: bool) -> CheckResult:
-    """The checks for the swept character in column j of the mod-3 table."""
+def _prop3_single(j: int, statement: str) -> CheckResult:
+    """The checks for the swept character in column j of the mod-3 table:
+    lambda2 (j = 1) also must be nontrivial, and its consistent set is the
+    joint one.  Closure covers the columns the statement reads."""
     p, n, d = 3, 4, subring_bound(3)
-    target = _consistent_value(p)
+    table = count_table(p, _mod3_chars())
+    cls = _mod3_classes(table)
     joint = j == 1
-    table, divisible, in_sub = _mod3_sweep()
-
-    problems: list[str] = []
-    witnesses: list[dict] = []
-    consistent = []
-    for i, k in enumerate(table.class_of.tolist()):
-        alpha = _render_alpha(table.alpha(i))
-        c = table.column(j)[k]
-        if not divisible[k][j]:
-            problems.append("divisibility fails")
-            witnesses.append({"alpha": alpha, "check": "divisibility"})
-        if require_nontrivial and c.is_one:
-            problems.append("trivial value")
-            witnesses.append({"alpha": alpha, "check": "nontriviality"})
-        if all(in_sub[k]) if joint else in_sub[k][j]:
-            consistent.append(alpha)
-            if c != target:
-                problems.append("consistent value mismatch")
-                witnesses.append({"alpha": alpha, "check": "value", "value": c.render()})
-    if not consistent:
-        problems.append("consistent set is empty")
+    consistent_classes = cls["sub0"] & cls["sub1"] if joint else cls["sub0"]
+    closure = cls["closure0"] | cls["closure1"] if joint else cls["closure0"]
+    checks = [("closure", closure, {}), ("divisibility", cls[f"indivisible{j}"], {})]
+    if joint:
+        checks.append(("nontriviality", cls["trivial1"], {}))
+    checks.append(("value", consistent_classes & cls[f"off{j}"], {"value": j}))
+    consistent, witnesses = _mod3_walk(table, consistent_classes, checks)
+    failed = not consistent or any(failing for _, failing, _ in checks)
     evidence = {
-        "character": name,
+        "character": _SWEPT3[j],
         "points_total": 3**n - 1,
         "subring_exponent": d,
         "joint_filter": joint,
         "consistent_count": len(consistent),
         "consistent_alphas": sorted(consistent),
-        "value_on_consistent_set": target.render(),
+        "value_on_consistent_set": _consistent_value(p).render(),
     }
     if witnesses:
-        evidence["witnesses"] = witnesses[:WITNESS_CAP]
+        evidence["witnesses"] = witnesses
     return CheckResult(
         statement=statement,
-        status=VERIFIED if not problems else FALSIFIED,
-        parameters={"p": p, "rank": n, "character": name},
+        status=FALSIFIED if failed else VERIFIED,
+        parameters={"p": p, "rank": n, "character": _SWEPT3[j]},
         evidence=evidence,
     )
 
@@ -781,13 +792,13 @@ def _mod5_classes(table: CountTable):
     return {key: tuple(ks) for key, ks in classes.items()}, tuple(occ.items())
 
 
-def sweep_mod5(mode: str, progress=None) -> dict:
+def sweep_mod5(mode: str) -> dict:
     """Run the rank-8 mod-5 sweep and return its accumulator: point and
     orbit-weight totals, the orbit-weighted size and first points of the
     consistent set S5, the occurrences of each S5 value, and the first
     failing points of each check.  The table and its per-class predicates
     are memoized per mode."""
-    table = count_table(P5, _mod5_chars(), mode, progress)
+    table = count_table(P5, _mod5_chars(), mode)
     classes, occ = _mod5_classes(table)
     acc = {key: table.first(classes[key], FAIL_CAP) for key in _FAILURE_PROBLEMS}
     acc.update(
@@ -820,7 +831,7 @@ def _sweep_problems(acc: dict, checks) -> list[str]:
     return problems + [_FAILURE_PROBLEMS[k] for k in ("fail_closure", *checks) if acc[k]]
 
 
-def classify_e8_mod5(mode: str, progress=None) -> CheckResult:
+def classify_e8_mod5(mode: str) -> CheckResult:
     """Sweep the rank-8 restriction points mod 5.
 
     For every point: the expanded classes of the exterior square and the
@@ -830,7 +841,7 @@ def classify_e8_mod5(mode: str, progress=None) -> CheckResult:
     be nonempty with every value equal to 1 - t^100 or (1 - t^100)^2; the
     certificate reports which of the two occur and how often.
     """
-    acc = sweep_mod5(mode=mode, progress=progress)
+    acc = sweep_mod5(mode=mode)
     checks = ("fail_pm", "fail_nontrivial", "fail_value")
     problems = _sweep_problems(acc, checks)
     if acc["s5_weight"] == 0:
@@ -873,10 +884,10 @@ def classify_e8_mod5(mode: str, progress=None) -> CheckResult:
     )
 
 
-def check_prop43(mode: str, progress=None) -> CheckResult:
+def check_prop43(mode: str) -> CheckResult:
     """c(lambda2) mod 5 is a product of 1 - t^2 and 1 + t^2 factors and is
     nontrivial, at every nonzero point."""
-    acc = sweep_mod5(mode=mode, progress=progress)
+    acc = sweep_mod5(mode=mode)
     checks = ("fail_pm", "fail_nontrivial")
     problems = _sweep_problems(acc, checks)
     evidence = {
@@ -899,10 +910,10 @@ def check_prop43(mode: str, progress=None) -> CheckResult:
     )
 
 
-def check_prop44(mode: str, progress=None) -> CheckResult:
+def check_prop44(mode: str) -> CheckResult:
     """c(delta+) mod 5 is a product of 1 - t^2 and 1 + t^2 factors at every
     nonzero point."""
-    acc = sweep_mod5(mode=mode, progress=progress)
+    acc = sweep_mod5(mode=mode)
     problems = _sweep_problems(acc, ("fail_pm",))
     evidence = {
         "mode": mode,

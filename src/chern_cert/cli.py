@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Progress and status lines go to standard error; standard output carries
-exactly the certificate JSON (with --json), the certificate file path, or the
-polynomial text for single-point reports, so the tool is scriptable.
+Status lines go to standard error; standard output carries exactly the
+certificate JSON (with --json), the certificate file path, or the polynomial
+text for single-point reports, so the tool is scriptable.
 
 Exit codes: 0 everything verified, 1 a check falsified or an invalid input
 value (e.g. the zero restriction point), 2 usage or configuration errors.
@@ -97,13 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_branch.set_defaults(handler=_cmd_branch)
 
     return parser
-
-
-def _progress_printer(label: str):
-    def progress(done: int, total: int) -> None:
-        print(f"{label}: block {done}/{total}", file=sys.stderr)
-
-    return progress
 
 
 def _emit_certificate(cert: Certificate, args, default_name: str) -> None:
@@ -202,11 +195,7 @@ def _cmd_enumerate(args) -> int:
             return 2
         statement = "theorem-4.1"
         mode = args.mode
-    cert = run_statement(
-        statement,
-        mode=mode,
-        progress=_progress_printer(f"enumerate p={args.p} mode={mode}"),
-    )
+    cert = run_statement(statement, mode=mode)
     _emit_certificate(cert, args, statement)
     return 0 if cert.verified else 1
 

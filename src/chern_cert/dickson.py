@@ -8,7 +8,8 @@ invariants; e3 is the product of l_v over one representative per antipodal
 pair {v, -v} of nonzero vectors, and e3^2 equals c_{3,0} up to a recorded
 unit.  Restricting y1 -> t, y2 -> 0, y3 -> 0 before expansion collapses the
 orbit product to (X^p - t^(p-1) X)^(p^2) = X^(p^3) - t^((p-1)p^2) X^(p^2),
-which pins the rank-1 images of the invariants.
+which pins the rank-1 images of the invariants.  The collapsed product is
+homogeneous in t and X, so its three routes run on UPoly in X at t = 1.
 
 The full 3-variable expansion builds the orbit product up a tower of
 coordinate subspaces with sparse MPoly arithmetic, and e3 apart from it as a
@@ -207,96 +208,57 @@ def compute(p: int) -> DicksonSet:
 # ---------------------------------------------------------------------------
 
 
-def _bivariate_mul(a: dict, b: dict, p: int) -> dict:
-    out: dict[tuple[int, int], int] = {}
-    get = out.get
-    for (xa, ta), ca in a.items():
-        for (xb, tb), cb in b.items():
-            key = (xa + xb, ta + tb)
-            out[key] = get(key, 0) + ca * cb
-    return {k: c % p for k, c in out.items() if c % p}
-
-
-def _restricted_product_direct(p: int) -> dict:
+def _restricted_product_direct(p: int) -> UPoly:
     """Route A: substitute first, then expand all p^3 linear factors
     (X + v1*t) one by one."""
-    terms = {(0, 0): 1}
+    factors = [UPoly(p, (a, 1)) for a in range(p)]
+    product = UPoly.one(p)
     for v in itertools.product(range(p), repeat=_RANK):
-        factor = {(1, 0): 1}
-        if v[0]:
-            factor[(0, 1)] = v[0]
-        terms = _bivariate_mul(terms, factor, p)
-    return terms
+        product = product * factors[v[0]]
+    return product
 
 
-def _restricted_product_power(p: int) -> dict:
-    """Route B: (X^p - t^(p-1) X)^(p^2) by repeated multiplication."""
-    base = {(p, 0): 1, (1, p - 1): p - 1}
-    result = {(0, 0): 1}
-    e = p * p
-    while e:
-        if e & 1:
-            result = _bivariate_mul(result, base, p)
-        base = _bivariate_mul(base, base, p) if e > 1 else base
-        e >>= 1
-    return result
+def _restricted_product_power(p: int) -> UPoly:
+    """Route B: (X^p - t^(p-1) X)^(p^2) by repeated squaring."""
+    return (UPoly.monomial(p, 1, p) - UPoly.monomial(p, 1, 1)) ** (p * p)
 
 
-def _restricted_product_closed(p: int) -> dict:
+def _restricted_product_closed(p: int) -> UPoly:
     """Route C: the closed Frobenius form X^(p^3) - t^((p-1)p^2) X^(p^2)."""
-    return {(p**3, 0): 1, (p**2, (p - 1) * p**2): p - 1}
+    return UPoly.monomial(p, 1, p**3) - UPoly.monomial(p, 1, p**2)
 
 
-def _render_bivariate(terms: dict, p: int) -> str:
+def _render_restricted(poly: UPoly) -> str:
+    """The collapsed orbit product as a form of degree p^3 in t and X,
+    terms by increasing X-exponent, e.g. "2*t^18*X^9 + X^27" at p = 3."""
     parts = []
-    for (xe, te), c in sorted(terms.items()):
-        factors = []
-        if te == 1:
-            factors.append("t")
-        elif te > 1:
-            factors.append(f"t^{te}")
-        if xe == 1:
-            factors.append("X")
-        elif xe > 1:
-            factors.append(f"X^{xe}")
-        if not factors:
-            parts.append(str(c))
-        elif c == 1:
-            parts.append("*".join(factors))
-        else:
-            parts.append(f"{c}*" + "*".join(factors))
+    for xe, c in enumerate(poly.coeffs):
+        if c:
+            factors = [
+                name if e == 1 else f"{name}^{e}"
+                for name, e in (("t", poly.p**_RANK - xe), ("X", xe))
+                if e
+            ]
+            parts.append("*".join(factors if c == 1 and factors else [str(c), *factors]))
     return " + ".join(parts) if parts else "0"
-
-
-def _x_coefficient(terms: dict, p: int, xexp: int) -> UPoly:
-    coeffs: dict[int, int] = {}
-    for (xe, te), c in terms.items():
-        if xe == xexp:
-            coeffs[te] = c
-    if not coeffs:
-        return UPoly.zero(p)
-    out = [0] * (max(coeffs) + 1)
-    for te, c in coeffs.items():
-        out[te] = c
-    return UPoly(p, out)
 
 
 def rank1_restriction(p: int) -> dict:
     """Images of (c_{3,0}, c_{3,1}, c_{3,2}) and e3 under y1 -> t, y2 -> 0,
     y3 -> 0, computed on the factored forms, with the three routes for the
-    collapsed orbit product compared exactly."""
+    collapsed orbit product compared exactly.
+
+    Every factor X + v1*t is homogeneous of degree 1 in (t, X), so the
+    routes work in F_p[X] at t = 1: the term c*X^e stands for
+    c*t^(p^3 - e)*X^e."""
     check_odd_prime(p)
     direct = _restricted_product_direct(p)
-    powered = _restricted_product_power(p)
     closed = _restricted_product_closed(p)
-    routes_agree = direct == powered == closed
+    routes_agree = direct == _restricted_product_power(p) == closed
     images = []
     for i in range(_RANK):
         sign = 1 if (_RANK - i) % 2 == 0 else -1
-        poly = _x_coefficient(direct, p, p**i)
-        if sign < 0:
-            poly = -poly
-        images.append(poly)
+        images.append(UPoly.monomial(p, sign * direct.coefficient(p**i), p**_RANK - p**i))
     # e3 restricts through its factored form: one vanishing factor kills it
     e3_image = UPoly.one(p)
     for v in antipodal_representatives(p):
@@ -305,7 +267,7 @@ def rank1_restriction(p: int) -> dict:
         "images": tuple(images),
         "e3_image": e3_image,
         "routes_agree": routes_agree,
-        "closed_form": _render_bivariate(closed, p),
+        "closed_form": _render_restricted(closed),
     }
 
 
@@ -313,16 +275,10 @@ def restrict_expanded(poly: MPoly) -> UPoly:
     """Substitute y1 -> t, y2 -> 0, y3 -> 0 into an expanded invariant."""
     if poly.arity != _RANK:
         raise ValueError("expected a polynomial in y1, y2, y3")
-    coeffs: dict[int, int] = {}
-    for (e1, e2, e3), c in poly.terms.items():
-        if e2 == 0 and e3 == 0:
-            coeffs[e1] = (coeffs.get(e1, 0) + c) % poly.p
-    if not coeffs:
-        return UPoly.zero(poly.p)
-    out = [0] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        out[e] = c
-    return UPoly(poly.p, out)
+    return sum(
+        (UPoly.monomial(poly.p, c, e1) for (e1, e2, e3), c in poly.terms.items() if e2 == e3 == 0),
+        UPoly.zero(poly.p),
+    )
 
 
 # ---------------------------------------------------------------------------

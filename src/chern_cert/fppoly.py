@@ -32,7 +32,6 @@ __all__ = [
     "pair_factor",
     "in_subring",
     "pm_factorization",
-    "frobenius_image",
 ]
 
 
@@ -279,19 +278,6 @@ def pm_factorization(a: UPoly) -> "tuple[int, int] | None":
     if not current.is_one:
         return None
     return (e_minus, e_plus)
-
-
-def frobenius_image(a: UPoly, times: int = 1) -> UPoly:
-    """Image of a under t^k -> t^(p^times * k).  Over F_p this equals
-    a^(p^times) because the coefficientwise p-th power is the identity."""
-    if times < 0:
-        raise ValueError("times must be nonnegative")
-    stretch = a.p**times
-    coeffs = [0] * (stretch * a.degree + 1) if not a.is_zero else []
-    for k, c in enumerate(a.coeffs):
-        if c:
-            coeffs[stretch * k] = c
-    return UPoly(a.p, coeffs)
 
 
 def _product_terms(a: dict, b: dict, out: "dict | None" = None) -> dict:

@@ -195,7 +195,8 @@ _REP_GROUPS = {
 }
 
 
-def _registry_table() -> dict[tuple[str, int], Character]:
+@functools.cache
+def _registry() -> dict[tuple[str, int], Character]:
     lam1 = vector_weights
     lam2 = exterior_square_weights
     delta = lambda n: half_spin_weights(n, "both")  # noqa: E731
@@ -209,16 +210,6 @@ def _registry_table() -> dict[tuple[str, int], Character]:
         ("rho8", 8): trivial(8, 8) + lam2(8) + half_spin_weights(8, "+"),
         ("rho8", 4): trivial(4, 32) + 8 * lam1(4) + 8 * delta(4) + lam2(4),
     }
-
-
-_REGISTRY: "dict[tuple[str, int], Character] | None" = None
-
-
-def _registry() -> dict[tuple[str, int], Character]:
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = _registry_table()
-    return _REGISTRY
 
 
 def registry(name: str, rank: int) -> Character:

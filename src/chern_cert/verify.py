@@ -131,16 +131,11 @@ def check_branching() -> CheckResult:
     )
 
 
-def _result_for(
-    statement: str,
-    mode: str,
-    progress,
-    full_dickson: bool,
-) -> CheckResult:
+def _result_for(statement: str, mode: str, full_dickson: bool) -> CheckResult:
     if statement == "theorem-1.1":
         return classify.classify_f4_mod3()
     if statement == "theorem-4.1":
-        return classify.classify_e8_mod5(mode=mode, progress=progress)
+        return classify.classify_e8_mod5(mode=mode)
     if statement == "lemma-3.1-facts":
         return dickson.lemma_facts(3, full=True)
     if statement == "lemma-4.2-facts":
@@ -152,24 +147,21 @@ def _result_for(
     if statement == "prop-3.3":
         return classify.check_prop33()
     if statement == "prop-4.3":
-        return classify.check_prop43(mode=mode, progress=progress)
+        return classify.check_prop43(mode=mode)
     if statement == "prop-4.4":
-        return classify.check_prop44(mode=mode, progress=progress)
+        return classify.check_prop44(mode=mode)
     raise ValueError(f"unknown statement {statement!r}")
 
 
 def run_statement(
-    statement: str,
-    mode: str = "canonical",
-    progress=None,
-    full_dickson: bool = False,
+    statement: str, mode: str = "canonical", full_dickson: bool = False
 ) -> Certificate:
     """Run one statement check and wrap it in a certificate.  The timing goes
     into the volatile run section, outside the canonical payload."""
     if statement not in STATEMENTS:
         raise ValueError(f"unknown statement {statement!r} (expected one of {STATEMENTS})")
     started = time.perf_counter()
-    result = _result_for(statement, mode, progress, full_dickson)
+    result = _result_for(statement, mode, full_dickson)
     elapsed = time.perf_counter() - started
     return Certificate.from_result(result, run={"elapsed_seconds": round(elapsed, 6)})
 

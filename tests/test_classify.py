@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from chern_cert import chern, classify
+from chern_cert.certificates import Certificate, canonical_json
 from chern_cert.chern import RestrictionPoint, chern_named, restricted_exponents, total_chern
 from chern_cert.classify import (
     _pm_form,
@@ -71,6 +72,28 @@ def without_rho8_lambda1_weight(chars):
     weights = dict(rho8.weights)
     weights[(2, 0, 0, 0)] -= 1
     return (*rest, Character(4, weights))
+
+
+def dropping_weights(j, *dropped):
+    """The mod-3 columns with swept column j (0: lambda1+delta, 1: lambda2)
+    missing one copy of each dropped weight."""
+    chars = list(classify._mod3_chars())
+    weights = dict(chars[j].weights)
+    for w in dropped:
+        weights[w] -= 1
+    chars[j] = Character(4, weights)
+    return tuple(chars)
+
+
+MOD3_CHECKS = {"theorem-1.1": classify_f4_mod3, "prop-3.2": check_prop32, "prop-3.3": check_prop33}
+
+# theorem-1.1's and prop-3.3's non-closure witnesses when lambda2 keeps only
+# its positive-sum weights, in point order as the per-point loops gave them
+POSITIVE_LAMBDA2_WITNESS_ALPHAS = [
+    "0,0,0,1", "0,0,0,2", "0,0,1,0", "0,0,2,0", "0,1,0,0", "0,2,0,0",
+    "1,0,0,0", "1,1,1,1", "1,1,1,2", "1,1,2,1", "1,2,1,1", "1,2,2,2",
+    "2,0,0,0", "2,1,1,1", "2,1,2,2", "2,2,1,2", "2,2,2,1", "2,2,2,2",
+]
 
 
 def lopsided(n):
@@ -176,6 +199,66 @@ class TestClassifyF4Mod3:
         calls.clear()
         assert classify_e8_mod5("full").verified
         assert len(calls) == 2 * 53
+
+
+class TestMod3LostWeight:
+    """A swept column that loses a weight is no longer negation-closed or no
+    longer of size 24; the per-class closure check must see it, although
+    the smaller consistent sets alone still look verified."""
+
+    @pytest.mark.parametrize(
+        "j, dropped, falsified, consistent",
+        [
+            (0, [(2, 0, 0, 0)], {"theorem-1.1", "prop-3.2", "prop-3.3"}, (8, 14, 8)),
+            (1, [(2, 2, 0, 0)], {"theorem-1.1", "prop-3.3"}, (8, 56, 8)),
+            (1, [(2, 2, 0, 0), (-2, -2, 0, 0)], {"theorem-1.1", "prop-3.3"}, (8, 56, 8)),
+        ],
+    )
+    def test_lost_weight_is_falsified(self, monkeypatch, j, dropped, falsified, consistent):
+        lossy = dropping_weights(j, *dropped)
+        monkeypatch.setattr(classify, "_mod3_chars", lambda: lossy)
+        for (statement, check), count in zip(MOD3_CHECKS.items(), consistent):
+            result = check()
+            ev = result.evidence
+            assert ev["consistent_count"] == count, statement
+            assert result.verified == (statement not in falsified), statement
+            if statement not in falsified:
+                continue
+            closure = [w for w in ev["witnesses"] if w["check"] == "closure"]
+            assert closure, statement
+            # the first witness, recomputed point by point under the same fault
+            alpha = tuple(int(a) for a in closure[0]["alpha"].split(","))
+            exps = Counter(restricted_exponents(lossy[j], RestrictionPoint(3, alpha)))
+            assert exps[1] != exps[2] or sum(exps.values()) != 24
+
+    def test_witness_order_survives_the_per_class_pass(self, monkeypatch):
+        lambda2 = classify._mod3_chars()[1]
+        positive = Character(4, {w: m for w, m in lambda2.weights.items() if sum(w) > 0})
+        chars = list(classify._mod3_chars())
+        chars[1] = positive
+        monkeypatch.setattr(classify, "_mod3_chars", lambda: tuple(chars))
+        for check, label in ((classify_f4_mod3, "lambda2 divisibility"), (check_prop33, "divisibility")):
+            result = check()
+            assert not result.verified
+            others = [w for w in result.evidence["witnesses"] if w["check"] != "closure"]
+            assert others == [{"alpha": a, "check": label} for a in POSITIVE_LAMBDA2_WITNESS_ALPHAS]
+
+
+class TestSubringBoundShift:
+    def test_shifted_bound_empties_the_consistent_sets(self, monkeypatch):
+        # fresh tables, so no per-class pass memoized under the true bound
+        monkeypatch.setattr(classify, "_TABLES", {})
+        monkeypatch.setattr(classify, "subring_bound", lambda p: p**3 - p**2 + 1)
+        for check in MOD3_CHECKS.values():
+            result = check()
+            assert not result.verified
+            assert result.evidence["consistent_count"] == 0
+        for mode in ("canonical", "full"):
+            result = classify_e8_mod5(mode)
+            assert not result.verified
+            assert result.evidence["s5_count"] == 0
+            # prop-4.3 and prop-4.4 do not read the bound
+            assert check_prop43(mode).verified and check_prop44(mode).verified
 
 
 class TestProp3Checks:
@@ -435,6 +518,45 @@ class TestSweepMod5:
             assert sum(form) > 0, m
         for (m2, _, _), (f2, _, _) in zip(mod5_table.counts, mod5_table.polys):
             assert sum(_pm_form(f2, m2)) > 0
+
+    def test_pm_fallback_is_dead_on_true_data(self, monkeypatch):
+        # on true data every predicted +-t^2 form matches its expansion, so
+        # the greedy factorization is never asked
+        def fallback(poly):
+            raise AssertionError(f"_pm_form fell back on {poly!r}")
+
+        monkeypatch.setattr(classify, "_TABLES", {})
+        monkeypatch.setattr(classify, "pm_factorization", fallback)
+        for mode in ("canonical", "full"):
+            assert classify_e8_mod5(mode).verified
+            assert check_prop43(mode).verified
+            assert check_prop44(mode).verified
+
+    def test_delta_minus_for_delta_plus_cannot_be_caught(self, monkeypatch):
+        # the sign change x8 -> -x8 swaps delta+ and delta-, and fixes lambda1,
+        # lambda2 and (F_5)^8, so the swept counts are the same up to a
+        # relabelling of the points
+        def flip(char):
+            return Character(8, {w[:-1] + (-w[-1],): m for w, m in char.weights.items()})
+
+        lambda2, delta_plus, lambda1 = classify._mod5_chars()
+        delta_minus = half_spin_weights(8, "-")
+        assert flip(delta_plus) == delta_minus
+        assert flip(lambda2) == lambda2 and flip(lambda1) == lambda1
+
+        checks = (classify_e8_mod5, check_prop43, check_prop44)
+        modes = ("canonical", "full")
+        true = {(c, m): Certificate.from_result(c(m)).payload() for c in checks for m in modes}
+        monkeypatch.setattr(classify, "_mod5_chars", lambda: (lambda2, delta_minus, lambda1))
+        swapped = {(c, m): Certificate.from_result(c(m)).payload() for c in checks for m in modes}
+        for key in true:
+            assert swapped[key]["status"] == "Verified"
+            if key == (classify_e8_mod5, "canonical"):
+                # canonical mode sweeps weakly increasing points only, which
+                # the sign change does not keep
+                for payload in (true[key], swapped[key]):
+                    del payload["evidence"]["s5_witnesses_first"]
+            assert canonical_json(swapped[key]) == canonical_json(true[key])
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):

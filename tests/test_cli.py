@@ -162,7 +162,7 @@ class TestEnumerate:
         captured = capsys.readouterr()
         doc = json.loads(captured.out)
         assert doc["evidence"]["points_weighted"] == 5**8 - 1
-        assert "block" in captured.err  # progress goes to stderr
+        assert captured.err == "theorem-4.1: Verified\n"  # the status line goes to stderr
 
     def test_mod5_wrong_rep(self):
         assert main(["enumerate", "--p", "5", "--rep", "rho4"]) == 2
