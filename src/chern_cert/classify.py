@@ -25,9 +25,14 @@ keeps only its class id, one byte, from which consistent sets and witness
 lists are read back in point order.  All 390624 mod-5 points fall into 53
 count classes, and the 80 mod-3 points into 3.
 
-Tables are memoized per (p, characters, mode), so the statements that share
-a sweep share one table and a changed character gets a table of its own;
-the sweep runs in one process.
+Both primes judge their classes one way: per swept column j, a frozenset
+of the classes where each named predicate holds, keyed name{j}
+(_class_sets), and each statement reads only the sets of the columns it is
+about.  Tables are memoized per (p, characters, mode), so the statements
+that share a sweep share one table and a changed character gets a table of
+its own; the class sets are memoized per (table, subring exponent), so a
+changed bound is judged afresh against the same table.  The sweep runs in
+one process.
 """
 
 from __future__ import annotations
@@ -496,9 +501,46 @@ def _build_table(p: int, n: int, chars: tuple, mode: str) -> CountTable:
     return CountTable(p, n, mode, counts, weights, memoryview(data).cast(fmt), reps)
 
 
-def _consistent_value(p: int) -> UPoly:
+def _consistent_value(p: int, d: int) -> UPoly:
     """1 - t^d, d = p^3 - p^2: the value expected on the consistent set."""
-    return UPoly.one(p) - UPoly.monomial(p, 1, subring_bound(p))
+    return UPoly.one(p) - UPoly.monomial(p, 1, d)
+
+
+def _class_sets(table: CountTable, sizes: tuple[int, ...], predicates) -> dict[str, frozenset[int]]:
+    """For each swept column j (the first len(sizes) columns) and each named
+    predicate of (counts, class polynomial), the classes where it holds,
+    keyed name{j}.  Two predicates are shared by both primes: "closure", the
+    column's exponent list is not negation-closed (m[v] != m[-v mod p]) or
+    misses the paper's constant size sizes[j], which a lost +- pair breaks,
+    and "trivial", the class is 1."""
+    p = table.p
+    sets = {}
+    for j, size in enumerate(sizes):
+        tests = {
+            "closure": lambda m, c: sum(m) != size or any(m[v] != m[-v % p] for v in range(1, p)),
+            "trivial": lambda m, c: c.is_one,
+            **predicates,
+        }
+        column = tuple(zip((cls[j] for cls in table.counts), table.column(j)))
+        for name, test in tests.items():
+            sets[f"{name}{j}"] = frozenset(k for k, (m, c) in enumerate(column) if test(m, c))
+    return sets
+
+
+def _result(statement: str, parameters: dict, evidence: dict, witnesses, problems) -> CheckResult:
+    """A sweep statement's result: Falsified exactly when problems names
+    something; the evidence records the witnesses and the problems, each
+    only when there are any."""
+    if witnesses:
+        evidence["witnesses"] = witnesses
+    if problems:
+        evidence["problems"] = problems
+    return CheckResult(
+        statement=statement,
+        status=FALSIFIED if problems else VERIFIED,
+        parameters=parameters,
+        evidence=evidence,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -521,37 +563,32 @@ _SWEPT3 = ("lambda1+delta", "lambda2")
 
 
 @functools.cache
-def _mod3_classes(table: CountTable) -> dict[str, frozenset[int]]:
-    """The mod-3 predicates, evaluated once per count class, for each swept
-    column j (0: lambda1+delta, 1: lambda2): the classes where the column
-    breaks negation closure (m[1] != m[2], since -1 = 2 mod 3) or the
-    constant size 24 of both characters ("closure{j}"), is not divisible by
-    1 - t^2 ("indivisible{j}"), is trivial ("trivial{j}"), lies in
-    F_3[t^18] ("sub{j}") or differs from 1 - t^18 ("off{j}")."""
+def _mod3_classes(table: CountTable, d: int) -> dict[str, frozenset[int]]:
+    """The mod-3 class sets of _class_sets for the swept columns 0
+    (lambda1+delta) and 1 (lambda2), both of size 24, memoized per table and
+    subring exponent d: besides "closure{j}" and "trivial{j}", the classes
+    where the column is not divisible by 1 - t^2 ("indivisible{j}"), lies in
+    F_3[t^d] ("sub{j}") or differs from 1 - t^d ("off{j}")."""
     one_minus_t2 = UPoly(3, (1, 0, 2))
-    d, target = subring_bound(3), _consistent_value(3)
-    predicates = {
-        "closure": lambda m, c: m[1] != m[2] or sum(m) != 24,
-        "indivisible": lambda m, c: c.divexact(one_minus_t2) is None,
-        "trivial": lambda m, c: c.is_one,
-        "sub": lambda m, c: in_subring(c, d),
-        "off": lambda m, c: c != target,
-    }
-    return {
-        f"{name}{j}": frozenset(
-            k for k, (cls, c) in enumerate(zip(table.counts, table.column(j))) if test(cls[j], c)
-        )
-        for name, test in predicates.items()
-        for j in range(len(_SWEPT3))
-    }
+    target = _consistent_value(3, d)
+    return _class_sets(
+        table,
+        (24, 24),
+        {
+            "indivisible": lambda m, c: c.divexact(one_minus_t2) is None,
+            "sub": lambda m, c: in_subring(c, d),
+            "off": lambda m, c: c != target,
+        },
+    )
 
 
-def _mod3_walk(table: CountTable, consistent, checks) -> tuple[list[str], list[dict]]:
+def _mod3_walk(table: CountTable, consistent, checks) -> tuple[list[str], list[dict], list[str]]:
     """One walk over the 80 points in sweep order: the points whose class is
     in consistent, and a witness per failed check, in check order within a
     point.  A check is (label, failing classes, fields), and its witness
     carries the point, the label and, per field name, the class polynomial
-    of that column; each check keeps its first WITNESS_CAP witnesses."""
+    of that column; each check keeps its first WITNESS_CAP witnesses.  The
+    problems are the labels of the failed checks."""
     alphas: list[str] = []
     witnesses: list[dict] = []
     kept: Counter = Counter()
@@ -565,7 +602,7 @@ def _mod3_walk(table: CountTable, consistent, checks) -> tuple[list[str], list[d
                 witness = {"alpha": alpha, "check": label}
                 witness.update((name, table.column(j)[k].render()) for name, j in fields.items())
                 witnesses.append(witness)
-    return alphas, witnesses
+    return alphas, witnesses, [label for label, failing, _ in checks if failing]
 
 
 def classify_f4_mod3() -> CheckResult:
@@ -583,9 +620,9 @@ def classify_f4_mod3() -> CheckResult:
     each class polynomial is the value at every point of the class.
     """
     p, n, d = 3, 4, subring_bound(3)
-    target = _consistent_value(p)
+    target = _consistent_value(p, d)
     table = count_table(p, _mod3_chars())
-    cls = _mod3_classes(table)
+    cls = _mod3_classes(table, d)
     polys = table.polys  # theorem-1.1 reads every column
     col = {name: j for j, name in enumerate(REP_NAMES, 2)}
 
@@ -601,8 +638,7 @@ def classify_f4_mod3() -> CheckResult:
             {"lambda1+delta": 0, "lambda2": 1},
         ),
     )
-    consistent, witnesses = _mod3_walk(table, joint, checks)
-    problems = [label for label, failing, _ in checks if failing]
+    consistent, witnesses, problems = _mod3_walk(table, joint, checks)
     if not consistent:
         problems.append("joint-consistent set is empty")
 
@@ -647,14 +683,8 @@ def classify_f4_mod3() -> CheckResult:
         "rho4adj_product_identity": adj_ok,
         "rho8_alternate_reading_agrees": alt_ok,
     }
-    if witnesses:
-        evidence["witnesses"] = witnesses
-    return CheckResult(
-        statement="theorem-1.1",
-        status=VERIFIED if not problems else FALSIFIED,
-        parameters={"p": p, "rank": n, "mode": "full", "points": 3**n - 1},
-        evidence=evidence,
-    )
+    parameters = {"p": p, "rank": n, "mode": "full", "points": 3**n - 1}
+    return _result("theorem-1.1", parameters, evidence, witnesses, problems)
 
 
 def check_prop32() -> CheckResult:
@@ -677,7 +707,7 @@ def _prop3_single(j: int, statement: str) -> CheckResult:
     joint one.  Closure covers the columns the statement reads."""
     p, n, d = 3, 4, subring_bound(3)
     table = count_table(p, _mod3_chars())
-    cls = _mod3_classes(table)
+    cls = _mod3_classes(table, d)
     joint = j == 1
     consistent_classes = cls["sub0"] & cls["sub1"] if joint else cls["sub0"]
     closure = cls["closure0"] | cls["closure1"] if joint else cls["closure0"]
@@ -685,8 +715,9 @@ def _prop3_single(j: int, statement: str) -> CheckResult:
     if joint:
         checks.append(("nontriviality", cls["trivial1"], {}))
     checks.append(("value", consistent_classes & cls[f"off{j}"], {"value": j}))
-    consistent, witnesses = _mod3_walk(table, consistent_classes, checks)
-    failed = not consistent or any(failing for _, failing, _ in checks)
+    consistent, witnesses, problems = _mod3_walk(table, consistent_classes, checks)
+    if not consistent:
+        problems.append("consistent set is empty")
     evidence = {
         "character": _SWEPT3[j],
         "points_total": 3**n - 1,
@@ -694,16 +725,10 @@ def _prop3_single(j: int, statement: str) -> CheckResult:
         "joint_filter": joint,
         "consistent_count": len(consistent),
         "consistent_alphas": sorted(consistent),
-        "value_on_consistent_set": _consistent_value(p).render(),
+        "value_on_consistent_set": _consistent_value(p, d).render(),
     }
-    if witnesses:
-        evidence["witnesses"] = witnesses
-    return CheckResult(
-        statement=statement,
-        status=FALSIFIED if failed else VERIFIED,
-        parameters={"p": p, "rank": n, "character": _SWEPT3[j]},
-        evidence=evidence,
-    )
+    parameters = {"p": p, "rank": n, "character": _SWEPT3[j]}
+    return _result(statement, parameters, evidence, witnesses, problems)
 
 
 # ---------------------------------------------------------------------------
@@ -753,180 +778,153 @@ _FAILURE_PROBLEMS = {
 
 
 @functools.cache
-def _mod5_classes(table: CountTable):
-    """The mod-5 predicates, evaluated once per count class: the classes
-    failing each check, the classes of the consistent set S5 and of the
-    points with squares 1 and -1, and the orbit-weighted occurrences of each
-    S5 value."""
-    d = subring_bound(P5)
-    v100 = _consistent_value(P5)
+def _mod5_classes(table: CountTable, d: int):
+    """The mod-5 class sets, memoized per table and subring exponent d: the
+    sets of _class_sets for the swept columns 0 (lambda2, size 112) and 1
+    (delta+, size 128), plus "pm{j}", where the column is not a product of
+    1 - t^2 and 1 + t^2 factors; and, from the rho8 class f2 * fD, "s5",
+    where it lies in F_5[t^d], "value", where it does with a value other than
+    1 - t^d and (1 - t^d)^2, and "mixed", where some coordinate squares to 1
+    and another to -1 (lambda1's counts).  Also the orbit-weighted
+    occurrences of each S5 value."""
+    sets = _class_sets(table, (112, 128), {"pm": lambda m, c: _pm_form(c, m) is None})
+    v100 = _consistent_value(P5, d)
     allowed = (v100.render(), (v100**2).render())
-    classes: dict[str, list[int]] = {key: [] for key in _FAILURE_PROBLEMS}
-    classes.update(s5=[], mixed=[])
+    s5, value, mixed = [], [], []
     occ: dict[str, int] = {}
     columns = zip(table.counts, table.column(0), table.column(1))
-    for k, ((m2, mD, m1), f2, fD) in enumerate(columns):
-        if not (
-            m2[1] == m2[4]
-            and m2[2] == m2[3]
-            and mD[1] == mD[4]
-            and mD[2] == mD[3]
-            and sum(m2) == 112
-            and sum(mD) == 128
-        ):
-            classes["fail_closure"].append(k)
-        if _pm_form(f2, m2) is None or _pm_form(fD, mD) is None:
-            classes["fail_pm"].append(k)
-        if f2.is_one:
-            classes["fail_nontrivial"].append(k)
+    for k, ((_, _, m1), f2, fD) in enumerate(columns):
         fr = f2 * fD
         if in_subring(fr, d):
-            classes["s5"].append(k)
+            s5.append(k)
             key = fr.render()
             occ[key] = occ.get(key, 0) + table.weights[k]
             if key not in allowed:
-                classes["fail_value"].append(k)
-        # some coordinate squares to 1 and another to -1
+                value.append(k)
         if m1[1] and m1[2]:
-            classes["mixed"].append(k)
-    return {key: tuple(ks) for key, ks in classes.items()}, tuple(occ.items())
+            mixed.append(k)
+    sets.update(s5=frozenset(s5), value=frozenset(value), mixed=frozenset(mixed))
+    return sets, tuple(occ.items())
 
 
 def sweep_mod5(mode: str) -> dict:
-    """Run the rank-8 mod-5 sweep and return its accumulator: point and
-    orbit-weight totals, the orbit-weighted size and first points of the
-    consistent set S5, the occurrences of each S5 value, and the first
-    failing points of each check.  The table and its per-class predicates
-    are memoized per mode."""
+    """Run the rank-8 mod-5 sweep: its count table and class sets (both
+    memoized, see _mod5_classes) under the current subring exponent, the
+    point and orbit-weight totals, the orbit-weighted size and first points
+    of the consistent set S5, the occurrences of each S5 value and the
+    orbit-weighted number of mixed-square points."""
+    d = subring_bound(P5)
     table = count_table(P5, _mod5_chars(), mode)
-    classes, occ = _mod5_classes(table)
-    acc = {key: table.first(classes[key], FAIL_CAP) for key in _FAILURE_PROBLEMS}
-    acc.update(
-        mode=mode,
-        points=table.points,
-        weighted_points=table.weighted_points,
-        s5_weight=sum(table.weights[k] for k in classes["s5"]),
-        s5_first=table.first(classes["s5"], WITNESS_CAP),
-        occ=dict(occ),
-        mixed_weight=sum(table.weights[k] for k in classes["mixed"]),
-    )
-    return acc
+    sets, occ = _mod5_classes(table, d)
+    return {
+        "table": table,
+        "sets": sets,
+        "subring_exponent": d,
+        "points": table.points,
+        "weighted_points": table.weighted_points,
+        "s5_weight": sum(table.weights[k] for k in sets["s5"]),
+        "s5_first": table.first(sets["s5"], WITNESS_CAP),
+        "occ": dict(occ),
+        "mixed_weight": sum(table.weights[k] for k in sets["mixed"]),
+    }
 
 
-def _sweep_problems(acc: dict, checks) -> list[str]:
-    """Problems with the point and orbit-weight totals, negation closure and
-    the statement's own checks (keys of the accumulator's failure lists)."""
-    problems = []
-    expected_points = TOTAL_POINTS_5 if acc["mode"] == "full" else len(
-        canonical_representatives()
-    )
-    if acc["points"] != expected_points:
-        problems.append(
-            f"scanned {acc['points']} points, expected {expected_points}"
-        )
-    if acc["weighted_points"] != TOTAL_POINTS_5:
-        problems.append(
-            f"orbit-weighted total {acc['weighted_points']}, expected {TOTAL_POINTS_5}"
-        )
-    return problems + [_FAILURE_PROBLEMS[k] for k in ("fail_closure", *checks) if acc[k]]
+def _mod5_result(statement, sweep, failing, evidence, parameters, problems=()) -> CheckResult:
+    """A mod-5 statement's result from failing, its checks' failing classes
+    keyed by witness key.  Each failed check records the first FAIL_CAP
+    points of its classes as witnesses and names its problem; the problems
+    start with any wrong point or orbit-weight total and end with the
+    statement's own."""
+    table, mode = sweep["table"], sweep["table"].mode
+    witnesses = {key: table.first(ks, FAIL_CAP) for key, ks in failing.items() if ks}
+    expected = TOTAL_POINTS_5 if mode == "full" else len(canonical_representatives())
+    found = []
+    if table.points != expected:
+        found.append(f"scanned {table.points} points, expected {expected}")
+    if table.weighted_points != TOTAL_POINTS_5:
+        found.append(f"orbit-weighted total {table.weighted_points}, expected {TOTAL_POINTS_5}")
+    found += [_FAILURE_PROBLEMS[key] for key in witnesses]
+    found += problems
+    evidence = {
+        "mode": mode,
+        "points_scanned": table.points,
+        "points_weighted": table.weighted_points,
+        **evidence,
+    }
+    parameters = {"p": P5, "rank": N5, "mode": mode, **parameters}
+    return _result(statement, parameters, evidence, witnesses, found)
 
 
 def classify_e8_mod5(mode: str) -> CheckResult:
     """Sweep the rank-8 restriction points mod 5.
 
-    For every point: the expanded classes of the exterior square and the
-    positive half-spin character must both be products of 1 - t^2 and
-    1 + t^2 factors, with the exterior square nontrivial.  Points whose
-    product class lies in F_5[t^100] form the consistent set S5, which must
-    be nonempty with every value equal to 1 - t^100 or (1 - t^100)^2; the
+    For every point: the exponent lists of the exterior square and the
+    positive half-spin character must be negation-closed of sizes 112 and
+    128, and their expanded classes both products of 1 - t^2 and 1 + t^2
+    factors, with the exterior square nontrivial.  Points whose product
+    class lies in F_5[t^100] form the consistent set S5, which must be
+    nonempty with every value equal to 1 - t^100 or (1 - t^100)^2; the
     certificate reports which of the two occur and how often.
     """
-    acc = sweep_mod5(mode=mode)
-    checks = ("fail_pm", "fail_nontrivial", "fail_value")
-    problems = _sweep_problems(acc, checks)
-    if acc["s5_weight"] == 0:
-        problems.append("consistent set is empty")
-
+    sweep = sweep_mod5(mode=mode)
+    sets, occ, d = sweep["sets"], sweep["occ"], sweep["subring_exponent"]
+    failing = {
+        "fail_closure": sets["closure0"] | sets["closure1"],
+        "fail_pm": sets["pm0"] | sets["pm1"],
+        "fail_nontrivial": sets["trivial0"],
+        "fail_value": sets["value"],
+    }
     # the coefficient of t^100 in each consistent value: -1 and -2 mod 5
-    d, v100 = subring_bound(P5), _consistent_value(P5)
+    v100 = _consistent_value(P5, d)
     values = {v.render(): v.coefficient(d) for v in (v100, v100**2)}
-    c100 = {key: c for key, c in values.items() if key in acc["occ"]}
-
     evidence = {
-        "mode": mode,
-        "points_scanned": acc["points"],
-        "points_weighted": acc["weighted_points"],
-        "pm_form_all": not acc["fail_pm"],
-        "lambda2_nontrivial_all": not acc["fail_nontrivial"],
-        "even_exponent_closure_all": not acc["fail_closure"],
+        "pm_form_all": not failing["fail_pm"],
+        "lambda2_nontrivial_all": not failing["fail_nontrivial"],
+        "even_exponent_closure_all": not failing["fail_closure"],
         "subring_exponent": d,
-        "s5_count": acc["s5_weight"],
-        "s5_values": sorted(acc["occ"]),
-        "s5_value_occurrences": dict(sorted(acc["occ"].items())),
-        "c100_coefficients": c100,
-        "s5_witnesses_first": acc["s5_first"],
+        "s5_count": sweep["s5_weight"],
+        "s5_values": sorted(occ),
+        "s5_value_occurrences": dict(sorted(occ.items())),
+        "c100_coefficients": {key: c for key, c in values.items() if key in occ},
+        "s5_witnesses_first": sweep["s5_first"],
         "witness_cap": WITNESS_CAP,
-        "mixed_square_pair_points": acc["mixed_weight"],
+        "mixed_square_pair_points": sweep["mixed_weight"],
         "notes": [
             _MIXED_NOTE,
             "which of the two consistent values is realized by the geometric"
             " subgroup is not decided here; occurrences of both are reported",
         ],
     }
-    failures = {k: acc[k] for k in ("fail_closure", *checks) if acc[k]}
-    if failures:
-        evidence["witnesses"] = failures
-    return CheckResult(
-        statement="theorem-4.1",
-        status=VERIFIED if not problems else FALSIFIED,
-        parameters={"p": P5, "rank": N5, "mode": mode, "points": TOTAL_POINTS_5},
-        evidence=evidence,
-    )
+    empty = [] if sweep["s5_weight"] else ["consistent set is empty"]
+    return _mod5_result("theorem-4.1", sweep, failing, evidence, {"points": TOTAL_POINTS_5}, empty)
 
 
 def check_prop43(mode: str) -> CheckResult:
-    """c(lambda2) mod 5 is a product of 1 - t^2 and 1 + t^2 factors and is
-    nontrivial, at every nonzero point."""
-    acc = sweep_mod5(mode=mode)
-    checks = ("fail_pm", "fail_nontrivial")
-    problems = _sweep_problems(acc, checks)
+    """c(lambda2) mod 5 comes from a negation-closed exponent list of size
+    112, is a product of 1 - t^2 and 1 + t^2 factors and is nontrivial, at
+    every nonzero point.  Reads column 0 (lambda2) only."""
+    sweep = sweep_mod5(mode=mode)
+    sets = sweep["sets"]
+    failing = {
+        "fail_closure": sets["closure0"],
+        "fail_pm": sets["pm0"],
+        "fail_nontrivial": sets["trivial0"],
+    }
     evidence = {
-        "mode": mode,
         "character": "lambda2",
-        "points_scanned": acc["points"],
-        "points_weighted": acc["weighted_points"],
-        "pm_form_all": not acc["fail_pm"],
-        "nontrivial_all": not acc["fail_nontrivial"],
-        "mixed_square_pair_points": acc["mixed_weight"],
+        "pm_form_all": not failing["fail_pm"],
+        "nontrivial_all": not failing["fail_nontrivial"],
+        "mixed_square_pair_points": sweep["mixed_weight"],
         "notes": [_MIXED_NOTE],
     }
-    if failures := {k: acc[k] for k in checks if acc[k]}:
-        evidence["witnesses"] = failures
-    return CheckResult(
-        statement="prop-4.3",
-        status=VERIFIED if not problems else FALSIFIED,
-        parameters={"p": P5, "rank": N5, "mode": mode, "character": "lambda2"},
-        evidence=evidence,
-    )
+    return _mod5_result("prop-4.3", sweep, failing, evidence, {"character": "lambda2"})
 
 
 def check_prop44(mode: str) -> CheckResult:
-    """c(delta+) mod 5 is a product of 1 - t^2 and 1 + t^2 factors at every
-    nonzero point."""
-    acc = sweep_mod5(mode=mode)
-    problems = _sweep_problems(acc, ("fail_pm",))
-    evidence = {
-        "mode": mode,
-        "character": "delta+",
-        "points_scanned": acc["points"],
-        "points_weighted": acc["weighted_points"],
-        "pm_form_all": not acc["fail_pm"],
-    }
-    if acc["fail_pm"]:
-        evidence["witnesses"] = {"fail_pm": acc["fail_pm"]}
-    return CheckResult(
-        statement="prop-4.4",
-        status=VERIFIED if not problems else FALSIFIED,
-        parameters={"p": P5, "rank": N5, "mode": mode, "character": "delta+"},
-        evidence=evidence,
-    )
+    """c(delta+) mod 5 comes from a negation-closed exponent list of size 128
+    and is a product of 1 - t^2 and 1 + t^2 factors, at every nonzero point.
+    Reads column 1 (delta+) only."""
+    sweep = sweep_mod5(mode=mode)
+    failing = {"fail_closure": sweep["sets"]["closure1"], "fail_pm": sweep["sets"]["pm1"]}
+    evidence = {"character": "delta+", "pm_form_all": not failing["fail_pm"]}
+    return _mod5_result("prop-4.4", sweep, failing, evidence, {"character": "delta+"})

@@ -145,7 +145,7 @@ class UPoly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
+            base = base * base if e > 1 else base
             e >>= 1
         return result
 

@@ -261,6 +261,81 @@ class TestSubringBoundShift:
             assert check_prop43(mode).verified and check_prop44(mode).verified
 
 
+class TestStaleMemo:
+    def test_bound_shifted_after_a_run_reaches_every_statement(self, monkeypatch):
+        # the per-class passes are memoized per table and subring exponent,
+        # so a bound changed after the true tables were built still counts
+        for check in (*MOD3_CHECKS.values(), lambda: classify_e8_mod5("canonical")):
+            assert check().verified
+        monkeypatch.setattr(classify, "subring_bound", lambda p: p**3 - p**2 + 1)
+        for check in (check_prop32, check_prop33):
+            ev = check().evidence
+            assert ev["subring_exponent"] == 19
+            assert ev["consistent_count"] == 0
+            assert ev["problems"][-1] == "consistent set is empty"
+        result = classify_e8_mod5("canonical")
+        assert not result.verified
+        assert result.evidence["subring_exponent"] == 101
+        assert result.evidence["s5_count"] == 0
+        assert result.evidence["problems"] == ["consistent set is empty"]
+
+
+def lambda2_mod5(keep):
+    """The mod-5 columns with lambda2 cut to the weights keep accepts."""
+    lambda2, *rest = classify._mod5_chars()
+    return (Character(8, {w: m for w, m in lambda2.weights.items() if keep(w)}), *rest)
+
+
+def payload_json(result):
+    return canonical_json(Certificate.from_result(result).payload())
+
+
+class TestMod5ColumnFaults:
+    """Each mod-5 statement reads only the columns it is about: a fault in
+    lambda2 falsifies theorem-4.1 and prop-4.3 with witnesses of its own
+    column and leaves prop-4.4, the delta+ statement, untouched."""
+
+    def test_lambda2_missing_one_weight(self, monkeypatch):
+        true44 = payload_json(check_prop44("full"))
+        lossy = lambda2_mod5(lambda w: w != (2, 2) + (0,) * 6)
+        monkeypatch.setattr(classify, "_mod5_chars", lambda: lossy)
+        for check in (classify_e8_mod5, check_prop43):
+            result = check("full")
+            assert not result.verified
+            witnesses = result.evidence["witnesses"]
+            assert list(witnesses) == ["fail_closure", "fail_pm"]
+            assert result.evidence["problems"] == [
+                "negation closure fails",
+                "plus/minus product form fails",
+            ]
+            # the first witness of each, recomputed point by point
+            alpha = tuple(int(a) for a in witnesses["fail_closure"][0].split(","))
+            exps = Counter(restricted_exponents(lossy[0], RestrictionPoint(5, alpha)))
+            assert any(exps[v] != exps[-v % 5] for v in range(5)) or sum(exps.values()) != 112
+            alpha = tuple(int(a) for a in witnesses["fail_pm"][0].split(","))
+            exps = restricted_exponents(lossy[0], RestrictionPoint(5, alpha))
+            assert pm_factorization(chern_of_exponents(5, exps)) is None
+        assert payload_json(check_prop44("full")) == true44
+
+    @pytest.mark.parametrize("mode", ["canonical", "full"])
+    def test_lambda2_missing_its_sum_four_weights(self, monkeypatch, mode):
+        # closed under negation and S8, so only the size 112 can tell
+        lossy = lambda2_mod5(lambda w: abs(sum(w)) != 4)
+        assert sum(lossy[0].weights.values()) == 56
+        monkeypatch.setattr(classify, "_mod5_chars", lambda: lossy)
+        result = check_prop43(mode)
+        assert not result.verified
+        witnesses = result.evidence["witnesses"]
+        assert witnesses["fail_closure"]
+        assert "fail_pm" not in witnesses
+        assert result.evidence["problems"][0] == "negation closure fails"
+        assert check_prop44(mode).verified
+        theorem = classify_e8_mod5(mode)
+        assert not theorem.verified
+        assert theorem.evidence["witnesses"]["fail_closure"] == witnesses["fail_closure"]
+        assert theorem.evidence["problems"][-1] == "consistent set is empty"
+
+
 class TestProp3Checks:
     def test_prop32(self):
         result = check_prop32()

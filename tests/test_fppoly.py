@@ -58,6 +58,24 @@ class TestUPoly:
         one_minus_t2 = UPoly(3, (1, 0, -1))
         assert one_minus_t2**9 == UPoly(3, (1,) + (0,) * 17 + (2,))
 
+    def test_pow_squares_no_further_than_the_last_bit(self, monkeypatch):
+        # x^8: three squarings and one multiplication into the unit, with no
+        # square after the top exponent bit
+        calls = []
+        real = UPoly.__mul__
+
+        def counted(self, other):
+            calls.append(other)
+            return real(self, other)
+
+        monkeypatch.setattr(UPoly, "__mul__", counted)
+        x = UPoly(5, (0, 1))
+        assert x**8 == UPoly.monomial(5, 1, 8)
+        assert len(calls) == 4
+        calls.clear()
+        assert x**0 == UPoly.one(5) and not calls
+        assert UPoly(5, (1, 1)) ** 5 == UPoly(5, (1,) + (0,) * 4 + (1,))
+
     def test_divexact(self):
         p = 3
         one_minus_t2 = UPoly(p, (1, 0, -1))

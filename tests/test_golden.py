@@ -10,7 +10,9 @@ import hashlib
 
 import pytest
 
+from chern_cert import classify
 from chern_cert.certificates import STATEMENTS, canonical_json
+from chern_cert.spinchar import Character
 from chern_cert.verify import run_statement
 
 GOLDEN = (
@@ -30,6 +32,37 @@ GOLDEN = (
 )
 
 
+def _lambda2_without_sum_four_weights():
+    """The mod-5 columns with lambda2 missing its 56 weights of coordinate
+    sum +-4 (still closed under negation and coordinate permutations)."""
+    lambda2, *rest = classify._mod5_chars()
+    kept = {w: m for w, m in lambda2.weights.items() if abs(sum(w)) != 4}
+    return "_mod5_chars", (Character(8, kept), *rest)
+
+
+def _lambda1_delta_without_2000():
+    """The mod-3 columns with lambda1+delta missing one copy of (2,0,0,0)."""
+    chars = list(classify._mod3_chars())
+    weights = dict(chars[0].weights)
+    weights[(2, 0, 0, 0)] -= 1
+    chars[0] = Character(4, weights)
+    return "_mod3_chars", tuple(chars)
+
+
+# Falsified payloads under a fault injected into a swept character: the
+# witnesses and problems a falsified certificate records are pinned too.
+FALSIFIED_GOLDEN = (
+    ("prop-4.3", _lambda2_without_sum_four_weights, "5745fe36ce3239ddf41f8d0d4301c7fcec6a6a692d141802ecb2113c086d3a36"),
+    ("theorem-1.1", _lambda1_delta_without_2000, "a059bf01fee8e81ba7f6a29204663d71406d005f8d0af688f60f0c1cbb58f292"),
+)
+
+
+def _digest(certificate):
+    payload = certificate.payload()
+    del payload["toolchain"]
+    return hashlib.sha256(canonical_json(payload).encode("ascii")).hexdigest()
+
+
 def test_every_statement_has_a_default_entry():
     assert [s for s, kwargs, _ in GOLDEN if not kwargs] == list(STATEMENTS)
 
@@ -40,6 +73,17 @@ def test_every_statement_has_a_default_entry():
     ids=[s + "".join(f"-{k}={v}" for k, v in kw.items()) for s, kw, _ in GOLDEN],
 )
 def test_canonical_payload_hash_unchanged(statement, kwargs, digest):
-    payload = run_statement(statement, **kwargs).payload()
-    del payload["toolchain"]
-    assert hashlib.sha256(canonical_json(payload).encode("ascii")).hexdigest() == digest
+    assert _digest(run_statement(statement, **kwargs)) == digest
+
+
+@pytest.mark.parametrize(
+    "statement, fault, digest",
+    FALSIFIED_GOLDEN,
+    ids=[f"{s}-{fault.__name__.lstrip('_')}" for s, fault, _ in FALSIFIED_GOLDEN],
+)
+def test_falsified_payload_hash_unchanged(monkeypatch, statement, fault, digest):
+    name, chars = fault()
+    monkeypatch.setattr(classify, name, lambda: chars)
+    certificate = run_statement(statement)
+    assert certificate.status == "Falsified"
+    assert _digest(certificate) == digest
