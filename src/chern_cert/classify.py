@@ -47,7 +47,7 @@ from operator import add
 
 from .certificates import FALSIFIED, VERIFIED, CheckResult
 from .dickson import subring_bound
-from .fppoly import UPoly, chern_of_exponents, in_subring, inv2, pm_factorization
+from .fppoly import UPoly, chern_of_counts, in_subring, inv2, pm_factorization
 from .spinchar import (
     REP_NAMES,
     Character,
@@ -146,11 +146,7 @@ class CountTable:
         that only enters through its counts (lambda1 at p = 5) is never
         expanded."""
         if j not in self._columns:
-            p = self.p
-            self._columns[j] = tuple(
-                chern_of_exponents(p, (v for v in range(p) for _ in range(cls[j][v])))
-                for cls in self.counts
-            )
+            self._columns[j] = tuple(chern_of_counts(self.p, enumerate(cls[j])) for cls in self.counts)
         return self._columns[j]
 
     @property
@@ -736,12 +732,13 @@ def _prop3_single(j: int, statement: str) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _square_binomial(sign: int, e: int) -> UPoly:
     """(1 + sign*t^2)^e mod 5 by the binomial theorem."""
     coeffs = [0] * (2 * e + 1)
     for i in range(e + 1):
-        coeffs[2 * i] = math.comb(e, i) * sign**i
-    return UPoly(P5, coeffs)
+        coeffs[2 * i] = math.comb(e, i) * sign**i % P5
+    return UPoly._reduced(P5, coeffs)
 
 
 def _pm_form(poly: UPoly, m) -> "tuple[int, int] | None":

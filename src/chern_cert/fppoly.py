@@ -9,6 +9,15 @@ The univariate variable t stands for the degree-2 polynomial generator of the
 mod-p cohomology of the classifying space of an order-p cyclic group (with
 nilpotents discarded), so cohomological degree is twice the t-exponent.
 
+Products in F_p[t] are one big-int product (Kronecker substitution): each
+coefficient list is packed into an int, a byte slot per coefficient, wide
+enough for min(len(a), len(b)) * (p - 1)^2 so that no slot carries into the
+next, and the slots of the product are reduced mod p once.  Slots are a
+power of two bytes wide: array items up to 8 bytes, byte strings beyond
+(for p near 2^32 and above).  Values derived from validated ones skip the
+public constructors' checks, and moduli are checked by a deterministic
+Miller-Rabin test, exact below PRIME_BOUND.
+
 All values are immutable after construction and every operation is pure;
 instances can be shared freely between concurrent workers.
 """
@@ -18,29 +27,63 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from array import array
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from operator import add
+from sys import byteorder
 from types import MappingProxyType
 
 __all__ = [
     "UPoly",
     "MPoly",
     "check_odd_prime",
+    "PRIME_BOUND",
     "inv2",
     "chern_of_exponents",
+    "chern_of_counts",
     "pair_factor",
     "in_subring",
     "pm_factorization",
 ]
 
 
+# Miller-Rabin with the first thirteen primes as bases (2 up to 41) is exact
+# below this bound, the least composite that passes all of them (Sorenson
+# and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def check_odd_prime(p: int) -> None:
-    """Raise ValueError unless p is an odd prime (p = 2 is rejected)."""
+    """Raise ValueError unless p is an odd prime (p = 2 is rejected) below
+    PRIME_BOUND, the largest modulus whose primality is decided exactly."""
     if not isinstance(p, int) or p < 3 or p % 2 == 0:
         raise ValueError(f"modulus must be an odd prime, got {p!r}")
-    if any(p % q == 0 for q in range(3, math.isqrt(p) + 1, 2)):
+    if p >= PRIME_BOUND:
+        raise ValueError(f"modulus {p} is not below the supported bound {PRIME_BOUND}")
+    if not _is_prime(p):
         raise ValueError(f"modulus must be an odd prime, got {p}")
+
+
+@functools.lru_cache(maxsize=256)
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin for odd 3 <= p < PRIME_BOUND."""
+    if p in _WITNESSES:
+        return True
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    d = (p - 1) >> s
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def inv2(p: int) -> int:
@@ -53,7 +96,10 @@ class UPoly:
     """Dense univariate polynomial over F_p in the variable t.
 
     Coefficients are canonical residues indexed by t-exponent with trailing
-    zeros trimmed; the zero polynomial stores an empty tuple.
+    zeros trimmed; the zero polynomial stores an empty tuple.  Products are
+    one big-int product of the packed coefficient lists (see the module
+    docstring): a slot of the packed product holds up to
+    min(len(a), len(b)) * (p - 1)^2 before the single reduction mod p.
     """
 
     __slots__ = ("p", "coeffs")
@@ -65,6 +111,19 @@ class UPoly:
             cs.pop()
         self.p = p
         self.coeffs = tuple(cs)
+
+    @classmethod
+    def _reduced(cls, p: int, coeffs) -> "UPoly":
+        """The internal constructor for derived values: coeffs are residues
+        in range(p) already and p is a modulus some UPoly was built with, so
+        only trailing zeros are trimmed."""
+        coeffs = tuple(coeffs)
+        while coeffs and not coeffs[-1]:
+            coeffs = coeffs[:-1]
+        self = object.__new__(cls)
+        self.p = p
+        self.coeffs = coeffs
+        return self
 
     @classmethod
     def zero(cls, p: int) -> "UPoly":
@@ -126,20 +185,13 @@ class UPoly:
     def __mul__(self, other):
         self._check_same(other)
         if self.is_zero or other.is_zero:
-            return UPoly.zero(self.p)
-        # skip the zero coefficients of both factors
-        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in terms:
-                    out[i + j] += a * b
-        return UPoly(self.p, out)
+            return UPoly._reduced(self.p, ())
+        return UPoly._reduced(self.p, _product(self.p, self.coeffs, other.coeffs))
 
     def __pow__(self, exponent: int) -> "UPoly":
         if exponent < 0:
             raise ValueError("negative powers are not defined")
-        result = UPoly.one(self.p)
+        result = UPoly._reduced(self.p, (1,))
         base = self
         e = exponent
         while e:
@@ -156,7 +208,7 @@ class UPoly:
         if divisor.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero:
-            return UPoly.zero(self.p)
+            return UPoly._reduced(self.p, ())
         if self.degree < divisor.degree:
             return None
         p = self.p
@@ -174,7 +226,7 @@ class UPoly:
                 rem[k - db + j] = (rem[k - db + j] - f * bc) % p
         if any(rem[:db]):
             return None
-        return UPoly(p, quot)
+        return UPoly._reduced(p, quot)
 
     def __eq__(self, other):
         return (
@@ -206,39 +258,91 @@ class UPoly:
         return " + ".join(parts)
 
 
+# array type codes by item size, for packing slots of 1, 2, 4 and 8 bytes
+_SLOT_CODES = {array(code).itemsize: code for code in "QLIHB"}
+
+
+def _product(p: int, a, b) -> list[int]:
+    """The coefficients of a * b over F_p, for nonempty coefficient
+    sequences a and b of residues in range(p), by Kronecker substitution.
+
+    Every coefficient of the integer product is a sum of at most
+    min(len(a), len(b)) terms below p^2, so with byte slots that wide the
+    packed ints multiply without any slot carrying into the next, and each
+    slot of the big-int product is one coefficient before reduction."""
+    bound = min(len(a), len(b)) * (p - 1) ** 2
+    slot = 1 << ((bound.bit_length() - 1) // 8).bit_length()  # bytes, a power of 2
+    n = len(a) + len(b) - 1
+    code = _SLOT_CODES.get(slot)
+    if code is not None:
+        x = int.from_bytes(array(code, a), byteorder) * int.from_bytes(array(code, b), byteorder)
+        out = array(code, x.to_bytes(n * slot, byteorder))
+    else:
+        x = _pack(a, slot) * _pack(b, slot)
+        data = x.to_bytes(n * slot, "little")
+        out = (int.from_bytes(data[i : i + slot], "little") for i in range(0, n * slot, slot))
+    return [c % p for c in out]
+
+
+def _pack(coeffs, slot: int) -> int:
+    """coeffs as one int, coefficient i at bytes i * slot onward."""
+    return int.from_bytes(b"".join([c.to_bytes(slot, "little") for c in coeffs]), "little")
+
+
+@functools.lru_cache(maxsize=1024)
+def _binomial_power(p: int, v: int, m: int) -> tuple[int, ...]:
+    """The coefficients of (1 + v*t)^m over F_p, for v in 1..p-1 and m >= 1.
+
+    With m = sum_i d_i p^i in base p, (1 + v t)^m = prod_i (1 + v t^(p^i))^(d_i),
+    because raising to the p-th power is additive in characteristic p and
+    v^p = v in F_p (Lucas's theorem, coefficient by coefficient).  The
+    factor of digit i has the coefficients C(d_i, k) v^k at t^(k p^i), and
+    the product of the lower digits' factors has degree below p^i, so the
+    factor of digit i lays d_i + 1 scaled copies of it side by side, p^i
+    apart.  The leading coefficient is v^(sum_i d_i), so the degree is m."""
+    degree = m
+    coeffs = [1]
+    step = 1
+    while m:
+        m, d = divmod(m, p)
+        block = coeffs + [0] * (step - len(coeffs))
+        coeffs = []
+        for k in range(d + 1):
+            c = math.comb(d, k) * pow(v, k, p) % p
+            coeffs += [c * x % p for x in block]
+        step *= p
+    return tuple(coeffs[: degree + 1])
+
+
+def chern_of_counts(p: int, counts: Iterable[tuple[int, int]]) -> UPoly:
+    """prod (1 + v*t)^m over the (value, multiplicity) pairs of counts: the
+    total Chern class of a sum of line characters in which z^v occurs m
+    times.  Each power is built once per (p, v mod p, m) from the base-p
+    digits of m, and the powers are multiplied with the packed product."""
+    check_odd_prime(p)
+    coeffs = (1,)
+    for v, m in counts:
+        if m < 0:
+            raise ValueError(f"multiplicities must be nonnegative, got {m}")
+        if v % p and m:
+            power = _binomial_power(p, v % p, m)
+            coeffs = _product(p, coeffs, power) if len(coeffs) > 1 else power
+    return UPoly._reduced(p, coeffs)
+
+
 def chern_of_exponents(p: int, exponents: Iterable[int]) -> UPoly:
     """Total Chern class of a sum of line characters z^a: the exact product
     of (1 + a*t) over the given exponent multiset (empty product is 1).
 
-    The product depends only on how often each residue v occurs.  A value
-    with multiplicity m = sum_i d_i p^i (base-p digits d_i) contributes
-    (1 + v t)^m = prod_i (1 + v t^(p^i))^(d_i), because raising to the p-th
-    power is additive in characteristic p and v^p = v in F_p (Lucas's
-    theorem, coefficient by coefficient).  Each digit factor is sparse, with
-    coefficients C(d, k) v^k at t^(k p^i), so a multiset of N exponents
-    costs one short product per nonzero digit instead of N factors."""
+    The product depends only on how often each residue occurs, so the
+    exponents are counted and expanded by chern_of_counts: a multiset of N
+    exponents costs one product per distinct nonzero residue instead of N
+    factors."""
     check_odd_prime(p)
     counts: Counter = Counter()
     for a, m in Counter(exponents).items():
         counts[int(a) % p] += m
-    coeffs = [1]
-    for v, m in counts.items():
-        if v == 0:
-            continue  # the factor is exactly 1
-        step = 1
-        while m:
-            m, d = divmod(m, p)
-            if d:
-                out = coeffs + [0] * (d * step)
-                for k in range(1, d + 1):
-                    c = math.comb(d, k) * pow(v, k, p) % p
-                    if c:
-                        shift = k * step
-                        for i, a in enumerate(coeffs):
-                            out[i + shift] += c * a
-                coeffs = [a % p for a in out]
-            step *= p
-    return UPoly(p, coeffs)
+    return chern_of_counts(p, counts.items())
 
 
 def pair_factor(p: int, ai: int, aj: int) -> UPoly:

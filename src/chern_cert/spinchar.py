@@ -11,7 +11,10 @@ Characters are finite multisets of weights with positive multiplicities
 (genuine characters only; virtual combinations are rejected).  They are
 immutable after construction, hash by their weight multiset and are safe
 to share across workers; the weight-system constructors are memoized, so a
-repeated call hands back the same character.
+repeated call hands back the same character.  Sums, scalar multiples and
+branchings are built from weights of valid characters, which keep their
+rank (or lose the last entry) and their parity, so they skip the public
+constructor's checks; zero multiplicities are still dropped.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ class Character:
         data: dict[Weight, int] = {}
         items = weights.items() if isinstance(weights, Mapping) else weights
         for w, mult in items:
-            w = tuple(int(e) for e in w)
+            w = tuple(map(int, w))
             if len(w) != rank:
                 raise ValueError(f"weight {w} does not match rank {rank}")
             if len({e & 1 for e in w}) > 1:
@@ -66,6 +69,16 @@ class Character:
                 data[w] = data.get(w, 0) + m
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "weights", MappingProxyType(data))
+
+    @classmethod
+    def _derived(cls, rank: int, data: dict) -> "Character":
+        """The internal constructor for derived characters: data maps
+        weights of valid characters, of length rank, to positive
+        multiplicities, so nothing is checked again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "weights", MappingProxyType(data))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Character is immutable")
@@ -85,14 +98,14 @@ class Character:
         merged = dict(self.weights)
         for w, m in other.weights.items():
             merged[w] = merged.get(w, 0) + m
-        return Character(self.rank, merged)
+        return Character._derived(self.rank, merged)
 
     def __mul__(self, k: int) -> "Character":
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
             raise ValueError("scalar must be nonnegative")
-        return Character(self.rank, {w: k * m for w, m in self.weights.items()})
+        return Character._derived(self.rank, {w: k * m for w, m in self.weights.items()} if k else {})
 
     __rmul__ = __mul__
 
@@ -124,7 +137,7 @@ class Character:
         for w, m in self.weights.items():
             key = w[:-1]
             data[key] = data.get(key, 0) + m
-        return Character(self.rank - 1, data)
+        return Character._derived(self.rank - 1, data)
 
     def sorted_weights(self) -> list[tuple[Weight, int]]:
         return sorted(self.weights.items())

@@ -180,17 +180,17 @@ class TestClassifyF4Mod3:
 
     def test_one_expansion_per_class_and_character(self, monkeypatch):
         calls = []
-        real = classify.chern_of_exponents
+        real = classify.chern_of_counts
 
-        def counted(p, exponents):
+        def counted(p, counts):
             calls.append(p)
-            return real(p, exponents)
+            return real(p, counts)
 
         def forbidden(*args):
             raise AssertionError("theorem-1.1 must not work point by point")
 
         monkeypatch.setattr(classify, "_TABLES", {})
-        monkeypatch.setattr(classify, "chern_of_exponents", counted)
+        monkeypatch.setattr(classify, "chern_of_counts", counted)
         # every per-point class (chern_named, total_chern) expands here
         monkeypatch.setattr(chern, "chern_of_exponents", forbidden)
         assert classify_f4_mod3().verified
@@ -593,6 +593,24 @@ class TestSweepMod5:
             assert sum(form) > 0, m
         for (m2, _, _), (f2, _, _) in zip(mod5_table.counts, mod5_table.polys):
             assert sum(_pm_form(f2, m2)) > 0
+
+    def test_class_expansion_and_predicates_skip_validation(self, monkeypatch):
+        # the 106 class expansions and the per-class predicates build every
+        # polynomial from reduced coefficients; only the two consistent
+        # values and their pieces go through the validating constructor
+        monkeypatch.setattr(classify, "_TABLES", {})
+        table = count_table(5, classify._mod5_chars(), "full")
+        calls = []
+        real = UPoly.__init__
+
+        def counted(self, p, coeffs=()):
+            calls.append(p)
+            real(self, p, coeffs)
+
+        monkeypatch.setattr(UPoly, "__init__", counted)
+        assert classify_e8_mod5("full").verified
+        assert len(table._columns[0]) == len(table._columns[1]) == 53
+        assert len(calls) <= 8
 
     def test_pm_fallback_is_dead_on_true_data(self, monkeypatch):
         # on true data every predicted +-t^2 form matches its expansion, so

@@ -12,12 +12,27 @@ import chern_cert
 from chern_cert import cli
 from chern_cert.certificates import Certificate
 from chern_cert.cli import main
+from chern_cert.fppoly import UPoly, inv2
 
 
 @pytest.fixture(autouse=True)
 def cert_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("CHERN_CERT_DIR", str(tmp_path / "certs"))
     return tmp_path / "certs"
+
+
+def run_cli(args, cert_dir, timeout=20):
+    """The command in a fresh interpreter, killed after timeout seconds, so
+    a command that hangs fails the test instead of stalling the suite."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(chern_cert.__file__).resolve().parents[1]),
+        CHERN_CERT_DIR=str(cert_dir),
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "chern_cert.cli", *args],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )
 
 
 class TestChern:
@@ -62,6 +77,27 @@ class TestChern:
     def test_no_registry_entry_at_rank(self):
         code = main(["chern", "--rep", "rho8", "--p", "3", "--alpha", "1,1"])
         assert code == 2
+
+    def test_large_prime_modulus(self, cert_dir):
+        # 10^18 + 3 is prime; products of its residues need slots wider than
+        # 8 bytes.  At alpha = e1, lambda2 restricts to +-1 fourteen times
+        # each and delta+ to +-1/2 sixty-four times each.
+        p = 10**18 + 3
+        done = run_cli(["chern", "--rep", "rho8", "--p", str(p), "--alpha", "1,0,0,0,0,0,0,0"], cert_dir)
+        assert done.returncode == 0, done.stderr
+        h2 = inv2(p) ** 2
+        expected = UPoly(p, (1, 0, -1)) ** 14 * UPoly(p, (1, 0, -h2)) ** 64
+        assert done.stdout.strip() == expected.render()
+
+    @pytest.mark.parametrize(
+        "p, message",
+        [(3825123056546413051, "odd prime"), (2**89 - 1, "bound")],
+        ids=["strong-pseudoprime-to-bases-up-to-23", "prime-above-the-bound"],
+    )
+    def test_unsupported_modulus_is_usage_error(self, cert_dir, p, message):
+        done = run_cli(["chern", "--rep", "rho8", "--p", str(p), "--alpha", "1,0,0,0,0,0,0,0"], cert_dir)
+        assert done.returncode == 2
+        assert message in done.stderr and "Traceback" not in done.stderr
 
     def test_json_report(self, capsys):
         code = main(

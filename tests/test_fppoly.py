@@ -27,12 +27,23 @@ class TestFpScalar:
     def test_inv2_doubles_to_one(self, p):
         assert (2 * inv2(p)) % p == 1
 
-    @pytest.mark.parametrize("bad", [2, 4, 9, 15, 1, 0, -3])
+    # 3215031751, 3825123056546413051 and 318665857834031151167461 are
+    # strong pseudoprimes to the prime bases up to 7, 23 and 37; 2^89 - 1 is
+    # a prime above PRIME_BOUND
+    @pytest.mark.parametrize(
+        "bad",
+        [2, 4, 9, 15, 1, 0, -3, 3215031751, 3825123056546413051, 318665857834031151167461, 2**89 - 1],
+    )
     def test_rejects_non_odd_primes(self, bad):
         with pytest.raises(ValueError):
             check_odd_prime(bad)
         with pytest.raises(ValueError):
             UPoly(bad, (0,))
+
+    @pytest.mark.parametrize("p", [41, 1000003, 4294967311, 10**18 + 3, 2**61 - 1])
+    def test_accepts_large_primes(self, p):
+        check_odd_prime(p)
+        assert UPoly(p, (p + 1,)).is_one
 
 
 class TestUPoly:

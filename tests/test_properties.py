@@ -107,7 +107,7 @@ class TestCountGrid:
 def exponent_lists(draw):
     """A prime and up to 300 exponents, negative ones included, drawn as
     runs of one value so that multiplicities reach several base-p digits."""
-    p = draw(st.sampled_from((3, 5, 7, 11, 1000003)))
+    p = draw(st.sampled_from((3, 5, 7, 11, 1000003, 4294967311)))
     runs = draw(st.lists(st.tuples(st.integers(-2 * p, 2 * p), st.integers(1, 60)), max_size=12))
     exps = [v for v, m in runs for _ in range(m)][:300]
     return p, draw(st.permutations(exps))
@@ -142,6 +142,46 @@ def dense_convolution(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+# 4294967311, the least prime above 2^32, needs slots wider than 8 bytes
+PACKED_PRIMES = (3, 5, 7, 1000003, 4294967311)
+
+
+@st.composite
+def packed_factors(draw):
+    """A prime and two coefficient lists of residues, 0 to 300 long, heavy
+    in p - 1, whose products fill a slot of the packed product the most."""
+    p = draw(st.sampled_from(PACKED_PRIMES))
+    coeff = st.one_of(st.just(0), st.just(p - 1), st.integers(0, p - 1))
+    return p, draw(st.lists(coeff, max_size=300)), draw(st.lists(coeff, max_size=300))
+
+
+class TestPackedMultiply:
+    @given(packed_factors())
+    @example((3, [], []))
+    @example((5, [1], [4, 3]))
+    @example((1000003, [7, 1000002], [1]))
+    @settings(deadline=None)
+    def test_matches_schoolbook(self, case):
+        p, a, b = case
+        got = UPoly(p, a) * UPoly(p, b)
+        assert got == UPoly(p, dense_convolution(a, b))
+        assert all(0 <= c < p for c in got.coeffs)
+        assert not got.coeffs or got.coeffs[-1] != 0
+
+    @pytest.mark.parametrize("p", PACKED_PRIMES)
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 63, 64, 300])
+    def test_full_slots(self, p, n):
+        # every coefficient p - 1: the middle slot holds n (p - 1)^2, the
+        # slot bound exactly; 15/16 and 63/64 cross from one-byte to
+        # two-byte slots at p = 5 and p = 3
+        a = [p - 1] * n
+        got = UPoly(p, a) * UPoly(p, a)
+        assert got == UPoly(p, dense_convolution(a, a))
+        assert got.degree == 2 * n - 2
+        assert (UPoly.zero(p) * UPoly(p, a)).is_zero
+        assert UPoly.one(p) * UPoly(p, a) == UPoly(p, a)
 
 
 class TestSparseMultiply:

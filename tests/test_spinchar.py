@@ -1,7 +1,10 @@
 """Weight systems, the representation registry, and branching."""
 
+import itertools
+
 import pytest
 
+from chern_cert import spinchar, verify
 from chern_cert.spinchar import (
     Character,
     char_equal,
@@ -163,3 +166,54 @@ class TestBranching:
         assert not char_equal(
             half_spin_weights(4, "+"), half_spin_weights(4, "-")
         )
+
+
+def assert_rebuilds(c):
+    """c equals, and hashes like, the character the validating constructor
+    builds from its weights, and holds no weight of multiplicity 0."""
+    rebuilt = Character(c.rank, dict(c.weights))
+    assert rebuilt == c
+    assert hash(rebuilt) == hash(c)
+    assert all(m > 0 for m in c.weights.values())
+
+
+class TestDerivedCharacters:
+    """Sums, scalar multiples and branchings skip the public constructor's
+    checks; each must still be the character that constructor would build."""
+
+    @pytest.mark.parametrize("key", sorted(spinchar._registry()))
+    def test_registry_entries(self, key):
+        assert_rebuilds(registry(*key))
+
+    def test_branching_statement_characters(self, monkeypatch):
+        seen = []
+        real_equal, real_branch = verify.char_equal, Character.branch
+
+        def recording_equal(a, b):
+            seen.extend((a, b))
+            return real_equal(a, b)
+
+        def recording_branch(self):
+            branched = real_branch(self)
+            seen.append(branched)
+            return branched
+
+        monkeypatch.setattr(verify, "char_equal", recording_equal)
+        monkeypatch.setattr(Character, "branch", recording_branch)
+        assert verify.check_branching().verified
+        assert len(seen) > 100
+        for c in seen:
+            assert_rebuilds(c)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_sums_and_scalar_multiples(self, n):
+        basics = [trivial(n, 3), vector_weights(n), half_spin_weights(n, "+"), half_spin_weights(n, "both")]
+        if n >= 2:
+            basics.append(exterior_square_weights(n))
+        for a, b in itertools.product(basics, repeat=2):
+            assert_rebuilds(a + b)
+        for a in basics:
+            for k in (0, 1, 2, 7):
+                assert_rebuilds(k * a)
+                assert_rebuilds(a * k)
+            assert not (0 * a).weights and (0 * a) == Character(n)
