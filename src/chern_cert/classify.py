@@ -11,12 +11,13 @@ weight's exponent at cell (f, b) is (w_f . f + w_b . b) / 2 mod p, so a
 character's counts at the cell are a front histogram (weights with back
 part 0) plus a back histogram (front part 0) plus, per group of the other
 weights sharing a back part, a front histogram rolled by the group's back
-exponent.  At p = 5 the swept characters have 24 such groups and each half
-has 625 points.  A front row enters the counts only through its front
-signature (its front histogram and its unrolled group histograms), and the
-625 front rows have 20 distinct signatures, so only one row per signature
-is filled and grouped by count vector; every point reads its class id back
-from those rows.  The kernel is pure Python: a cell's counts for every
+exponent.  A front row enters the counts only through its front signature
+(its front histogram and its unrolled group histograms) and a back column
+only through its back signature (its back histogram and, per class of
+groups with equal front parts, the histogram of their back exponents), so
+one cell per pair of signatures stands for every cell: at p = 5, 400
+cells stand for the 390625 of full mode and 170 for the 494 canonical
+representatives.  The kernel is pure Python: a cell's counts for every
 character are packed into one int, so a cell is a sum of a few ints and a
 dict groups the cells.  A class polynomial is expanded once per class and
 character, on the first read of that character's column, every statement
@@ -43,7 +44,6 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import add
 
 from .certificates import FALSIFIED, VERIFIED, CheckResult
 from .dickson import subring_bound
@@ -201,7 +201,10 @@ def _histogram(p: int, pairs, layout: tuple[int, int], offset: int) -> int:
 
 
 def _records(total: int, cell: int, points: int) -> list[int]:
-    """The cell-byte records of total, one int per point."""
+    """The cell-byte records of total, one int per point (0 at every point
+    when records are empty, cell = 0)."""
+    if not cell:
+        return [0] * points
     data = total.to_bytes(points * cell, "little")
     return [int.from_bytes(data[i : i + cell], "little") for i in range(0, len(data), cell)]
 
@@ -248,14 +251,14 @@ class _Grid:
     A cell's counts are packed into one int: character j's count of
     exponent value v sits at bit (j * p + v) * width.  width spans whole
     bytes, enough for the largest character dimension, so no count carries
-    into the next slot.  hf[f] and hb[b] are the packed
-    front and back histograms.  unrolled holds the distinct unrolled front
-    histograms of the cross groups, packed at offset 0.  groups has one
-    entry per pair of back keys {k, -k}: the back exponents e_k[b] and its
-    members (unrolled histogram, character offset, whether the member's key
-    is -k).  fuse merged groups at a time share one table of p^fuse entries
-    per row, indexed by their combined back exponent
-    combined[c][b] = sum_i e_(fuse*c+i)[b] p^i.
+    into the next slot.  hf[f] and hb[b] are the packed front and back
+    histograms, and unrolled holds the distinct unrolled front histograms of
+    the cross groups, packed at offset 0.  The cross groups of one character
+    with equal front weights form a class; classes[c] is (U_c, bit offset of
+    the character), U_c[f] the class's unrolled histogram at front row f.
+    keys[b] packs, per class, the histogram of its groups' back-key
+    exponents at b: class c's count of value v sits at bit
+    (c * p + v) * key_width.
     """
 
     p: int
@@ -263,19 +266,20 @@ class _Grid:
     hf: list
     hb: list
     unrolled: list
-    groups: list
-    fuse: int
-    combined: list
+    classes: list
+    keys: list
+    key_width: int
 
 
 def _grid(p: int, n: int, chars: tuple) -> _Grid:
     """The terms of _Grid for chars over (F_p)^n, front half n // 2.
 
-    A cross group with back key k adds its unrolled histogram rolled by its
-    back exponent e_k[b]; since e_(-k) = -e_k, the groups of k and -k are
-    read at one exponent.  Histograms are memoized by their pairs: at p = 5
-    the 8 lambda2 cross groups share one unrolled histogram, the 16 delta+
-    groups two, and lambda2's front-only and back-only weights one."""
+    Histograms are memoized by their pairs: at p = 5 the 8 lambda2 cross
+    groups share one unrolled histogram, the 16 delta+ groups two, and
+    lambda2's front-only and back-only weights one.  The key histograms
+    come from one more _histogram call, in which a back key of class c
+    enters with multiplicity 256^(c * p * key slot), one count at class c's
+    slots."""
     nf, nb = n // 2, n - n // 2
     slot = (max(c.dim for c in chars).bit_length() + 7) // 8
     layout = (len(chars) * p * slot, slot)
@@ -289,7 +293,7 @@ def _grid(p: int, n: int, chars: tuple) -> _Grid:
 
     hf = hb = 0
     unrolled: dict[tuple, list] = {}
-    merged: dict[tuple, list] = {}
+    classes: dict[tuple, list] = {}  # (front pairs, bit offset) -> back keys
     for j, char in enumerate(chars):
         offset = j * p * slot
         front, back, cross = _split(char, nf, p)
@@ -299,85 +303,42 @@ def _grid(p: int, n: int, chars: tuple) -> _Grid:
             pairs = tuple(sorted((w[:nf], m) for w, m in weights))
             if pairs not in unrolled:
                 unrolled[pairs] = _records(hist(pairs, 0), layout[0], p**nf)
-            rep = min(key, tuple(-x % p for x in key))
-            merged.setdefault(rep, []).append((unrolled[pairs], 8 * offset, key != rep))
-    groups = [(_exponents(p, rep), members) for rep, members in merged.items()]
-    # fuse the number of groups per table that needs the fewest additions
-    # per row: ceil(len(groups) / c) tables of p + ... + p^c entries, each
-    # read once per back column (3 at p = 5)
-    fuse = min(
-        range(1, max(len(groups), 1) + 1),
-        key=lambda c: -(-len(groups) // c) * (sum(p**i for i in range(1, c + 1)) + p**nb),
-    )
-    combined = []
-    for start in range(0, len(groups), fuse):
-        index = [0] * p**nb
-        for i, (exps, _) in enumerate(groups[start : start + fuse]):
-            index = [c + e * p**i for c, e in zip(index, exps)]
-        combined.append(index)
+            classes.setdefault((pairs, 8 * offset), []).append(key)
+    key_slot = (max(map(len, classes.values()), default=0).bit_length() + 7) // 8
+    key_layout = (len(classes) * p * key_slot, key_slot)
+    key_pairs = [
+        (key, 1 << 8 * c * p * key_slot)
+        for c, members in enumerate(classes.values())
+        for key in members
+    ]
     return _Grid(
         p,
         8 * slot,
         _records(hf, layout[0], p**nf),
         _records(hb, layout[0], p**nb),
         list(unrolled.values()),
-        groups,
-        fuse,
-        combined,
+        [(unrolled[pairs], offset) for pairs, offset in classes],
+        _records(_histogram(p, key_pairs, key_layout, 0), key_layout[0], p**nb),
+        8 * key_slot,
     )
 
 
-def _row_tables(grid: _Grid, f: int) -> list[list[int]]:
-    """Per merged group, the packed counts its members add to a cell of
-    front row f whose back exponent is s, for s = 0..p-1: a member with key
-    k adds its unrolled histogram rolled by s, one with key -k rolled by
-    -s.  Rolling by s moves each of the p slots of a character up by s,
-    cyclically."""
+def _cell(grid: _Grid, f: int, b: int) -> int:
+    """The packed counts at cell (f, b): Hf[f] + Hb[b] plus, per class c and
+    back-key exponent v, K_c[b][v] copies of U_c[f] rolled by v.  Rolling by
+    v moves each of the p slots of a character up by v, cyclically."""
     p, width = grid.p, grid.width
     span = p * width
     mask = (1 << span) - 1
-    tables = []
-    for _, members in grid.groups:
-        table = [0] * p
-        for hist, offset, negated in members:
-            x = hist[f]
-            for s in range(p):
-                rolled = ((x << s * width) | (x >> (span - s * width))) & mask
-                table[-s % p if negated else s] += rolled << offset
-        tables.append(table)
-    return tables
-
-
-def _fill_row(grid: _Grid, f: int) -> list[int]:
-    """The packed counts at every cell of front row f, in back order."""
-    base = grid.hf[f]
-    if not grid.groups:
-        return [base + h for h in grid.hb]
-    tables = _row_tables(grid, f)
-    row = grid.hb
-    for c, index in enumerate(grid.combined):
-        fused = [base if c == 0 else 0]
-        for table in tables[c * grid.fuse : (c + 1) * grid.fuse]:
-            fused = list(itertools.chain.from_iterable([map(t.__add__, fused) for t in table]))
-        row = list(map(add, row, map(fused.__getitem__, index)))
-    return row
-
-
-def _fill_cells(grid: _Grid, cells, row_sig: list[int]) -> list[int]:
-    """The packed counts at the cells (f, b), with the row tables built
-    once per front signature."""
-    tables: dict[int, list[list[int]]] = {}
-    out = []
-    for f, b in cells:
-        s = row_sig[f]
-        if s not in tables:
-            tables[s] = _row_tables(grid, f)
-        out.append(
-            grid.hf[f]
-            + grid.hb[b]
-            + sum(table[exps[b]] for table, (exps, _) in zip(tables[s], grid.groups))
-        )
-    return out
+    keys, kmask = grid.keys[b], (1 << grid.key_width) - 1
+    total = grid.hf[f] + grid.hb[b]
+    for c, (hist, offset) in enumerate(grid.classes):
+        x = hist[f]
+        for v in range(p):
+            k = keys >> (c * p + v) * grid.key_width & kmask
+            if k:
+                total += k * (((x << v * width) | (x >> (span - v * width))) & mask) << offset
+    return total
 
 
 def _group(cells: list[int], index: dict) -> list[int]:
@@ -398,24 +359,33 @@ def count_table(p: int, chars, mode: str = "full") -> CountTable:
 
     A point splits into a front half (its first n // 2 coordinates) and a
     back half, so it is the cell (f, b) of a p^(n//2) by p^(n - n//2) grid
-    whose row-major order is the lexicographic point order.  Each
-    character's counts at a cell are a front histogram plus a back
-    histogram plus, per group of cross weights sharing a back part, an
-    unrolled front histogram rolled by the group's back exponent (see
-    _grid); no point is restricted on its own.
+    whose row-major order is the lexicographic point order; no point is
+    restricted on its own.  Let U_g[f] be the front histogram of the cross
+    weights of group g (those sharing one nonzero back part, the group's
+    back key) and e_g[b] the key's exponent at b.  Then a cell's counts are
 
-    Mode "full" fills only one front row per distinct front signature.  A
-    cell's counts are Hf[f] + Hb[b] + sum over groups g of U_g[f] rolled by
-    e_g[b], so the front row f enters them only through Hf[f] and the
-    unrolled histograms U_g[f].  Two front rows with equal signatures (that
-    tuple) therefore have equal counts at every back column.  This rests
-    only on the split, which _split checks, not on any symmetry.  At p = 5
-    the 625 front rows have 20 signatures; each point's class id is then
-    read off its signature's row.  Mode "canonical" fills the cells of the
-    weakly increasing representatives and weights each by its orbit size,
-    which is sound because every swept character is invariant under
-    coordinate permutations (checked; full mode is the oracle for canonical
-    mode).
+        Hf[f] + Hb[b] + sum over groups g of U_g[f] rolled by e_g[b]
+          = Hf[f] + Hb[b] + sum over classes c, values v of
+            K_c[b][v] * (U_c[f] rolled by v),
+
+    where a class c gathers the groups of one character with equal front
+    weights (so equal U_g = U_c) and K_c[b][v] counts its groups with
+    e_g[b] = v.  The front row f enters the counts only through its front
+    signature (Hf[f], U_c[f] for every c) and the back column b only
+    through its back signature (Hb[b], K_c[b] for every c), so the counts
+    are one memoized function of the pair of signatures (_cell, called once
+    per pair).  The identity rests only on the split, which _split checks,
+    not on any symmetry.  At p = 5 the 625 front rows have 20 signatures
+    and the 625 back columns 20.
+
+    Mode "full" fills every pair of signatures, 400 cells at p = 5, and
+    reads each point's class id off its pair: it uses no symmetry and is
+    the oracle for canonical mode.  Mode "canonical" looks up the cells of
+    the weakly increasing representatives in the same memo (170 pairs for
+    494 representatives at p = 5) and weights each by its orbit size, which
+    is sound because every swept character is invariant under coordinate
+    permutations (checked).  Exponents are one byte each, so p must be
+    below 256.
 
     Classes are numbered by the first point they hold; a class that no
     swept point hits (at p = 5 the zero point's) is dropped, so it is
@@ -423,6 +393,11 @@ def count_table(p: int, chars, mode: str = "full") -> CountTable:
     """
     if mode not in ("full", "canonical"):
         raise ValueError(f"mode must be 'full' or 'canonical', got {mode!r}")
+    if p >= 256:
+        raise ValueError(
+            f"count_table stores each exponent in one byte (_exponents), so p must be"
+            f" below 256, got {p}"
+        )
     chars = tuple(chars)
     ranks = sorted({c.rank for c in chars})
     if len(ranks) != 1:
@@ -440,31 +415,31 @@ def _build_table(p: int, n: int, chars: tuple, mode: str) -> CountTable:
         for char in chars:
             _check_permutation_invariant(char)
     grid = _grid(p, n, chars)
-    # signatures are numbered by first row, so filling each one's first row
-    # in turn visits cells in point order and numbers the classes by first
-    # point
-    signatures: dict[tuple, int] = {}
-    row_sig = [signatures.setdefault(s, len(signatures)) for s in zip(grid.hf, *grid.unrolled)]
+    # signatures are numbered by their first row and column, so a class
+    # first met at signature pair (s, t) is first met at that pair's first
+    # cell, and filling the pairs in order numbers the classes by first point
+    fronts: dict[tuple, int] = {}
+    row_sig = [fronts.setdefault(s, len(fronts)) for s in zip(grid.hf, *grid.unrolled)]
+    backs: dict[tuple, int] = {}
+    col_sig = [backs.setdefault(s, len(backs)) for s in zip(grid.hb, grid.keys)]
+    first_row = [row_sig.index(s) for s in range(len(fronts))]
+    first_col = [col_sig.index(t) for t in range(len(backs))]
+    cell = functools.cache(lambda s, t: _cell(grid, first_row[s], first_col[t]))
     index: dict[int, int] = {}
     weight: Counter = Counter()
 
     if mode == "full":
         reps = None
-        first: dict[int, int] = {}
-        for f, s in enumerate(row_sig):
-            first.setdefault(s, f)
-        rows = [_group(_fill_row(grid, f), index) for f in first.values()]
-        copies = Counter(row_sig)
+        rows = [_group([cell(s, t) for t in range(len(backs))], index) for s in range(len(fronts))]
+        rows_per, cols_per = Counter(row_sig), Counter(col_sig)
         for s, ids in enumerate(rows):
-            for k, cells in Counter(ids).items():
-                weight[k] += cells * copies[s]
+            for t, k in enumerate(ids):
+                weight[k] += rows_per[s] * cols_per[t]
         weight[0] -= 1  # class 0 holds cell 0, the zero point, which is not swept
     else:
         reps = tuple(canonical_representatives(p, n))
-        cells = [
-            divmod(functools.reduce(lambda x, a: x * p + a, alpha), len(grid.hb)) for alpha in reps
-        ]
-        ids = _group(_fill_cells(grid, cells, row_sig), index)
+        cells = [divmod(functools.reduce(lambda x, a: x * p + a, alpha), len(col_sig)) for alpha in reps]
+        ids = _group([cell(row_sig[f], col_sig[b]) for f, b in cells], index)
         for k, alpha in zip(ids, reps):
             weight[k] += orbit_size(alpha)
 
@@ -475,11 +450,11 @@ def _build_table(p: int, n: int, chars: tuple, mode: str) -> CountTable:
     # one byte per point unless there are more than 256 classes
     fmt = "B" if len(kept) <= 1 << 8 else "H" if len(kept) <= 1 << 16 else "I"
 
-    def encode(ids: list[int]) -> bytes:
+    def encode(ids) -> bytes:
         return array(fmt, map(renumber.__getitem__, ids)).tobytes()
 
     if mode == "full":
-        rows = [encode(ids) for ids in rows]
+        rows = [encode(map(ids.__getitem__, col_sig)) for ids in rows]
         # point i is cell i + 1
         data = b"".join(map(rows.__getitem__, row_sig))[array(fmt).itemsize :]
     else:

@@ -547,8 +547,9 @@ class MPoly:
             c = other % self.p
             out = MPoly.zero(self.p, self.arity)
             if c:
-                out.terms = {k: (v * c) % self.p for k, v in self.terms.items()}
-                out.terms = {k: v for k, v in out.terms.items() if v}
+                # c and every stored coefficient are units mod the prime p,
+                # so no product vanishes
+                out.terms = {k: v * c % self.p for k, v in self.terms.items()}
             return out
         self._check_same(other)
         p = self.p

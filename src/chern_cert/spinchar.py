@@ -113,7 +113,7 @@ class Character:
         return (
             isinstance(other, Character)
             and self.rank == other.rank
-            and dict(self.weights) == dict(other.weights)
+            and self.weights == other.weights
         )
 
     def __hash__(self):

@@ -466,8 +466,8 @@ class TestSplitGrid:
 
 
 class TestDistinctFrontRows:
-    """Full mode fills one front row per front signature and reads every
-    point's class back from those rows."""
+    """Both modes fill one cell per pair of front and back signatures, and
+    full mode reads every point's class back from those cells."""
 
     @pytest.mark.parametrize("p, n", [(3, 4), (3, 5), (5, 4)])
     def test_every_point_against_restricted_exponents(self, p, n):
@@ -485,21 +485,30 @@ class TestDistinctFrontRows:
         assert sum(table.weights) == p**n - 1
         assert Counter(table.class_of.tolist()) == dict(enumerate(table.weights))
 
-    def test_one_row_fill_per_front_signature(self, monkeypatch):
+    def test_one_cell_fill_per_signature_pair(self, monkeypatch):
         filled = []
-        real = classify._fill_row
+        real = classify._cell
 
-        def counted(grid, f):
-            filled.append(f)
-            return real(grid, f)
+        def counted(grid, f, b):
+            filled.append((f, b))
+            return real(grid, f, b)
 
         monkeypatch.setattr(classify, "_TABLES", {})
-        monkeypatch.setattr(classify, "_fill_row", counted)
-        count_table(5, classify._mod5_chars())
-        assert len(filled) == len(set(filled)) == 20  # of 625 front rows
-        filled.clear()
-        count_table(3, classify._mod3_chars())
-        assert len(filled) == len(set(filled)) == 3  # of 9
+        monkeypatch.setattr(classify, "_cell", counted)
+        cases = [
+            (5, classify._mod5_chars(), "full", 400),  # 20 front by 20 back signatures
+            (5, classify._mod5_chars(), "canonical", 170),  # for 494 representatives
+            (3, classify._mod3_chars(), "full", 9),  # 3 by 3
+            (3, classify._mod3_chars(), "canonical", 4),  # for 14 representatives
+        ]
+        for p, chars, mode, cells in cases:
+            filled.clear()
+            count_table(p, chars, mode)
+            assert len(filled) == len(set(filled)) == cells, (p, mode)
+
+    def test_prime_beyond_one_byte_exponents_is_rejected(self):
+        with pytest.raises(ValueError, match="one byte"):
+            count_table(257, (vector_weights(1),))
 
     def test_counts_wider_than_a_byte(self):
         # a count of 300 needs a slot wider than a byte; a carry out of any

@@ -101,6 +101,11 @@ class TestCountGrid:
         for char, counts in zip(chars, table.counts[table.class_of[i]]):
             exps = Counter(restricted_exponents(char, pt))
             assert counts == tuple(exps[v] for v in range(p)), char
+        # every GRID_CHARS entry is permutation-invariant, so canonical mode
+        # gives the point's sorted representative the same counts
+        canonical = count_table(p, chars, "canonical")
+        rep = canonical.reps.index(tuple(sorted(alpha)))
+        assert canonical.counts[canonical.class_of[rep]] == table.counts[table.class_of[i]]
 
 
 @st.composite
