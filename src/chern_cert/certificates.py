@@ -13,7 +13,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 __all__ = [
@@ -48,14 +47,16 @@ STATEMENTS = (
 _CERT_DIR_ENV = "CHERN_CERT_DIR"
 
 
-@dataclass
 class CheckResult:
     """Outcome of one statement-level check, before certificate wrapping."""
 
-    statement: str
-    status: str
-    parameters: dict
-    evidence: dict
+    __slots__ = ("statement", "status", "parameters", "evidence")
+
+    def __init__(self, statement: str, status: str, parameters: dict, evidence: dict):
+        self.statement = statement
+        self.status = status
+        self.parameters = parameters
+        self.evidence = evidence
 
     @property
     def verified(self) -> bool:
@@ -81,15 +82,29 @@ def default_cert_dir() -> Path:
     return Path(os.environ.get(_CERT_DIR_ENV, "certs"))
 
 
-@dataclass
 class Certificate:
-    statement: str
-    status: str
-    parameters: dict
-    evidence: dict
-    schema_version: str = SCHEMA_VERSION
-    toolchain: dict = field(default_factory=toolchain_fingerprint)
-    run: dict = field(default_factory=dict)
+    """A CheckResult with its schema version, the toolchain that produced it
+    (this interpreter's by default) and the volatile run section."""
+
+    __slots__ = ("statement", "status", "parameters", "evidence", "schema_version", "toolchain", "run")
+
+    def __init__(
+        self,
+        statement: str,
+        status: str,
+        parameters: dict,
+        evidence: dict,
+        schema_version: str = SCHEMA_VERSION,
+        toolchain: "dict | None" = None,
+        run: "dict | None" = None,
+    ):
+        self.statement = statement
+        self.status = status
+        self.parameters = parameters
+        self.evidence = evidence
+        self.schema_version = schema_version
+        self.toolchain = toolchain_fingerprint() if toolchain is None else toolchain
+        self.run = {} if run is None else run
 
     @classmethod
     def from_result(cls, result: CheckResult, run: "dict | None" = None) -> "Certificate":

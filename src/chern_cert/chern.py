@@ -10,8 +10,6 @@ the factor 1 + a*t to the total Chern class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .dickson import subring_bound
 from .fppoly import UPoly, check_odd_prime, chern_of_exponents, in_subring, inv2, pm_factorization
 from .spinchar import Character, Weight, registry
@@ -26,21 +24,36 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class RestrictionPoint:
     """A homomorphism from the order-p cyclic group into the rank-n doubled
-    torus, encoded by the exponent vector alpha."""
+    torus, encoded by the exponent vector alpha.  Immutable, equal and
+    hashed by (p, alpha)."""
 
-    p: int
-    alpha: tuple[int, ...]
+    __slots__ = ("p", "alpha")
 
-    def __post_init__(self):
-        check_odd_prime(self.p)
-        if not self.alpha:
+    def __init__(self, p: int, alpha: tuple[int, ...]):
+        check_odd_prime(p)
+        if not alpha:
             raise ValueError("alpha must be nonempty")
-        object.__setattr__(
-            self, "alpha", tuple(int(a) % self.p for a in self.alpha)
-        )
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "alpha", tuple(int(a) % p for a in alpha))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RestrictionPoint is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, RestrictionPoint):
+            return NotImplemented
+        return (self.p, self.alpha) == (other.p, other.alpha)
+
+    def __hash__(self):
+        return hash((self.p, self.alpha))
+
+    def __repr__(self):
+        return f"RestrictionPoint(p={self.p}, alpha={self.alpha})"
+
+    def __reduce__(self):
+        return RestrictionPoint, (self.p, self.alpha)
 
     @classmethod
     def parse(cls, p: int, text: str) -> "RestrictionPoint":
@@ -109,15 +122,31 @@ def chern_named(name: str, point: RestrictionPoint) -> UPoly:
     return total_chern(registry(name, point.rank), point)
 
 
-@dataclass(frozen=True)
 class ChernReport:
     """A restriction point, a total Chern class, and the form flags the
     classification relies on.  Flags are recomputed from the polynomial on
-    demand rather than stored, so they cannot go stale."""
+    demand rather than stored, so they cannot go stale.  Immutable, equal
+    and hashed by (point, poly, rep)."""
 
-    point: RestrictionPoint
-    poly: UPoly
-    rep: "str | None" = None
+    __slots__ = ("point", "poly", "rep")
+
+    def __init__(self, point: RestrictionPoint, poly: UPoly, rep: "str | None" = None):
+        for name, value in zip(self.__slots__, (point, poly, rep)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ChernReport is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, ChernReport):
+            return NotImplemented
+        return (self.point, self.poly, self.rep) == (other.point, other.poly, other.rep)
+
+    def __hash__(self):
+        return hash((self.point, self.poly, self.rep))
+
+    def __reduce__(self):
+        return ChernReport, (self.point, self.poly, self.rep)
 
     def flags(self) -> dict:
         p = self.point.p

@@ -43,7 +43,6 @@ import itertools
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .certificates import FALSIFIED, VERIFIED, CheckResult
 from .dickson import subring_bound
@@ -104,7 +103,6 @@ def orbit_size(alpha) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class CountTable:
     """The count classes of one sweep.
 
@@ -115,17 +113,29 @@ class CountTable:
     (full mode: every nonzero point in lexicographic order, canonical mode:
     the weakly increasing representatives), one byte per point unless there
     are more than 256 classes.  Class ids are numbered by the first point of
-    each class, and every class holds at least one swept point.
+    each class, and every class holds at least one swept point.  Immutable
+    (the column cache aside); equal only to itself.
     """
 
-    p: int
-    n: int
-    mode: str
-    counts: tuple
-    weights: tuple
-    class_of: memoryview
-    reps: "tuple | None"
-    _columns: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("p", "n", "mode", "counts", "weights", "class_of", "reps", "_columns")
+
+    def __init__(
+        self,
+        p: int,
+        n: int,
+        mode: str,
+        counts: tuple,
+        weights: tuple,
+        class_of: memoryview,
+        reps: "tuple | None",
+        _columns: "dict | None" = None,
+    ):
+        values = (p, n, mode, counts, weights, class_of, reps, {} if _columns is None else _columns)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CountTable is immutable")
 
     @property
     def points(self) -> int:
@@ -244,7 +254,6 @@ def _check_permutation_invariant(char: Character) -> None:
             )
 
 
-@dataclass(frozen=True)
 class _Grid:
     """The split-coordinate terms of a count table.
 
@@ -258,17 +267,19 @@ class _Grid:
     the character), U_c[f] the class's unrolled histogram at front row f.
     keys[b] packs, per class, the histogram of its groups' back-key
     exponents at b: class c's count of value v sits at bit
-    (c * p + v) * key_width.
+    (c * p + v) * key_width.  Immutable.
     """
 
-    p: int
-    width: int
-    hf: list
-    hb: list
-    unrolled: list
-    classes: list
-    keys: list
-    key_width: int
+    __slots__ = ("p", "width", "hf", "hb", "unrolled", "classes", "keys", "key_width")
+
+    def __init__(
+        self, p: int, width: int, hf: list, hb: list, unrolled: list, classes: list, keys: list, key_width: int
+    ):
+        for name, value in zip(self.__slots__, (p, width, hf, hb, unrolled, classes, keys, key_width)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("_Grid is immutable")
 
 
 def _grid(p: int, n: int, chars: tuple) -> _Grid:

@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--mode", choices=("canonical", "full"), default="canonical",
                           help="sweep mode for the mod-5 statements (default canonical)")
     p_verify.add_argument("--full-dickson", action="store_true",
-                          help="include the full p=5 invariant expansion (about 0.03 s)")
+                          help="include the full p=5 invariant expansion (about 0.035 s)")
     _add_common(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)
 

@@ -18,6 +18,15 @@ power of two bytes wide: array items up to 8 bytes, byte strings beyond
 public constructors' checks, and moduli are checked by a deterministic
 Miller-Rabin test, exact below PRIME_BOUND.
 
+Products and linear substitutions in F_p[y1..yn, X] work on packed exponent
+keys: each term's exponent vector is one int with a digit of width bits per
+variable, variable i at bit i * width, where width is the bit length of the
+result's total-degree bound.  No exponent of the result reaches 2^width, so
+adding two keys adds the exponent vectors digit by digit with no carry, and
+a term product costs one int addition instead of a new tuple.  Operands are
+packed on entry and the result is unpacked once; MPoly.terms stays keyed by
+exponent tuples.
+
 All values are immutable after construction and every operation is pure;
 instances can be shared freely between concurrent workers.
 """
@@ -30,7 +39,7 @@ import math
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Mapping
-from operator import add
+from operator import lshift
 from sys import byteorder
 from types import MappingProxyType
 
@@ -385,25 +394,52 @@ def pm_factorization(a: UPoly) -> "tuple[int, int] | None":
 
 
 def _product_terms(a: dict, b: dict, out: "dict | None" = None) -> dict:
-    """Add the product of two term dicts to out (a new dict by default) and
-    return it; coefficients are not reduced mod p."""
+    """Add the product of two packed term dicts to out (a new dict by
+    default) and return it; coefficients are not reduced mod p.
+
+    Keys are packed exponent vectors (see _packed_terms), and the caller
+    sizes the digits for the product's total-degree bound, so no digit of
+    ka + kb reaches 2^width and the sum of two keys is the key of the
+    product monomial, with no digit carrying into its neighbour."""
     out = {} if out is None else out
     get = out.get
     for ka, ca in a.items():
         for kb, cb in b.items():
-            key = tuple(map(add, ka, kb))
-            out[key] = get(key, 0) + ca * cb
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
     return out
+
+
+def _width(degree_bound: int) -> int:
+    """Bits per packed exponent: every exponent of a polynomial whose total
+    degree is at most degree_bound stays below 2^width (at least one bit)."""
+    return max(degree_bound, 1).bit_length()
+
+
+def _packed_terms(terms: Mapping, arity: int, width: int) -> dict[int, int]:
+    """terms with each exponent vector packed into one int, exponent i in
+    bits i * width onward."""
+    shifts = range(0, width * arity, width)
+    return {sum(map(lshift, key, shifts)): c for key, c in terms.items()}
+
+
+def _unpacked_terms(packed: dict, arity: int, width: int, p: int) -> dict:
+    """The inverse of _packed_terms, with coefficients reduced mod p and the
+    ones that vanish dropped."""
+    shifts = range(0, width * arity, width)
+    mask = (1 << width) - 1
+    return {tuple([k >> s & mask for s in shifts]): r for k, c in packed.items() if (r := c % p)}
 
 
 @functools.lru_cache(maxsize=256)
 def _linear_power(
-    p: int, arity: int, column: tuple[tuple[int, int], ...], e: int
-) -> Mapping[tuple[int, ...], int]:
+    p: int, column: tuple[tuple[int, int], ...], e: int, width: int
+) -> Mapping[int, int]:
     """(sum_i m_i * y_i)^e over F_p, e >= 1, for the nonzero entries (i, m_i)
-    of column, as a read-only mapping of terms over arity variables.  The
-    result is memoized and shared by every substitution that needs it
-    (sl3_invariance_check(5) needs 63 distinct powers 306 times).
+    of column, as a read-only mapping of terms with exponents packed width
+    bits apart (e < 2^width).  The result is memoized and shared by every
+    substitution that needs it (sl3_invariance_check(5) needs 63 distinct
+    powers 306 times).
 
     With e = sum_k d_k p^k in base p, the power is
     prod_k (sum_i m_i y_i^(p^k))^(d_k), because raising to the p-th power is
@@ -415,7 +451,7 @@ def _linear_power(
     r = len(column)
     if not r:
         return MappingProxyType({})
-    out = {(0,) * arity: 1}
+    out = {0: 1}
     step = 1
     while e:
         e, d = divmod(e, p)
@@ -424,12 +460,12 @@ def _linear_power(
             # stars and bars: r - 1 bars among d + r - 1 slots split d into r parts
             for bars in itertools.combinations(range(d + r - 1), r - 1):
                 coeff = math.factorial(d)
-                exps = [0] * arity
+                key = 0
                 for (i, m), lo, hi in zip(column, (-1,) + bars, bars + (d + r - 1,)):
                     k = hi - lo - 1
                     coeff = coeff // math.factorial(k) * m**k
-                    exps[i] = k * step
-                factor[tuple(exps)] = coeff % p
+                    key += k * step << i * width
+                factor[key] = coeff % p
             out = {k: c % p for k, c in _product_terms(out, factor).items()}
         step *= p
     return MappingProxyType(out)
@@ -507,7 +543,7 @@ class MPoly:
     def total_degree(self) -> int:
         if not self.terms:
             return -1
-        return max(sum(k) for k in self.terms)
+        return max(map(sum, self.terms))
 
     def support_in_var(self, var: int) -> list[int]:
         return sorted({k[var] for k in self.terms})
@@ -554,9 +590,13 @@ class MPoly:
         self._check_same(other)
         p = self.p
         out = MPoly.zero(p, self.arity)
-        out.terms = {
-            k: c % p for k, c in _product_terms(self.terms, other.terms).items() if c % p
-        }
+        if self.terms and other.terms:
+            width = _width(self.total_degree + other.total_degree)
+            product = _product_terms(
+                _packed_terms(self.terms, self.arity, width),
+                _packed_terms(other.terms, self.arity, width),
+            )
+            out.terms = _unpacked_terms(product, self.arity, width, p)
         return out
 
     __rmul__ = __mul__
@@ -606,26 +646,29 @@ class MPoly:
         ]
         # an identity column keeps its variable's exponent where it is
         moved = [j for j in range(n) if columns[j] != ((j, 1),)]
-        powers: dict[tuple[int, int], Mapping[tuple[int, ...], int]] = {}
-        data: dict[tuple[int, ...], int] = {}
-        unit = {(0,) * self.arity: 1}
+        # a linear substitution keeps every term's total degree
+        width = _width(self.total_degree)
+        shifts = range(0, width * self.arity, width)
+        powers: dict[tuple[int, int], Mapping[int, int]] = {}
+        data: dict[int, int] = {}
+        unit = {0: 1}
         for key, coeff in self.terms.items():
-            kept = list(key)
+            kept = sum(map(lshift, key, shifts))
             factors = []
             for j in moved:
-                kept[j] = 0
                 e = key[j]
                 if e:
+                    kept -= e << shifts[j]
                     if (j, e) not in powers:
-                        powers[j, e] = _linear_power(p, self.arity, columns[j], e)
+                        powers[j, e] = _linear_power(p, columns[j], e, width)
                     factors.append(powers[j, e])
-            partial = {tuple(kept): coeff}
+            partial = {kept: coeff}
             for factor in factors[:-1]:
                 partial = _product_terms(partial, factor)
             # the last factor's products go straight into the image
             _product_terms(partial, factors[-1] if factors else unit, data)
         out = MPoly.zero(p, self.arity)
-        out.terms = {k: c % p for k, c in data.items() if c % p}
+        out.terms = _unpacked_terms(data, self.arity, width, p)
         return out
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:

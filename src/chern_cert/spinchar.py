@@ -43,7 +43,7 @@ Weight = tuple[int, ...]
 class Character:
     """Finite multiset of doubled-lattice weights at a fixed torus rank."""
 
-    __slots__ = ("rank", "weights")
+    __slots__ = ("rank", "weights", "_hash")
 
     def __init__(
         self,
@@ -67,8 +67,7 @@ class Character:
                 raise ValueError("multiplicities must be nonnegative")
             if m:
                 data[w] = data.get(w, 0) + m
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "weights", MappingProxyType(data))
+        self._set(rank, data)
 
     @classmethod
     def _derived(cls, rank: int, data: dict) -> "Character":
@@ -76,9 +75,14 @@ class Character:
         weights of valid characters, of length rank, to positive
         multiplicities, so nothing is checked again."""
         self = object.__new__(cls)
+        self._set(rank, data)
+        return self
+
+    def _set(self, rank: int, data: dict) -> None:
+        # the weights never change, so their hash is computed once
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "weights", MappingProxyType(data))
-        return self
+        object.__setattr__(self, "_hash", hash((rank, frozenset(data.items()))))
 
     def __setattr__(self, name, value):
         raise AttributeError("Character is immutable")
@@ -117,7 +121,7 @@ class Character:
         )
 
     def __hash__(self):
-        return hash((self.rank, frozenset(self.weights.items())))
+        return self._hash
 
     def __repr__(self):
         return f"Character(rank={self.rank}, dim={self.dim})"

@@ -52,6 +52,13 @@ class TestCertificate:
         assert doc["canonical_sha256"] == cert.sha256()
         assert set(toolchain_fingerprint()) <= set(doc["toolchain"])
 
+    def test_defaults_are_fresh_per_instance(self):
+        a = Certificate("prop-3.2", VERIFIED, {}, {})
+        b = Certificate("prop-3.2", VERIFIED, {}, {})
+        assert a.schema_version == SCHEMA_VERSION
+        assert a.run == {} and a.run is not b.run
+        assert a.toolchain == toolchain_fingerprint() and a.toolchain is not b.toolchain
+
     def test_rejects_unknown_statement(self):
         bad = CheckResult("lemma-9.9", VERIFIED, {}, {})
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Restriction points, restricted exponents, and total Chern classes."""
 
+import pickle
+
 import pytest
 
 from chern_cert.chern import (
@@ -40,6 +42,15 @@ class TestRestrictionPoint:
     def test_render_roundtrip(self):
         pt = RestrictionPoint(5, (1, 0, 4))
         assert RestrictionPoint.parse(5, pt.render()) == pt
+
+    def test_value_semantics(self):
+        pt = RestrictionPoint(5, (6, 0, -1))
+        same = RestrictionPoint(5, (1, 0, 4))
+        assert pt == same and hash(pt) == hash(same)
+        assert pt != RestrictionPoint(7, (1, 0, 4)) and pt != (1, 0, 4)
+        assert pickle.loads(pickle.dumps(pt)) == pt
+        with pytest.raises(AttributeError):
+            pt.alpha = (0, 0, 1)
 
 
 class TestRestrictExponent:
@@ -157,3 +168,13 @@ class TestChernReport:
         report = ChernReport(point=pt, poly=poly)
         assert report.flags()["pm_form"] == [14, 0]
         assert report.flags()["in_subring"] is False
+
+    def test_value_semantics(self):
+        pt = RestrictionPoint(3, (0, 1, 1, 1))
+        report = report_named("rho7", pt)
+        same = ChernReport(RestrictionPoint(3, (3, 1, 4, 1)), chern_named("rho7", pt), "rho7")
+        assert report == same and hash(report) == hash(same)
+        assert report != ChernReport(pt, report.poly)
+        assert pickle.loads(pickle.dumps(report)) == report
+        with pytest.raises(AttributeError):
+            report.rep = None

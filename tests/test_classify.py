@@ -357,6 +357,18 @@ class TestProp3Checks:
             for poly in cls:
                 assert poly.divexact(one_minus_t2) is not None, table.counts[k]
 
+    def test_count_table_and_grid_are_immutable(self):
+        chars = classify._mod3_chars()[:2]
+        table = count_table(3, chars)
+        rebuilt = classify._build_table(3, 4, chars, "full")
+        # equal only to itself: the memoized class sets are keyed by table
+        assert table != rebuilt and table == table
+        assert bytes(rebuilt.class_of) == bytes(table.class_of)
+        with pytest.raises(AttributeError):
+            table.mode = "canonical"
+        with pytest.raises(AttributeError):
+            classify._grid(3, 4, chars).width = 1
+
 
 class TestTunedPathAgainstCharacterPipeline:
     """The count-class kernel must agree with the plain character pipeline;

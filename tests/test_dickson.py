@@ -1,7 +1,9 @@
 """Rank-3 Dickson invariants: defining identity, degrees, restriction, and
 linear-group invariance."""
 
+import hashlib
 import itertools
+import pickle
 
 import pytest
 
@@ -53,6 +55,40 @@ class TestOrbitProductMod3:
         for c in ds.cs:
             degrees = {sum(k) for k in c.terms}
             assert len(degrees) == 1
+
+
+# The term count and the sha256 of render() of each expansion, pinned from
+# the tuple-keyed MPoly arithmetic they were first computed with.  The
+# certificates record only degrees, the sign and booleans, so an expansion
+# that is wrong but still invariant would keep every golden hash.
+EXPANSION_DIGESTS = {
+    (3, "c0"): (21, "d3e503d066517f8997d08c44a55e7ef754535c0725efeb24f53fbeaeca72ab45"),
+    (3, "c1"): (27, "ec86cba48958a69c643b07c25773351fdb3abb2915c01a14e40694a7f64f2c03"),
+    (3, "c2"): (25, "abe36dcf42315938453f40830e548f0bba21a3f6850267f7436ab3a2e617fdd4"),
+    (3, "e3"): (6, "86dae5e5672cd9cc49cfd992850d792f09c0468c792d89530d3cfb5f0edffa4e"),
+    (3, "orbit"): (74, "901470f9b44f9944dc27f75a1694cf1aa4207814a86252eb066e4a5ee80bfe41"),
+    (5, "c0"): (120, "a0babe4b0b80b9cfab221cc8d8e8339354123bccb5fee6f61e33864eecc68b53"),
+    (5, "c1"): (130, "5e221c4415af31932aa2139d98f79ed67b276c6f099b2d2f3a3abc9de795a013"),
+    (5, "c2"): (126, "6cf5b1988651e467477ff829087af7a3fff8cf2e7302d3c9c4cd02c395f6cc10"),
+    (5, "e3"): (21, "dd775b52904c8e1a6408c87dadaedf2023e17443da7d76aebd4b841083c4058c"),
+    (5, "orbit"): (377, "da973b7ed55bbe3faa1e5383c75d44d96e42a1f2e6996fed693ed305a8ca4372"),
+}
+
+
+@pytest.mark.parametrize("p, name", sorted(EXPANSION_DIGESTS))
+def test_expansion_render_digests(p, name):
+    ds = dickson.compute(p)
+    poly = {"c0": ds.c(0), "c1": ds.c(1), "c2": ds.c(2), "e3": ds.e3}.get(name) or dickson.orbit_product(p)
+    digest = hashlib.sha256(poly.render().encode("ascii")).hexdigest()
+    assert (len(poly.terms), digest) == EXPANSION_DIGESTS[p, name]
+
+
+def test_dickson_set_is_immutable_and_pickles():
+    ds = dickson.compute(3)
+    with pytest.raises(AttributeError):
+        ds.sign = -1
+    back = pickle.loads(pickle.dumps(ds))
+    assert (back.p, back.cs, back.e3, back.sign) == (ds.p, ds.cs, ds.e3, ds.sign)
 
 
 class TestSquareRootInvariant:

@@ -231,6 +231,87 @@ class TestSubstituteLinearDigits:
         assert f.substitute_linear(matrix) == naive_substitute(f, matrix)
 
 
+def tuple_product(p, a, b):
+    """The product of two tuple-keyed term dicts over F_p, schoolbook."""
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            out[key] = (out.get(key, 0) + ca * cb) % p
+    return {k: c for k, c in out.items() if c}
+
+
+def tuple_substitute(p, arity, terms, matrix):
+    """Each term with variable j replaced by the linear form in column j of
+    matrix, one factor at a time, on tuple-keyed term dicts."""
+    n = len(matrix)
+    unit = [tuple(int(i == v) for v in range(arity)) for i in range(n)]
+    images = [{unit[i]: matrix[i][j] % p for i in range(n) if matrix[i][j] % p} for j in range(n)]
+    out = {}
+    for key, coeff in terms.items():
+        term = {(0,) * n + key[n:]: coeff}
+        for j in range(n):
+            for _ in range(key[j]):
+                term = tuple_product(p, term, images[j])
+        for k, c in term.items():
+            out[k] = (out.get(k, 0) + c) % p
+    return {k: c for k, c in out.items() if c}
+
+
+# exponents at 2^k - 1 and 2^k: a packed digit one bit too narrow carries
+EDGE_EXPONENTS = (0, 1, 2, 3, 4, 7, 8, 15, 16, 31, 32)
+
+
+@st.composite
+def packed_operands(draw):
+    """A prime in {3, 5, 7}, an arity of 1 to 4, two polynomials with
+    exponents from EDGE_EXPONENTS (zero polynomials included) and a matrix
+    acting on all variables or on all but the last.  The first polynomial's
+    terms have total degree at most 16, to keep the substitution small."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    arity = draw(st.integers(1, 4))
+    keys = st.tuples(*(st.sampled_from(EDGE_EXPONENTS) for _ in range(arity)))
+    coeffs = st.integers(0, p - 1)
+    f = draw(st.dictionaries(keys.filter(lambda k: sum(k) <= 16), coeffs, max_size=4))
+    g = draw(st.dictionaries(keys, coeffs, max_size=4))
+    n = draw(st.sampled_from((arity, arity - 1)))
+    entries = st.integers(-p, 2 * p)
+    matrix = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    return p, arity, f, g, matrix
+
+
+class TestPackedKeys:
+    """MPoly's packed exponent keys against tuple-keyed references."""
+
+    @given(packed_operands())
+    @example((5, 2, {(8, 0): 1, (0, 8): 1}, {(8, 0): 1, (0, 8): 4}, [[1, 1], [0, 1]]))
+    @example((3, 3, {(15, 1, 0): 2}, {(16, 15, 1): 1, (0, 0, 0): 1}, [[1, 1, 0], [1, 2, 0], [0, 0, 1]]))
+    @example((7, 4, {(1, 7, 8, 0): 3}, {(31, 0, 0, 1): 1}, [[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
+    @example((3, 1, {(16,): 1}, {(16,): 2}, [[2]]))
+    @example((5, 2, {}, {(3, 4): 1}, [[1, 2], [3, 4]]))
+    @example((5, 2, {(1, 1): 5}, {}, [[1]]))
+    @settings(max_examples=60, deadline=None)
+    def test_product_and_substitution_match_tuple_keys(self, case):
+        p, arity, f, g, matrix = case
+        a, b = MPoly(p, arity, f), MPoly(p, arity, g)
+        assert (a * b).terms == tuple_product(p, a.terms, b.terms)
+        assert (b * a).terms == tuple_product(p, a.terms, b.terms)
+        assert a.substitute_linear(matrix).terms == tuple_substitute(p, arity, a.terms, matrix)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_degree_at_a_power_of_two(self, k):
+        # y1^(2^k) arises from factors of degree 2^k - 1 and 1 and from the
+        # square of y1^(2^(k-1)); one bit fewer would carry it into y2
+        p = 5
+        y1, y2 = MPoly.variable(p, 2, 0), MPoly.variable(p, 2, 1)
+        low = MPoly.monomial(p, 2, (2**k - 1, 0))
+        assert (low * (y1 + y2)).terms == {(2**k, 0): 1, (2**k - 1, 1): 1}
+        half = MPoly.monomial(p, 2, (2 ** (k - 1), 0))
+        assert (half * half).terms == {(2**k, 0): 1}
+        swap = [[0, 1], [1, 0]]
+        assert MPoly.monomial(p, 2, (2**k, 0), 3).substitute_linear(swap).terms == {(0, 2**k): 3}
+
+
 class TestMPolyCancellation:
     def test_product_stores_no_zero_coefficient(self):
         # (y1 + y2)(y1 - y2) = y1^2 - y2^2: the two y1*y2 terms cancel

@@ -217,3 +217,17 @@ class TestDerivedCharacters:
                 assert_rebuilds(k * a)
                 assert_rebuilds(a * k)
             assert not (0 * a).weights and (0 * a) == Character(n)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_equal_characters_from_every_route_hash_equal(self, n):
+        # 2 lambda1 by +, by * on either side, by the constructor (weights in
+        # reverse order) and, with two trivial lines, by branching from rank
+        # n + 1, whose two weights +-2 e_(n+1) restrict to 0
+        v = vector_weights(n)
+        routes = [v + v, 2 * v, v * 2, Character(n, reversed([(w, 2) for w in v.weights]))]
+        for c in routes:
+            assert c == routes[0] and hash(c) == hash(routes[0])
+        branched = (2 * vector_weights(n + 1)).branch()
+        assert branched == routes[0] + trivial(n, 4)
+        assert hash(branched) == hash(routes[0] + trivial(n, 4))
+        assert hash(v + trivial(n)) != hash(v)
