@@ -58,6 +58,20 @@ class CheckResult:
         self.parameters = parameters
         self.evidence = evidence
 
+    @classmethod
+    def judge(
+        cls, statement: str, parameters: dict, evidence: dict, problems=(), witnesses=()
+    ) -> "CheckResult":
+        """The one verdict rule: Falsified exactly when problems or witnesses
+        name something.  The evidence records each of the two only when it
+        is non-empty, so a Verified result carries neither."""
+        if problems:
+            evidence["problems"] = list(problems)
+        if witnesses:
+            evidence["witnesses"] = witnesses
+        status = FALSIFIED if problems or witnesses else VERIFIED
+        return cls(statement, status, parameters, evidence)
+
     @property
     def verified(self) -> bool:
         return self.status == VERIFIED

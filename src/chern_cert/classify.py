@@ -44,7 +44,7 @@ import math
 from array import array
 from collections import Counter
 
-from .certificates import FALSIFIED, VERIFIED, CheckResult
+from .certificates import CheckResult
 from .dickson import subring_bound
 from .fppoly import UPoly, chern_of_counts, in_subring, inv2, pm_factorization
 from .spinchar import (
@@ -75,6 +75,8 @@ FAIL_CAP = 8
 
 P5, N5 = 5, 8
 TOTAL_POINTS_5 = 5**N5 - 1
+# the weakly increasing nonzero vectors: multisets of N5 digits, less zero
+CANONICAL_POINTS_5 = math.comb(P5 + N5 - 1, N5) - 1
 
 def _render_alpha(alpha) -> str:
     return ",".join(str(a) for a in alpha)
@@ -509,22 +511,6 @@ def _class_sets(table: CountTable, sizes: tuple[int, ...], predicates) -> dict[s
     return sets
 
 
-def _result(statement: str, parameters: dict, evidence: dict, witnesses, problems) -> CheckResult:
-    """A sweep statement's result: Falsified exactly when problems names
-    something; the evidence records the witnesses and the problems, each
-    only when there are any."""
-    if witnesses:
-        evidence["witnesses"] = witnesses
-    if problems:
-        evidence["problems"] = problems
-    return CheckResult(
-        statement=statement,
-        status=FALSIFIED if problems else VERIFIED,
-        parameters=parameters,
-        evidence=evidence,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Mod 3: the 80-point sweep at rank 4.
 # ---------------------------------------------------------------------------
@@ -666,7 +652,7 @@ def classify_f4_mod3() -> CheckResult:
         "rho8_alternate_reading_agrees": alt_ok,
     }
     parameters = {"p": p, "rank": n, "mode": "full", "points": 3**n - 1}
-    return _result("theorem-1.1", parameters, evidence, witnesses, problems)
+    return CheckResult.judge("theorem-1.1", parameters, evidence, problems, witnesses)
 
 
 def check_prop32() -> CheckResult:
@@ -710,7 +696,7 @@ def _prop3_single(j: int, statement: str) -> CheckResult:
         "value_on_consistent_set": _consistent_value(p, d).render(),
     }
     parameters = {"p": p, "rank": n, "character": _SWEPT3[j]}
-    return _result(statement, parameters, evidence, witnesses, problems)
+    return CheckResult.judge(statement, parameters, evidence, problems, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +806,7 @@ def _mod5_result(statement, sweep, failing, evidence, parameters, problems=()) -
     statement's own."""
     table, mode = sweep["table"], sweep["table"].mode
     witnesses = {key: table.first(ks, FAIL_CAP) for key, ks in failing.items() if ks}
-    expected = TOTAL_POINTS_5 if mode == "full" else len(canonical_representatives())
+    expected = TOTAL_POINTS_5 if mode == "full" else CANONICAL_POINTS_5
     found = []
     if table.points != expected:
         found.append(f"scanned {table.points} points, expected {expected}")
@@ -835,7 +821,7 @@ def _mod5_result(statement, sweep, failing, evidence, parameters, problems=()) -
         **evidence,
     }
     parameters = {"p": P5, "rank": N5, "mode": mode, **parameters}
-    return _result(statement, parameters, evidence, witnesses, found)
+    return CheckResult.judge(statement, parameters, evidence, found, witnesses)
 
 
 def classify_e8_mod5(mode: str) -> CheckResult:

@@ -5,7 +5,8 @@ certificate JSON (with --json), the certificate file path, or the polynomial
 text for single-point reports, so the tool is scriptable.
 
 Exit codes: 0 everything verified, 1 a check falsified or an invalid input
-value (e.g. the zero restriction point), 2 usage or configuration errors.
+value (e.g. the zero restriction point), 2 usage or configuration errors,
+each reported as one "error: ..." line.
 """
 
 from __future__ import annotations
@@ -23,6 +24,11 @@ from .spinchar import REP_NAMES, registry, rep_group
 from .verify import run_statement, statements_for
 
 GROUPS = ("F4", "E6", "E7", "E8")
+
+
+class UsageError(Exception):
+    """A usage or configuration error: main prints "error: <message>" and
+    exits 2."""
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -55,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--mode", choices=("canonical", "full"), default="canonical",
                           help="sweep mode for the mod-5 statements (default canonical)")
     p_verify.add_argument("--full-dickson", action="store_true",
-                          help="include the full p=5 invariant expansion (about 0.035 s)")
+                          help="include the full p=5 invariant expansion")
     _add_common(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)
 
@@ -80,12 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dickson = sub.add_parser("dickson", help="rank-3 invariant facts")
     p_dickson.add_argument("--p", type=int, choices=(3, 5), required=True)
-    p_dickson.add_argument("--full", action="store_true",
-                           help="force the full 3-variable expansion")
+    p_dickson.add_argument("--full", "--check-sl3", action="store_true",
+                           help="force the full 3-variable expansion and its"
+                                " transvection-invariance check")
     p_dickson.add_argument("--restrict", action="store_true",
                            help="rank-1 restriction facts only (cheap path)")
-    p_dickson.add_argument("--check-sl3", action="store_true",
-                           help="check transvection invariance (forces expansion)")
     _add_common(p_dickson)
     p_dickson.set_defaults(handler=_cmd_dickson)
 
@@ -147,25 +152,15 @@ def _cmd_chern(args) -> int:
     try:
         point = RestrictionPoint.parse(args.p, args.alpha)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(exc) from None
     if args.rank is not None and args.rank != point.rank:
-        print(
-            f"error: --rank {args.rank} does not match alpha of length {point.rank}",
-            file=sys.stderr,
-        )
-        return 2
+        raise UsageError(f"--rank {args.rank} does not match alpha of length {point.rank}")
     if args.group and rep_group(args.rep) != args.group:
-        print(
-            f"error: {args.rep} belongs to {rep_group(args.rep)}, not {args.group}",
-            file=sys.stderr,
-        )
-        return 2
+        raise UsageError(f"{args.rep} belongs to {rep_group(args.rep)}, not {args.group}")
     try:
         registry(args.rep, point.rank)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(exc) from None
     if point.is_zero:
         print("error: alpha must not be the zero vector", file=sys.stderr)
         return 1
@@ -188,11 +183,7 @@ def _cmd_enumerate(args) -> int:
         mode = "full"  # the 80-point sweep is always exhaustive
     else:
         if args.rep not in ("all", "rho8"):
-            print(
-                f"error: the mod-5 sweep covers rho8 (got --rep {args.rep})",
-                file=sys.stderr,
-            )
-            return 2
+            raise UsageError(f"the mod-5 sweep covers rho8 (got --rep {args.rep})")
         statement = "theorem-4.1"
         mode = args.mode
     cert = run_statement(statement, mode=mode)
@@ -201,7 +192,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_dickson(args) -> int:
-    full = args.full or args.check_sl3 or (args.p == 3 and not args.restrict)
+    full = args.full or (args.p == 3 and not args.restrict)
     started = time.perf_counter()
     result = lemma_facts(args.p, full=full)
     cert = Certificate.from_result(
@@ -218,17 +209,13 @@ def _cmd_branch(args) -> int:
         _emit_certificate(cert, args, "prop-2.2-branching")
         return 0 if cert.verified else 1
     if args.rank is None:
-        print("error: --rank is required with --rep", file=sys.stderr)
-        return 2
+        raise UsageError("--rank is required with --rep")
     try:
         char = registry(args.rep, args.rank)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(exc) from None
     if args.steps < 0 or args.rank - args.steps < 1:
-        print(f"error: cannot branch {args.steps} steps from rank {args.rank}",
-              file=sys.stderr)
-        return 2
+        raise UsageError(f"cannot branch {args.steps} steps from rank {args.rank}")
     branched = char
     for _ in range(args.steps):
         branched = branched.branch()
@@ -260,19 +247,21 @@ def _cmd_branch(args) -> int:
     return 0 if matches in (None, True) else 1
 
 
-def _out_problem(args) -> "str | None":
-    """Why --out cannot take the command's output, or None.  `verify all`
-    writes one certificate per statement into a directory, every other
-    command one file; this is checked before any sweep runs."""
+def _check_out(args) -> None:
+    """Raise UsageError if --out cannot take the command's output.  `verify
+    all` writes one certificate per statement into a directory, every other
+    command one file; the nearest existing ancestor of that directory or file
+    must be a directory.  This runs before any sweep."""
     if not args.out:
-        return None
+        return
     path = Path(args.out)
-    if args.command == "verify" and args.target == "all":
-        if path.exists() and not path.is_dir():
-            return f"--out {path} exists and is not a directory (verify all writes a directory)"
-    elif path.is_dir():
-        return f"--out {path} is a directory; give the certificate's file path"
-    return None
+    into_dir = args.command == "verify" and args.target == "all"
+    if not into_dir and path.is_dir():
+        raise UsageError(f"--out {path} is a directory; give the certificate's file path")
+    first = path if into_dir else path.parent
+    ancestor = next(a for a in (first, *first.parents) if a.exists())
+    if not ancestor.is_dir():
+        raise UsageError(f"--out {path}: {ancestor} is not a directory")
 
 
 def main(argv=None) -> int:
@@ -281,13 +270,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if args.workers is not None and args.workers < 1:
-        print(f"error: --workers must be a positive integer, got {args.workers}", file=sys.stderr)
+    try:
+        if args.workers is not None and args.workers < 1:
+            raise UsageError(f"--workers must be a positive integer, got {args.workers}")
+        _check_out(args)
+        return args.handler(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    if problem := _out_problem(args):
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
-    return args.handler(args)
 
 
 if __name__ == "__main__":

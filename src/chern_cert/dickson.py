@@ -14,9 +14,7 @@ homogeneous in t and X, so its three routes run on UPoly in X at t = 1.
 The full 3-variable expansion builds the orbit product up a tower of
 coordinate subspaces with sparse MPoly arithmetic, and e3 apart from it as a
 dense product of its linear factors, one byte per coefficient of one int.
-On a 2-CPU machine the orbit product takes about 0.0013 s at p = 3 and
-0.009 s at p = 5, and the p = 5 facts with the transvection checks about
-0.03 s; the rank-1 restriction path never needs the expansion.
+The rank-1 restriction path never needs the expansion.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .certificates import FALSIFIED, VERIFIED, CheckResult
+from .certificates import CheckResult
 from .fppoly import MPoly, UPoly, check_odd_prime
 
 __all__ = [
@@ -40,7 +38,9 @@ __all__ = [
 ]
 
 _RANK = 3
-_PRIMES = (3, 5)
+# the statement each supported prime's facts certify
+_STATEMENT = {3: "lemma-3.1-facts", 5: "lemma-4.2-facts"}
+_PRIMES = tuple(_STATEMENT)
 
 
 def subring_bound(p: int) -> int:
@@ -172,12 +172,8 @@ _CACHE: dict[int, DicksonSet] = {}
 
 
 def compute(p: int) -> DicksonSet:
-    """Expand the orbit product and extract c_{3,0}, c_{3,1}, c_{3,2} and e3.
-
-    At p = 5 the orbit product and e3 take about 0.011 s together on a
-    2-CPU machine (0.0017 s at p = 3); at p = 5 callers ask for them
-    explicitly.
-    """
+    """Expand the orbit product and extract c_{3,0}, c_{3,1}, c_{3,2} and e3
+    (memoized per prime)."""
     _check_supported_prime(p)
     if p in _CACHE:
         return _CACHE[p]
@@ -306,7 +302,8 @@ def transvection_generators(p: int) -> list[list[list[int]]]:
 
 
 def sl3_invariance_check(p: int, ds: "DicksonSet | None" = None) -> CheckResult:
-    """Every elementary transvection fixes c_{3,0}, c_{3,1}, c_{3,2} and e3."""
+    """Every elementary transvection fixes c_{3,0}, c_{3,1}, c_{3,2} and e3;
+    each violation is a witness."""
     ds = ds or compute(p)
     violations = []
     polys = {"c0": ds.c(0), "c1": ds.c(1), "c2": ds.c(2), "e3": ds.e3}
@@ -315,16 +312,11 @@ def sl3_invariance_check(p: int, ds: "DicksonSet | None" = None) -> CheckResult:
         for name, poly in polys.items():
             if poly.substitute_linear(m) != poly:
                 violations.append({"generator": gi, "matrix": m, "invariant": name})
-    status = VERIFIED if not violations else FALSIFIED
-    return CheckResult(
-        statement="lemma-3.1-facts" if p == 3 else "lemma-4.2-facts",
-        status=status,
-        parameters={"p": p, "rank": _RANK, "scope": "sl3-invariance"},
-        evidence={
-            "generators_checked": len(generators),
-            "invariants_checked": sorted(polys),
-            "violations": violations,
-        },
+    return CheckResult.judge(
+        _STATEMENT[p],
+        {"p": p, "rank": _RANK, "scope": "sl3-invariance"},
+        {"generators_checked": len(generators), "invariants_checked": sorted(polys)},
+        witnesses=violations,
     )
 
 
@@ -333,19 +325,11 @@ def sl3_invariance_check(p: int, ds: "DicksonSet | None" = None) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def lemma_facts(p: int, full: "bool | None" = None) -> CheckResult:
+def lemma_facts(p: int, full: bool = False) -> CheckResult:
     """The Dickson-invariant facts that feed the subring filters: rank-1
-    restriction images (three routes agreeing), and, when the full expansion
-    is available, degrees, the e3^2 relation and transvection invariance.
-
-    full defaults to True at p = 3 and False at p = 5: the restriction path
-    does not need the expansion, which with the transvection checks adds
-    about 0.03 s at p = 5 on a 2-CPU machine (the restriction path alone
-    takes about 0.0025 s).
-    """
+    restriction images (three routes agreeing), and, with full, the 3-variable
+    expansion's degrees, the e3^2 relation and transvection invariance."""
     _check_supported_prime(p)
-    if full is None:
-        full = p == 3
     d = subring_bound(p)
     problems: list[str] = []
 
@@ -393,7 +377,7 @@ def lemma_facts(p: int, full: "bool | None" = None) -> CheckResult:
         invariance = sl3_invariance_check(p, ds)
         if not invariance.verified:
             problems.append("transvection invariance failed")
-            evidence["invariance_violations"] = invariance.evidence["violations"]
+            evidence["invariance_violations"] = invariance.evidence["witnesses"]
         # cross-check: restricting the expanded invariants reproduces the
         # factored-route images
         cross = all(
@@ -416,11 +400,6 @@ def lemma_facts(p: int, full: "bool | None" = None) -> CheckResult:
             }
         )
 
-    if problems:
-        evidence["problems"] = problems
-    return CheckResult(
-        statement="lemma-3.1-facts" if p == 3 else "lemma-4.2-facts",
-        status=VERIFIED if not problems else FALSIFIED,
-        parameters={"p": p, "rank": _RANK, "full_expansion": bool(full)},
-        evidence=evidence,
+    return CheckResult.judge(
+        _STATEMENT[p], {"p": p, "rank": _RANK, "full_expansion": bool(full)}, evidence, problems
     )

@@ -6,7 +6,7 @@ from __future__ import annotations
 import time
 
 from . import classify, dickson
-from .certificates import FALSIFIED, STATEMENTS, VERIFIED, Certificate, CheckResult
+from .certificates import STATEMENTS, Certificate, CheckResult
 from .spinchar import (
     Character,
     char_equal,
@@ -18,23 +18,11 @@ from .spinchar import (
 )
 
 __all__ = [
-    "STATEMENT_PRIME",
+    "CHECKS",
     "check_branching",
     "run_statement",
     "statements_for",
 ]
-
-STATEMENT_PRIME: dict[str, "int | None"] = {
-    "theorem-1.1": 3,
-    "theorem-4.1": 5,
-    "lemma-3.1-facts": 3,
-    "lemma-4.2-facts": 5,
-    "prop-2.2-branching": None,
-    "prop-3.2": 3,
-    "prop-3.3": 3,
-    "prop-4.3": 5,
-    "prop-4.4": 5,
-}
 
 _EXPECTED_DIMS = {
     ("rho4", 4): 26,
@@ -121,36 +109,25 @@ def check_branching() -> CheckResult:
         "dimensions": dims,
         "ranks_checked": list(range(2, 9)),
     }
-    if failures:
-        evidence["witnesses"] = failures
-    return CheckResult(
-        statement="prop-2.2-branching",
-        status=VERIFIED if not failures else FALSIFIED,
-        parameters={"ranks": "2..8"},
-        evidence=evidence,
-    )
+    return CheckResult.judge("prop-2.2-branching", {"ranks": "2..8"}, evidence, witnesses=failures)
 
 
-def _result_for(statement: str, mode: str, full_dickson: bool) -> CheckResult:
-    if statement == "theorem-1.1":
-        return classify.classify_f4_mod3()
-    if statement == "theorem-4.1":
-        return classify.classify_e8_mod5(mode=mode)
-    if statement == "lemma-3.1-facts":
-        return dickson.lemma_facts(3, full=True)
-    if statement == "lemma-4.2-facts":
-        return dickson.lemma_facts(5, full=True if full_dickson else None)
-    if statement == "prop-2.2-branching":
-        return check_branching()
-    if statement == "prop-3.2":
-        return classify.check_prop32()
-    if statement == "prop-3.3":
-        return classify.check_prop33()
-    if statement == "prop-4.3":
-        return classify.check_prop43(mode=mode)
-    if statement == "prop-4.4":
-        return classify.check_prop44(mode=mode)
-    raise ValueError(f"unknown statement {statement!r}")
+# statement -> (prime, check): the prime selects statements for
+# `verify all --p` (None: every prime), and check(mode, full_dickson) runs
+# the statement.  Each check looks its function up as a module attribute
+# when called, so a replaced attribute (a test double, a tracing wrapper)
+# is the one that runs.
+CHECKS = {
+    "theorem-1.1": (3, lambda mode, full: classify.classify_f4_mod3()),
+    "theorem-4.1": (5, lambda mode, full: classify.classify_e8_mod5(mode=mode)),
+    "lemma-3.1-facts": (3, lambda mode, full: dickson.lemma_facts(3, full=True)),
+    "lemma-4.2-facts": (5, lambda mode, full: dickson.lemma_facts(5, full=full)),
+    "prop-2.2-branching": (None, lambda mode, full: check_branching()),
+    "prop-3.2": (3, lambda mode, full: classify.check_prop32()),
+    "prop-3.3": (3, lambda mode, full: classify.check_prop33()),
+    "prop-4.3": (5, lambda mode, full: classify.check_prop43(mode=mode)),
+    "prop-4.4": (5, lambda mode, full: classify.check_prop44(mode=mode)),
+}
 
 
 def run_statement(
@@ -158,10 +135,10 @@ def run_statement(
 ) -> Certificate:
     """Run one statement check and wrap it in a certificate.  The timing goes
     into the volatile run section, outside the canonical payload."""
-    if statement not in STATEMENTS:
+    if statement not in CHECKS:
         raise ValueError(f"unknown statement {statement!r} (expected one of {STATEMENTS})")
     started = time.perf_counter()
-    result = _result_for(statement, mode, full_dickson)
+    result = CHECKS[statement][1](mode, full_dickson)
     elapsed = time.perf_counter() - started
     return Certificate.from_result(result, run={"elapsed_seconds": round(elapsed, 6)})
 
@@ -169,8 +146,4 @@ def run_statement(
 def statements_for(p: "int | None") -> tuple[str, ...]:
     """Statements filtered by prime; prime-independent statements are always
     included."""
-    if p is None:
-        return STATEMENTS
-    return tuple(
-        s for s in STATEMENTS if STATEMENT_PRIME[s] in (p, None)
-    )
+    return tuple(s for s, (prime, _) in CHECKS.items() if p is None or prime in (p, None))

@@ -122,3 +122,34 @@ class TestCertDir:
     def test_default(self, monkeypatch):
         monkeypatch.delenv("CHERN_CERT_DIR", raising=False)
         assert str(default_cert_dir()) == "certs"
+
+
+class TestJudge:
+    """CheckResult.judge is the one verdict rule: Falsified exactly when
+    problems or witnesses name something, each recorded only when present."""
+
+    def _judge(self, **findings):
+        return CheckResult.judge("prop-3.2", {"p": 3}, {"points_total": 80}, **findings)
+
+    def test_problems_alone(self):
+        result = self._judge(problems=["consistent set is empty"])
+        assert result.status == FALSIFIED
+        assert result.evidence == {"points_total": 80, "problems": ["consistent set is empty"]}
+
+    def test_witnesses_alone(self):
+        result = self._judge(witnesses=["lambda1@3 -> 2 + lambda1"])
+        assert result.status == FALSIFIED
+        assert result.evidence == {"points_total": 80, "witnesses": ["lambda1@3 -> 2 + lambda1"]}
+
+    def test_problems_and_witnesses(self):
+        result = self._judge(problems=("value",), witnesses={"fail_pm": ["1,0"]})
+        assert result.status == FALSIFIED
+        assert result.evidence["problems"] == ["value"]
+        assert result.evidence["witnesses"] == {"fail_pm": ["1,0"]}
+
+    @pytest.mark.parametrize("empty", [(), [], {}])
+    def test_neither(self, empty):
+        result = self._judge(problems=empty, witnesses=empty)
+        assert result.verified
+        assert result.evidence == {"points_total": 80}
+        assert result.statement == "prop-3.2" and result.parameters == {"p": 3}

@@ -2,6 +2,7 @@
 the count-class-kernel-versus-character-pipeline cross-checks."""
 
 import itertools
+import math
 from collections import Counter
 
 import pytest
@@ -681,3 +682,15 @@ class TestSweepMod5:
             count_table(5, (), "canonical")
         with pytest.raises(ValueError, match="one rank"):
             count_table(3, (vector_weights(4), vector_weights(3)))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("n", [4, 8])
+def test_canonical_point_count_closed_form(p, n):
+    # weakly increasing vectors are multisets of n digits mod p; the zero
+    # vector is the one dropped
+    assert math.comb(p + n - 1, n) - 1 == len(canonical_representatives(p, n))
+
+
+def test_canonical_point_count_constant():
+    assert classify.CANONICAL_POINTS_5 == len(canonical_representatives())

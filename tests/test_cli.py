@@ -298,3 +298,46 @@ def test_commands_run_without_numpy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split()[-1] == "False"
+
+
+class TestUsageErrors:
+    """Every usage error exits 2 with one "error:" line and no traceback,
+    before any certificate is written."""
+
+    ALPHA = ["--rep", "rho8", "--p", "3", "--alpha", "1,1,1,1"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify", "prop-3.2", "--out", "{file}/x.json"],
+            ["verify", "all", "--out", "{file}/sub"],
+            ["verify", "all", "--out", "{file}"],
+            ["chern", *ALPHA, "--out", "{file}/x.json"],
+            ["verify", "prop-3.2", "--out", "{dir}"],
+            ["verify", "prop-3.2", "--workers", "0"],
+            ["chern", "--rep", "rho8", "--p", "3", "--alpha", "1,x"],
+            ["chern", *ALPHA, "--rank", "8"],
+            ["chern", "--group", "F4", *ALPHA],
+            ["chern", "--rep", "rho8", "--p", "3", "--alpha", "1,1,1"],
+            ["enumerate", "--p", "5", "--rep", "rho4"],
+            ["branch", "--rep", "rho8"],
+            ["branch", "--rep", "rho8", "--rank", "3"],
+            ["branch", "--rep", "rho8", "--rank", "8", "--steps", "9"],
+        ],
+        ids=lambda args: " ".join(args),
+    )
+    def test_exit_2_without_traceback(self, tmp_path, cert_dir, args):
+        blocker = tmp_path / "F"
+        blocker.write_text("keep\n")
+        empty = tmp_path / "D"
+        empty.mkdir()
+        args = [a.format(file=blocker, dir=empty) for a in args]
+        done = run_cli(args, cert_dir)
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert done.stdout == ""
+        assert blocker.read_text() == "keep\n"
+        assert list(empty.iterdir()) == []
+        assert not cert_dir.exists()
