@@ -1,8 +1,14 @@
 """Command-line interface.
 
-Status lines go to standard error; standard output carries exactly the
-certificate JSON (with --json), the certificate file path, or the polynomial
-text for single-point reports, so the tool is scriptable.
+Every certificate command (verify, enumerate, dickson, branch without --rep)
+runs through `_certify`.  --out is the certificate file of a one-statement
+command and the directory of `verify all`; otherwise certificates go to
+$CHERN_CERT_DIR (default ./certs) as <statement>.json.  Every target is
+checked before the first statement runs.  Each certificate prints one status
+line, "<statement>: <status> (<seconds>s)", to standard error; standard
+output carries exactly the certificate JSON (with --json), the certificate
+paths, or a single-point report (chern, branch --rep), so the tool is
+scriptable.
 
 Exit codes: 0 everything verified, 1 a check falsified or an invalid input
 value (e.g. the zero restriction point), 2 usage or configuration errors,
@@ -14,14 +20,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
-from .certificates import STATEMENTS, Certificate, default_cert_dir
+from .certificates import STATEMENTS, default_cert_dir
 from .chern import RestrictionPoint, report_named
-from .dickson import lemma_facts
+from .dickson import STATEMENT, lemma_facts
 from .spinchar import REP_NAMES, registry, rep_group
-from .verify import run_statement, statements_for
+from .verify import certify, run_statement, statements_for
 
 GROUPS = ("F4", "E6", "E7", "E8")
 
@@ -33,7 +38,8 @@ class UsageError(Exception):
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="print the full JSON to stdout")
-    parser.add_argument("--out", metavar="PATH", help="certificate output path")
+    parser.add_argument("--out", metavar="PATH",
+                        help="output file (with 'verify all': directory)")
     parser.add_argument(
         "--workers",
         type=int,
@@ -57,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify a statement (or all of them)")
     p_verify.add_argument("target", choices=STATEMENTS + ("all",))
     p_verify.add_argument("--p", type=int, choices=(3, 5), default=None,
-                          help="with 'all': restrict to statements at this prime")
+                          help="with 'all': restrict to statements at this prime;"
+                               " with one statement: must be its prime")
     p_verify.add_argument("--mode", choices=("canonical", "full"), default="canonical",
                           help="sweep mode for the mod-5 statements (default canonical)")
     p_verify.add_argument("--full-dickson", action="store_true",
@@ -80,7 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--p", type=int, choices=(3, 5), required=True)
     p_enum.add_argument("--rep", default="all",
                         choices=("all",) + REP_NAMES)
-    p_enum.add_argument("--mode", choices=("full", "canonical"), default="full")
+    p_enum.add_argument("--mode", choices=("full", "canonical"), default="full",
+                        help="sweep mode at --p 5 (default full); --p 3 always"
+                             " sweeps all 80 points")
     _add_common(p_enum)
     p_enum.set_defaults(handler=_cmd_enumerate)
 
@@ -104,51 +113,60 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_certificate(cert: Certificate, args, default_name: str) -> None:
-    if args.out:
-        path = Path(args.out)
-    else:
-        path = default_cert_dir() / f"{default_name}.json"
-    cert.write(path)
-    print(f"{cert.statement}: {cert.status}", file=sys.stderr)
-    if args.json:
-        print(cert.to_json())
-    else:
-        print(path)
+def _targets(args, statements) -> list[Path]:
+    """Each statement's certificate file, by the rule in the module docstring."""
+    if args.out and getattr(args, "target", None) != "all":
+        return [Path(args.out)]
+    root = Path(args.out) if args.out else default_cert_dir()
+    return [root / f"{statement}.json" for statement in statements]
 
 
-def _cmd_verify(args) -> int:
-    if args.target == "all":
-        statements = statements_for(args.p)
-        out_dir = Path(args.out) if args.out else default_cert_dir()
-        single_out = None
-    else:
-        statements = (args.target,)
-        out_dir = default_cert_dir()
-        single_out = Path(args.out) if args.out else None
+def _check_target(path: Path, where: str) -> None:
+    """Raise UsageError unless a file can be written at path: it must not be
+    a directory, and its nearest existing ancestor must be one."""
+    if path.is_dir():
+        raise UsageError(f"{where}: {path} is a directory, not a file")
+    ancestor = next(a for a in path.parents if a.exists())
+    if not ancestor.is_dir():
+        raise UsageError(f"{where}: {ancestor} is not a directory")
+
+
+def _certify(args, statements, run) -> int:
+    """The one certificate path.  Check every target, then for each statement
+    run(statement) -> Certificate, write it and print its status line; print
+    the paths (or the JSON).  Exit 0 exactly when every certificate is
+    Verified."""
+    targets = _targets(args, statements)
+    where = f"--out {args.out}" if args.out else f"CHERN_CERT_DIR={default_cert_dir()}"
+    for path in targets:
+        _check_target(path, where)
     certs = []
-    payloads = []
-    for statement in statements:
-        cert = run_statement(statement, mode=args.mode, full_dickson=args.full_dickson)
-        path = single_out if single_out else out_dir / f"{statement}.json"
+    for statement, path in zip(statements, targets):
+        cert = run(statement)
         cert.write(path)
-        print(
-            f"{statement}: {cert.status}"
-            f" ({cert.run.get('elapsed_seconds', 0):.3f}s)",
-            file=sys.stderr,
-        )
+        print(f"{statement}: {cert.status} ({cert.run['elapsed_seconds']:.3f}s)", file=sys.stderr)
         certs.append(cert)
-        payloads.append((cert, path))
     if args.json:
         docs = [c.to_dict() for c in certs]
         print(json.dumps(docs[0] if len(docs) == 1 else docs, indent=2, sort_keys=True))
     else:
-        for _, path in payloads:
-            print(path)
+        print(*targets, sep="\n")
     return 0 if all(c.verified for c in certs) else 1
 
 
+def _cmd_verify(args) -> int:
+    statements = statements_for(args.p)
+    if args.target != "all":
+        if args.target not in statements:
+            raise UsageError(f"--p {args.p} does not match {args.target}'s prime")
+        statements = (args.target,)
+    return _certify(args, statements,
+                    lambda s: run_statement(s, mode=args.mode, full_dickson=args.full_dickson))
+
+
 def _cmd_chern(args) -> int:
+    if args.out:
+        _check_target(Path(args.out), f"--out {args.out}")
     try:
         point = RestrictionPoint.parse(args.p, args.alpha)
     except ValueError as exc:
@@ -165,13 +183,12 @@ def _cmd_chern(args) -> int:
         print("error: alpha must not be the zero vector", file=sys.stderr)
         return 1
     report = report_named(args.rep, point)
+    text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        Path(args.out).write_text(text + "\n")
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        print(text)
     else:
         print(report.poly.render())
     return 0
@@ -179,35 +196,25 @@ def _cmd_chern(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     if args.p == 3:
-        statement = "theorem-1.1"
-        mode = "full"  # the 80-point sweep is always exhaustive
+        statement, mode = "theorem-1.1", "full"  # the 80-point sweep is always exhaustive
+    elif args.rep not in ("all", "rho8"):
+        raise UsageError(f"the mod-5 sweep covers rho8 (got --rep {args.rep})")
     else:
-        if args.rep not in ("all", "rho8"):
-            raise UsageError(f"the mod-5 sweep covers rho8 (got --rep {args.rep})")
-        statement = "theorem-4.1"
-        mode = args.mode
-    cert = run_statement(statement, mode=mode)
-    _emit_certificate(cert, args, statement)
-    return 0 if cert.verified else 1
+        statement, mode = "theorem-4.1", args.mode
+    return _certify(args, (statement,), lambda s: run_statement(s, mode=mode))
 
 
 def _cmd_dickson(args) -> int:
     full = args.full or (args.p == 3 and not args.restrict)
-    started = time.perf_counter()
-    result = lemma_facts(args.p, full=full)
-    cert = Certificate.from_result(
-        result,
-        run={"elapsed_seconds": round(time.perf_counter() - started, 6)},
-    )
-    _emit_certificate(cert, args, result.statement)
-    return 0 if cert.verified else 1
+    return _certify(args, (STATEMENT[args.p],),
+                    lambda s: certify(lambda: lemma_facts(args.p, full=full)))
 
 
 def _cmd_branch(args) -> int:
     if args.rep is None:
-        cert = run_statement("prop-2.2-branching")
-        _emit_certificate(cert, args, "prop-2.2-branching")
-        return 0 if cert.verified else 1
+        return _certify(args, ("prop-2.2-branching",), lambda s: run_statement(s))
+    if args.out:
+        raise UsageError("--out takes a certificate; branch --rep prints a report (use --json)")
     if args.rank is None:
         raise UsageError("--rank is required with --rep")
     try:
@@ -247,23 +254,6 @@ def _cmd_branch(args) -> int:
     return 0 if matches in (None, True) else 1
 
 
-def _check_out(args) -> None:
-    """Raise UsageError if --out cannot take the command's output.  `verify
-    all` writes one certificate per statement into a directory, every other
-    command one file; the nearest existing ancestor of that directory or file
-    must be a directory.  This runs before any sweep."""
-    if not args.out:
-        return
-    path = Path(args.out)
-    into_dir = args.command == "verify" and args.target == "all"
-    if not into_dir and path.is_dir():
-        raise UsageError(f"--out {path} is a directory; give the certificate's file path")
-    first = path if into_dir else path.parent
-    ancestor = next(a for a in (first, *first.parents) if a.exists())
-    if not ancestor.is_dir():
-        raise UsageError(f"--out {path}: {ancestor} is not a directory")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -273,7 +263,6 @@ def main(argv=None) -> int:
     try:
         if args.workers is not None and args.workers < 1:
             raise UsageError(f"--workers must be a positive integer, got {args.workers}")
-        _check_out(args)
         return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

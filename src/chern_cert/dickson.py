@@ -35,12 +35,13 @@ __all__ = [
     "transvection_generators",
     "sl3_invariance_check",
     "lemma_facts",
+    "STATEMENT",
 ]
 
 _RANK = 3
 # the statement each supported prime's facts certify
-_STATEMENT = {3: "lemma-3.1-facts", 5: "lemma-4.2-facts"}
-_PRIMES = tuple(_STATEMENT)
+STATEMENT = {3: "lemma-3.1-facts", 5: "lemma-4.2-facts"}
+_PRIMES = tuple(STATEMENT)
 
 
 def subring_bound(p: int) -> int:
@@ -313,7 +314,7 @@ def sl3_invariance_check(p: int, ds: "DicksonSet | None" = None) -> CheckResult:
             if poly.substitute_linear(m) != poly:
                 violations.append({"generator": gi, "matrix": m, "invariant": name})
     return CheckResult.judge(
-        _STATEMENT[p],
+        STATEMENT[p],
         {"p": p, "rank": _RANK, "scope": "sl3-invariance"},
         {"generators_checked": len(generators), "invariants_checked": sorted(polys)},
         witnesses=violations,
@@ -401,5 +402,5 @@ def lemma_facts(p: int, full: bool = False) -> CheckResult:
         )
 
     return CheckResult.judge(
-        _STATEMENT[p], {"p": p, "rank": _RANK, "full_expansion": bool(full)}, evidence, problems
+        STATEMENT[p], {"p": p, "rank": _RANK, "full_expansion": bool(full)}, evidence, problems
     )

@@ -1,5 +1,6 @@
 """Statement-level verification: the branching suite, dispatch from statement
-identifiers to checks, and certificate wrapping."""
+identifiers to checks, and certificate wrapping (`certify`, the one place a
+check is timed)."""
 
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from .spinchar import (
 
 __all__ = [
     "CHECKS",
+    "certify",
     "check_branching",
     "run_statement",
     "statements_for",
@@ -130,17 +132,22 @@ CHECKS = {
 }
 
 
+def certify(check) -> Certificate:
+    """Run check() and wrap its CheckResult in a certificate.  The timing goes
+    into the volatile run section, outside the canonical payload."""
+    started = time.perf_counter()
+    result = check()
+    elapsed = time.perf_counter() - started
+    return Certificate.from_result(result, run={"elapsed_seconds": round(elapsed, 6)})
+
+
 def run_statement(
     statement: str, mode: str = "canonical", full_dickson: bool = False
 ) -> Certificate:
-    """Run one statement check and wrap it in a certificate.  The timing goes
-    into the volatile run section, outside the canonical payload."""
+    """Run one statement check and wrap it in a certificate."""
     if statement not in CHECKS:
         raise ValueError(f"unknown statement {statement!r} (expected one of {STATEMENTS})")
-    started = time.perf_counter()
-    result = CHECKS[statement][1](mode, full_dickson)
-    elapsed = time.perf_counter() - started
-    return Certificate.from_result(result, run={"elapsed_seconds": round(elapsed, 6)})
+    return certify(lambda: CHECKS[statement][1](mode, full_dickson))
 
 
 def statements_for(p: "int | None") -> tuple[str, ...]:

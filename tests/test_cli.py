@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -198,7 +199,8 @@ class TestEnumerate:
         captured = capsys.readouterr()
         doc = json.loads(captured.out)
         assert doc["evidence"]["points_weighted"] == 5**8 - 1
-        assert captured.err == "theorem-4.1: Verified\n"  # the status line goes to stderr
+        # the status line goes to stderr
+        assert re.fullmatch(r"theorem-4\.1: Verified \(\d+\.\d{3}s\)\n", captured.err)
 
     def test_mod5_wrong_rep(self):
         assert main(["enumerate", "--p", "5", "--rep", "rho4"]) == 2
@@ -323,6 +325,12 @@ class TestUsageErrors:
             ["branch", "--rep", "rho8"],
             ["branch", "--rep", "rho8", "--rank", "3"],
             ["branch", "--rep", "rho8", "--rank", "8", "--steps", "9"],
+            ["dickson", "--p", "3", "--out", "{file}/x.json"],
+            ["enumerate", "--p", "3", "--out", "{dir}"],
+            ["branch", "--out", "{file}/x.json"],
+            ["branch", "--rep", "rho8", "--rank", "8", "--out", "{file}"],
+            ["verify", "theorem-1.1", "--p", "5"],
+            ["verify", "theorem-4.1", "--p", "3"],
         ],
         ids=lambda args: " ".join(args),
     )
@@ -341,3 +349,58 @@ class TestUsageErrors:
         assert blocker.read_text() == "keep\n"
         assert list(empty.iterdir()) == []
         assert not cert_dir.exists()
+
+    def test_all_into_a_directory_blocked_by_one_target(self, tmp_path, cert_dir):
+        # every target is checked before the first statement runs, so a
+        # directory where the third certificate would go stops all of them
+        out = tmp_path / "D"
+        (out / "prop-3.2.json").mkdir(parents=True)
+        done = run_cli(["verify", "all", "--p", "3", "--out", str(out)], cert_dir)
+        assert done.returncode == 2, done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --out ")
+        assert done.stdout == ""
+        assert list(out.iterdir()) == [out / "prop-3.2.json"]
+        assert list((out / "prop-3.2.json").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "args",
+        [["verify", "prop-3.2"], ["enumerate", "--p", "3"], ["dickson", "--p", "3"], ["branch"]],
+        ids=lambda args: " ".join(args),
+    )
+    def test_cert_dir_that_is_a_file(self, tmp_path, args):
+        blocker = tmp_path / "F"
+        blocker.write_text("keep\n")
+        done = run_cli(args, blocker)
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: CHERN_CERT_DIR=")
+        assert done.stdout == ""
+        assert blocker.read_text() == "keep\n"
+
+
+class TestRoutes:
+    """Every certificate command reaches the same certificate as the verify
+    statement it certifies, with one status line per certificate."""
+
+    @pytest.mark.parametrize(
+        "command, verify",
+        [
+            (["enumerate", "--p", "3"], ["verify", "theorem-1.1"]),
+            (["enumerate", "--p", "5", "--mode", "canonical"], ["verify", "theorem-4.1"]),
+            (["dickson", "--p", "3"], ["verify", "lemma-3.1-facts"]),
+            (["dickson", "--p", "5", "--full"], ["verify", "lemma-4.2-facts", "--full-dickson"]),
+            (["branch"], ["verify", "prop-2.2-branching"]),
+        ],
+        ids=lambda args: " ".join(args),
+    )
+    def test_same_certificate_as_verify(self, capsys, command, verify):
+        status = re.escape(verify[1]) + r": Verified \(\d+\.\d{3}s\)\n"
+        digests = []
+        for argv in (command, verify):
+            assert main([*argv, "--json"]) == 0
+            captured = capsys.readouterr()
+            assert re.fullmatch(status, captured.err)
+            digests.append(json.loads(captured.out)["canonical_sha256"])
+        assert digests[0] == digests[1]

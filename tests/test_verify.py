@@ -4,7 +4,7 @@ produces."""
 import pytest
 
 from chern_cert import classify, verify
-from chern_cert.certificates import STATEMENTS, CheckResult
+from chern_cert.certificates import STATEMENTS, CheckResult, canonical_json
 
 
 def test_table_keys_are_the_statements_in_order():
@@ -44,3 +44,12 @@ def test_checks_are_looked_up_at_call_time(monkeypatch):
 def test_unknown_statement_is_rejected():
     with pytest.raises(ValueError):
         verify.run_statement("theorem-9.9")
+
+
+def test_certify_wraps_the_result_unchanged_and_times_it_in_run():
+    result = CheckResult.judge("prop-3.2", {"p": 3}, {"classes": [1, 2]})
+    cert = verify.certify(lambda: result)
+    assert (cert.statement, cert.status) == (result.statement, result.status)
+    assert cert.parameters is result.parameters and cert.evidence is result.evidence
+    assert list(cert.run) == ["elapsed_seconds"] and cert.run["elapsed_seconds"] >= 0
+    assert "elapsed_seconds" not in canonical_json(cert.payload())
