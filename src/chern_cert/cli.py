@@ -86,7 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", help="exhaustive classification sweep")
     p_enum.add_argument("--p", type=int, choices=(3, 5), required=True)
     p_enum.add_argument("--rep", default="all",
-                        choices=("all",) + REP_NAMES)
+                        choices=("all",) + REP_NAMES,
+                        help="at --p 3 theorem-1.1 certifies all five"
+                             " representations, so every --rep writes the same"
+                             " certificate; at --p 5 only all and rho8 are accepted")
     p_enum.add_argument("--mode", choices=("full", "canonical"), default="full",
                         help="sweep mode at --p 5 (default full); --p 3 always"
                              " sweeps all 80 points")

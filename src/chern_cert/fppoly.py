@@ -27,6 +27,14 @@ a term product costs one int addition instead of a new tuple.  Operands are
 packed on entry and the result is unpacked once; MPoly.terms stays keyed by
 exponent tuples.
 
+An elementary shear y_a -> y_a + c*y_b, the one linear substitution the
+Dickson checks make, skips the term products: the terms that agree in every
+other exponent and in e_a + e_b form a binary form with coefficient list H,
+whose image is the Taylor shift H(u + c).  That shift is one packed-int sum
+of h_i times the row (u + c)^i, each row packed like a product operand with
+slots sized for len(H) * (p - 1)^2 and memoized, and the sum's slots are
+reduced mod p once (one bytes.translate for byte slots).
+
 All values are immutable after construction and every operation is pure;
 instances can be shared freely between concurrent workers.
 """
@@ -279,23 +287,39 @@ def _product(p: int, a, b) -> list[int]:
     min(len(a), len(b)) terms below p^2, so with byte slots that wide the
     packed ints multiply without any slot carrying into the next, and each
     slot of the big-int product is one coefficient before reduction."""
-    bound = min(len(a), len(b)) * (p - 1) ** 2
-    slot = 1 << ((bound.bit_length() - 1) // 8).bit_length()  # bytes, a power of 2
-    n = len(a) + len(b) - 1
-    code = _SLOT_CODES.get(slot)
-    if code is not None:
-        x = int.from_bytes(array(code, a), byteorder) * int.from_bytes(array(code, b), byteorder)
-        out = array(code, x.to_bytes(n * slot, byteorder))
-    else:
-        x = _pack(a, slot) * _pack(b, slot)
-        data = x.to_bytes(n * slot, "little")
-        out = (int.from_bytes(data[i : i + slot], "little") for i in range(0, n * slot, slot))
-    return [c % p for c in out]
+    slot = _slot_bytes(min(len(a), len(b)) * (p - 1) ** 2)
+    x = _pack(a, slot) * _pack(b, slot)
+    return [c % p for c in _unpack(x, len(a) + len(b) - 1, slot)]
+
+
+def _slot_bytes(bound: int) -> int:
+    """The width in bytes, a power of two, of a packed slot that holds every
+    value up to bound."""
+    return 1 << ((bound.bit_length() - 1) // 8).bit_length()
 
 
 def _pack(coeffs, slot: int) -> int:
-    """coeffs as one int, coefficient i at bytes i * slot onward."""
+    """coeffs (nonnegative ints, each fitting in slot bytes) as one int,
+    coefficient i at bytes i * slot onward."""
+    code = _SLOT_CODES.get(slot)
+    if code is not None:
+        return int.from_bytes(array(code, coeffs), byteorder)
     return int.from_bytes(b"".join([c.to_bytes(slot, "little") for c in coeffs]), "little")
+
+
+def _unpack(x: int, n: int, slot: int):
+    """The first n slots of the packed int x, the inverse of _pack."""
+    code = _SLOT_CODES.get(slot)
+    if code is not None:
+        return array(code, x.to_bytes(n * slot, byteorder))
+    data = x.to_bytes(n * slot, "little")
+    return [int.from_bytes(data[i : i + slot], "little") for i in range(0, n * slot, slot)]
+
+
+@functools.lru_cache(maxsize=16)
+def _byte_residues(p: int) -> bytes:
+    """The translation table that reduces every byte mod p."""
+    return bytes(b % p for b in range(256))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -321,6 +345,16 @@ def _binomial_power(p: int, v: int, m: int) -> tuple[int, ...]:
             coeffs += [c * x % p for x in block]
         step *= p
     return tuple(coeffs[: degree + 1])
+
+
+@functools.lru_cache(maxsize=1024)
+def _taylor_row(p: int, c: int, i: int, slot: int) -> int:
+    """The coefficients of (u + c)^i over F_p, c in 1..p-1, packed by _pack
+    into one int with slots of slot bytes, u^k at slot k.
+
+    (u + c)^i = sum_k C(i, k) c^(i - k) u^k is (1 + c*t)^i with its
+    coefficient list reversed."""
+    return _pack(_binomial_power(p, c, i)[::-1], slot) if i else 1
 
 
 def chern_of_counts(p: int, counts: Iterable[tuple[int, int]]) -> UPoly:
@@ -438,8 +472,8 @@ def _linear_power(
     """(sum_i m_i * y_i)^e over F_p, e >= 1, for the nonzero entries (i, m_i)
     of column, as a read-only mapping of terms with exponents packed width
     bits apart (e < 2^width).  The result is memoized and shared by every
-    substitution that needs it (sl3_invariance_check(5) needs 63 distinct
-    powers 306 times).
+    substitution that needs it.  Elementary shears never come here (see
+    MPoly._shear), so the Dickson checks use none of these powers.
 
     With e = sum_k d_k p^k in base p, the power is
     prod_k (sum_i m_i y_i^(p^k))^(d_k), because raising to the p-th power is
@@ -631,6 +665,10 @@ class MPoly:
 
         len(matrix) must equal the arity, or arity - 1 when the last slot is
         an auxiliary variable that the change of coordinates does not touch.
+        The route follows from the matrix shape alone: an elementary shear
+        (the identity but for one off-diagonal entry, mod p) is a Taylor
+        shift of binary forms (_shear); any other matrix expands each term
+        with memoized powers of its columns' linear forms.
         """
         n = len(matrix)
         if n not in (self.arity, self.arity - 1):
@@ -646,6 +684,13 @@ class MPoly:
         ]
         # an identity column keeps its variable's exponent where it is
         moved = [j for j in range(n) if columns[j] != ((j, 1),)]
+        if len(moved) == 1:
+            (a,) = moved
+            others = dict(columns[a])
+            if others.pop(a, 0) == 1 and len(others) == 1:
+                # an elementary shear: y_a -> y_a + c*y_b, all else fixed
+                ((b, c),) = others.items()
+                return self._shear(a, b, c)
         # a linear substitution keeps every term's total degree
         width = _width(self.total_degree)
         shifts = range(0, width * self.arity, width)
@@ -669,6 +714,43 @@ class MPoly:
             _product_terms(partial, factors[-1] if factors else unit, data)
         out = MPoly.zero(p, self.arity)
         out.terms = _unpacked_terms(data, self.arity, width, p)
+        return out
+
+    def _shear(self, a: int, b: int, c: int) -> "MPoly":
+        """self with y_a replaced by y_a + c*y_b, for a != b and c in 1..p-1.
+
+        The terms that agree in every exponent but e_a and e_b and in
+        s = e_a + e_b form a binary form sum_i h_i y_a^i y_b^(s - i), whose
+        image is H(u + c) at u = y_a / y_b for H(u) = sum_i h_i u^i: one
+        packed sum of h_i times the packed row (u + c)^i.  A slot of the sum
+        adds one product below p^2 per term of the form, so the slots are
+        sized for len(h) * (p - 1)^2 and reduced once.  The images of
+        distinct forms share no monomial, so each output term is written once."""
+        p = self.p
+        groups: dict[tuple[int, ...], dict[int, int]] = {}
+        for key, coeff in self.terms.items():
+            # the form's key: e_a moved onto e_b, so slot b holds s
+            rest = list(key)
+            rest[b] += rest[a]
+            rest[a] = 0
+            groups.setdefault(tuple(rest), {})[key[a]] = coeff
+        data = {}
+        for rest, h in groups.items():
+            top = max(h) + 1
+            slot = _slot_bytes(len(h) * (p - 1) ** 2)
+            x = sum([hi * _taylor_row(p, c, i, slot) for i, hi in h.items()])
+            if slot == 1:
+                cells = x.to_bytes(top, byteorder).translate(_byte_residues(p))
+            else:
+                cells = [v % p for v in _unpack(x, top, slot)]
+            key = list(rest)
+            s = rest[b]
+            for k in itertools.compress(range(top), cells):
+                key[a] = k
+                key[b] = s - k
+                data[tuple(key)] = cells[k]
+        out = MPoly.zero(p, self.arity)
+        out.terms = data
         return out
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:

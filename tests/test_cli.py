@@ -202,6 +202,14 @@ class TestEnumerate:
         # the status line goes to stderr
         assert re.fullmatch(r"theorem-4\.1: Verified \(\d+\.\d{3}s\)\n", captured.err)
 
+    def test_mod3_rep_names_the_same_certificate(self, capsys, cert_dir):
+        # theorem-1.1 covers all five representations at once
+        digests = []
+        for rep in ("rho8", "all"):
+            assert main(["enumerate", "--p", "3", "--rep", rep, "--json"]) == 0
+            digests.append(json.loads(capsys.readouterr().out)["canonical_sha256"])
+        assert digests[0] == digests[1]
+
     def test_mod5_wrong_rep(self):
         assert main(["enumerate", "--p", "5", "--rep", "rho4"]) == 2
 

@@ -7,7 +7,7 @@ import pickle
 
 import pytest
 
-from chern_cert import dickson
+from chern_cert import dickson, fppoly
 from chern_cert.fppoly import MPoly, UPoly
 
 
@@ -189,6 +189,16 @@ class TestInvariance:
         eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         assert ds.e3.substitute_linear(eye) == ds.e3
 
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_full_facts_take_only_the_shear_route(self, monkeypatch, p):
+        # the transvections and the tower shifts X -> X + a*y are all
+        # elementary shears; a slip in recognising one would fall back to
+        # the multinomial powers without changing any result
+        monkeypatch.setattr(dickson, "_CACHE", {})
+        fppoly._linear_power.cache_clear()
+        assert dickson.lemma_facts(p, full=True).verified
+        assert fppoly._linear_power.cache_info().misses == 0
+
 
 class TestLemmaFacts:
     def test_mod3_bundle(self):
@@ -304,3 +314,44 @@ class TestMutations:
         problems = result.evidence["problems"]
         assert "e3^2 is not a unit multiple of c_{3,0}" in problems
         assert any(problem.startswith("e3 degree") for problem in problems)
+
+
+_TAYLOR_ROW = fppoly._taylor_row
+
+
+def _shift_from_p(p, c, i, slot):
+    """The packed row of (u + c + 1)^i in place of (u + c)^i for i >= p."""
+    return _TAYLOR_ROW.__wrapped__(p, c % (p - 1) + 1 if i >= p else c, i, slot)
+
+
+def _constant_slot_plus_one(p, c, i, slot):
+    """The packed row of (u + c)^i + 1."""
+    return _TAYLOR_ROW.__wrapped__(p, c, i, slot) + 1
+
+
+class TestShearRowMutations:
+    """A fault in the packed Taylor-shift rows of MPoly.substitute_linear
+    must turn the transvection check Falsified.  Shifting every row with
+    c + 1 instead of c is no such fault: it computes the image under
+    another transvection, which fixes the invariants too."""
+
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("row", [_shift_from_p, _constant_slot_plus_one])
+    def test_corrupted_row_breaks_invariance(self, monkeypatch, p, row):
+        ds = dickson.compute(p)  # the orbit product is expanded before the fault
+        monkeypatch.setattr(fppoly, "_taylor_row", row)
+        result = dickson.sl3_invariance_check(p, ds)
+        assert not result.verified
+        assert result.evidence["witnesses"]
+        facts = dickson.lemma_facts(p, full=True)
+        assert not facts.verified
+        assert "transvection invariance failed" in facts.evidence["problems"]
+        assert facts.evidence["invariance_violations"]
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_uniform_shift_is_another_transvection(self, monkeypatch, p):
+        ds = dickson.compute(p)
+        monkeypatch.setattr(
+            fppoly, "_taylor_row", lambda q, c, i, slot: _TAYLOR_ROW(q, c % (q - 1) + 1, i, slot)
+        )
+        assert dickson.sl3_invariance_check(p, ds).verified

@@ -10,8 +10,9 @@ import hashlib
 
 import pytest
 
-from chern_cert import classify
+from chern_cert import classify, dickson
 from chern_cert.certificates import STATEMENTS, canonical_json
+from chern_cert.fppoly import MPoly
 from chern_cert.spinchar import Character
 from chern_cert.verify import run_statement
 
@@ -37,7 +38,8 @@ def _lambda2_without_sum_four_weights():
     sum +-4 (still closed under negation and coordinate permutations)."""
     lambda2, *rest = classify._mod5_chars()
     kept = {w: m for w, m in lambda2.weights.items() if abs(sum(w)) != 4}
-    return "_mod5_chars", (Character(8, kept), *rest)
+    chars = (Character(8, kept), *rest)
+    return [(classify, "_mod5_chars", lambda: chars)]
 
 
 def _lambda1_delta_without_2000():
@@ -46,14 +48,33 @@ def _lambda1_delta_without_2000():
     weights = dict(chars[0].weights)
     weights[(2, 0, 0, 0)] -= 1
     chars[0] = Character(4, weights)
-    return "_mod3_chars", tuple(chars)
+    chars = tuple(chars)
+    return [(classify, "_mod3_chars", lambda: chars)]
 
 
-# Falsified payloads under a fault injected into a swept character: the
-# witnesses and problems a falsified certificate records are pinned too.
+def _flipped_orbit_coefficient():
+    """The p = 5 orbit product with the coefficient of its last term (in
+    sorted order) below X^125 doubled, as in test_dickson's mutations: c_{3,0}
+    loses its invariance under all six transvections."""
+    product = dickson.orbit_product(5)
+    key = max(k for k in product.terms if k[3] != 125)
+    flipped = MPoly(5, 4, {**product.terms, key: 2 * product.terms[key]})
+    return [(dickson, "orbit_product", lambda p: flipped), (dickson, "_CACHE", {})]
+
+
+# Falsified payloads under a fault injected into a swept character or into
+# the Dickson orbit product: the witnesses and problems a falsified
+# certificate records are pinned too.  Each fault returns the (module, name,
+# value) attributes it replaces.
 FALSIFIED_GOLDEN = (
-    ("prop-4.3", _lambda2_without_sum_four_weights, "5745fe36ce3239ddf41f8d0d4301c7fcec6a6a692d141802ecb2113c086d3a36"),
-    ("theorem-1.1", _lambda1_delta_without_2000, "a059bf01fee8e81ba7f6a29204663d71406d005f8d0af688f60f0c1cbb58f292"),
+    ("prop-4.3", {}, _lambda2_without_sum_four_weights, "5745fe36ce3239ddf41f8d0d4301c7fcec6a6a692d141802ecb2113c086d3a36"),
+    ("theorem-1.1", {}, _lambda1_delta_without_2000, "a059bf01fee8e81ba7f6a29204663d71406d005f8d0af688f60f0c1cbb58f292"),
+    (
+        "lemma-4.2-facts",
+        {"full_dickson": True},
+        _flipped_orbit_coefficient,
+        "f863eb2139d1f531987e4a096dec1f19b7a89ab92244293a70e106c12e6f2a80",
+    ),
 )
 
 
@@ -77,13 +98,13 @@ def test_canonical_payload_hash_unchanged(statement, kwargs, digest):
 
 
 @pytest.mark.parametrize(
-    "statement, fault, digest",
+    "statement, kwargs, fault, digest",
     FALSIFIED_GOLDEN,
-    ids=[f"{s}-{fault.__name__.lstrip('_')}" for s, fault, _ in FALSIFIED_GOLDEN],
+    ids=[f"{s}-{fault.__name__.lstrip('_')}" for s, _, fault, _ in FALSIFIED_GOLDEN],
 )
-def test_falsified_payload_hash_unchanged(monkeypatch, statement, fault, digest):
-    name, chars = fault()
-    monkeypatch.setattr(classify, name, lambda: chars)
-    certificate = run_statement(statement)
+def test_falsified_payload_hash_unchanged(monkeypatch, statement, kwargs, fault, digest):
+    for module, name, value in fault():
+        monkeypatch.setattr(module, name, value)
+    certificate = run_statement(statement, **kwargs)
     assert certificate.status == "Falsified"
     assert _digest(certificate) == digest

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from chern_cert import fppoly
 from chern_cert.chern import RestrictionPoint, restricted_exponents, total_chern
 from chern_cert.classify import count_table
 from chern_cert.fppoly import (
@@ -310,6 +311,96 @@ class TestPackedKeys:
         assert (half * half).terms == {(2**k, 0): 1}
         swap = [[0, 1], [1, 0]]
         assert MPoly.monomial(p, 2, (2**k, 0), 3).substitute_linear(swap).terms == {(0, 2**k): 3}
+
+
+def shear_matrix(n, a, b, c):
+    """The n x n identity with c at row b, column a: y_a -> y_a + c*y_b."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    m[b][a] = c
+    return m
+
+
+@st.composite
+def shear_cases(draw):
+    """A polynomial over F_p in 2..4 variables, not homogeneous in general
+    and possibly zero, and an elementary shear acting on all variables or
+    on all but the last.  Entries are drawn up to a multiple of p away from
+    their residues, so the shape is read after reduction mod p."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    arity = draw(st.integers(2, 4))
+    n = draw(st.sampled_from((arity, arity - 1) if arity > 2 else (arity,)))
+    a, b = draw(st.permutations(range(n)))[:2]
+    c = draw(st.integers(1, p - 1)) + p * draw(st.integers(-1, 1))
+    m = shear_matrix(n, a, b, c)
+    m[a][a] += p * draw(st.integers(0, 1))
+    keys = st.tuples(*(st.integers(0, 6) for _ in range(arity)))
+    terms = draw(st.dictionaries(keys, st.integers(0, p - 1), max_size=8))
+    return MPoly(p, arity, terms), m
+
+
+class TestShear:
+    """The elementary-shear route of substitute_linear (Taylor shifts of
+    packed binary forms) against the tuple-keyed references."""
+
+    @given(shear_cases())
+    @example((MPoly(3, 2, {}), [[1, 0], [1, 1]]))
+    @example((MPoly(5, 3, {(2, 1, 0): 1, (0, 3, 4): 2, (0, 0, 0): 3}), [[1, 0], [4, 1]]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_references(self, case):
+        f, matrix = case
+        got = f.substitute_linear(matrix)
+        assert got.terms == tuple_substitute(f.p, f.arity, f.terms, matrix)
+        assert got == naive_substitute(f, matrix)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_every_shift_and_both_orders(self, p):
+        # a non-homogeneous polynomial in y1, y2, y3 and an auxiliary X
+        terms = {(3, 1, 0, 2): 1, (0, 4, 1, 0): p - 1, (1, 1, 1, 1): 2, (2, 0, 0, 0): 1, (0, 0, 0, 3): 1}
+        for n in (4, 3):
+            f = MPoly(p, 4, terms)
+            for a, b in itertools.permutations(range(n), 2):
+                for c in range(1, p):
+                    m = shear_matrix(n, a, b, c)
+                    assert f.substitute_linear(m).terms == tuple_substitute(p, 4, f.terms, m), (n, a, b, c)
+
+    @pytest.mark.parametrize("e", [13, 48])
+    def test_dense_form_needs_two_byte_slots(self, e):
+        # (y1 + y2)^13 = (y1^7 + y2^7)(y1 + y2)^6 at p = 7 has 14 terms in
+        # one binary form, (y1 + y2)^48 has 49: slots of 14 * 36 and 49 * 36
+        # need two bytes
+        p = 7
+        f = MPoly.linear_form(p, 3, (1, 1)) ** e + MPoly.monomial(p, 3, (2, 1, 1), 3)
+        for a, b in ((0, 1), (1, 0)):
+            m = shear_matrix(3, a, b, 2)
+            assert f.substitute_linear(m) == naive_substitute(f, m)
+        assert f.substitute_linear(shear_matrix(3, 1, 0, 6)).terms == tuple_substitute(
+            p, 3, f.terms, shear_matrix(3, 1, 0, 6)
+        )
+
+    @pytest.mark.parametrize("p", [1000003, 4294967311])
+    def test_wide_slots(self, p):
+        # (p - 1)^2 needs eight bytes at p = 1000003 and more than eight
+        # (packed byte strings, not arrays) at p = 4294967311
+        f = MPoly(p, 3, {(3, 2, 0): p - 1, (1, 4, 1): 2, (0, 5, 0): p - 2, (4, 0, 2): 1})
+        for a, b in ((0, 1), (1, 0), (2, 0)):
+            m = shear_matrix(3, a, b, p - 3)
+            assert f.substitute_linear(m) == naive_substitute(f, m)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[2, 0, 0], [0, 1, 0], [0, 0, 1]],  # a diagonal scaling
+            [[1, 0, 0], [1, 1, 1], [0, 0, 1]],  # two columns moved
+            [[1, 0, 0], [1, 1, 0], [1, 0, 1]],  # one column, two entries added
+            [[2, 0, 0], [1, 1, 0], [0, 0, 1]],  # a shear's column, scaled
+        ],
+    )
+    def test_other_matrices_take_the_general_path(self, matrix):
+        p = 5
+        f = MPoly(p, 4, {(3, 1, 0, 2): 1, (0, 4, 1, 0): 4, (1, 1, 1, 1): 2})
+        fppoly._linear_power.cache_clear()
+        assert f.substitute_linear(matrix) == naive_substitute(f, matrix)
+        assert fppoly._linear_power.cache_info().misses > 0
 
 
 class TestMPolyCancellation:
