@@ -17,9 +17,11 @@ only through its back signature (its back histogram and, per class of
 groups with equal front parts, the histogram of their back exponents), so
 one cell per pair of signatures stands for every cell: at p = 5, 400
 cells stand for the 390625 of full mode and 170 for the 494 canonical
-representatives.  The kernel is pure Python: a cell's counts for every
-character are packed into one int, so a cell is a sum of a few ints and a
-dict groups the cells.  A class polynomial is expanded once per class and
+representatives.  The kernel is pure Python and works in bulk: each
+histogram is p planes of byte lanes built by bytes.translate, laid into one
+record per row or column whose bytes are its signature, and a cell's counts
+for every character are one int, a bilinear sum of precomputed ints per
+pair of signatures.  A class polynomial is expanded once per class and
 character, on the first read of that character's column, every statement
 predicate, mod 3 and mod 5, is evaluated once per class, and each point
 keeps only its class id, one byte, from which consistent sets and witness
@@ -42,7 +44,8 @@ import functools
 import itertools
 import math
 from array import array
-from collections import Counter
+from collections import Counter, namedtuple
+from operator import mul
 
 from .certificates import CheckResult
 from .dickson import subring_bound
@@ -189,36 +192,60 @@ def _exponents(p: int, half: tuple) -> bytes:
     """The exponent half . x / 2 mod p at every point x of (F_p)^len(half),
     one byte each (so p < 256) in lexicographic order.  It is built one
     coordinate at a time from the memoized exponents of half's leading
-    coordinates."""
+    coordinates: the points whose last coordinate is a take those exponents
+    shifted by a * half[-1] / 2, one bytes.translate per a."""
     if not half:
         return b"\0"
     c = half[-1] * inv2(p) % p
-    shifted = [bytes((e + c * a) % p for a in range(p)) for e in range(p)]
-    return b"".join(map(shifted.__getitem__, _exponents(p, half[:-1])))
+    prev = _exponents(p, half[:-1])
+    out = bytearray(len(prev) * p)
+    for a in range(p):
+        out[a::p] = prev.translate(_byte_tables(p)[0][c * a % p])
+    return bytes(out)
 
 
-def _histogram(p: int, pairs, layout: tuple[int, int], offset: int) -> int:
-    """The counts of the exponents of the (half-weight, multiplicity) pairs
-    at every point x of (F_p)^k, as one int of cell-byte records, point x's
-    at bytes x * cell onward (layout = (cell, slot)): a pair with
-    multiplicity m whose exponent at x is v adds m at byte offset + v * slot
-    of the record.  Records are concatenated bytes, so each pair costs a
-    join and an int addition, not a loop over the points."""
-    cell, slot = layout
-    total = 0
+@functools.cache
+def _byte_tables(p: int) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+    """Translation tables per residue s: the one that adds s mod p to every
+    byte below p, and the one that maps byte s to 1 and every other to 0."""
+    return (
+        tuple(bytes((b + s) % p for b in range(256)) for s in range(p)),
+        tuple(bytes(b == s for b in range(256)) for s in range(p)),
+    )
+
+
+def _planes(p: int, pairs, slot: int) -> list[int]:
+    """The histogram of the exponents of the (half-weight, multiplicity)
+    pairs at every point x of (F_p)^k as p planes: plane v is one int whose
+    lane x, slot bytes wide, counts the weights with exponent v at x.  A pair
+    adds its multiplicity times the indicator string of exponent v, one
+    bytes.translate of its exponents per value.  For lanes wider than a byte
+    each exponent is padded with the byte 255, which no exponent takes."""
+    planes = [0] * p
     for h, m in pairs:
-        units = [(m << 8 * (offset + v * slot)).to_bytes(cell, "little") for v in range(p)]
-        total += int.from_bytes(b"".join(map(units.__getitem__, _exponents(p, h))), "little")
-    return total
+        exps = _exponents(p, h)
+        if slot > 1:
+            exps = bytearray(b"\xff" * (len(exps) * slot))
+            exps[::slot] = _exponents(p, h)
+        for v, eq in enumerate(_byte_tables(p)[1]):
+            planes[v] += m * int.from_bytes(exps.translate(eq), "little")
+    return planes
 
 
-def _records(total: int, cell: int, points: int) -> list[int]:
-    """The cell-byte records of total, one int per point (0 at every point
-    when records are empty, cell = 0)."""
-    if not cell:
-        return [0] * points
-    data = total.to_bytes(points * cell, "little")
-    return [int.from_bytes(data[i : i + cell], "little") for i in range(0, len(data), cell)]
+def _signatures(planes: list[int], points: int, slot: int) -> tuple[list[int], list[bytes]]:
+    """Lay planes side by side into one record per point, plane i at bytes
+    i * slot onward, and group the points by record: the signature id of
+    each point, numbered by first point, and each signature's record.  The
+    records are one bytearray filled by a strided slice per plane lane."""
+    rec = len(planes) * slot
+    buf = bytearray(points * rec)
+    for i, plane in enumerate(planes):
+        lanes = plane.to_bytes(points * slot, "little")
+        for k in range(slot):
+            buf[i * slot + k :: rec] = lanes[k::slot]
+    data, index = bytes(buf), {}
+    ids = _group([data[i : i + rec] for i in range(0, len(data), rec)], index)
+    return ids, list(index)
 
 
 def _split(char: Character, nf: int, p: int):
@@ -228,17 +255,16 @@ def _split(char: Character, nf: int, p: int):
     give exactly the character's weight multiset."""
     front, back, cross = [], [], {}
     for w, m in char.sorted_weights():
-        key = tuple(x % p for x in w[nf:])
+        key = tuple([x % p for x in w[nf:]])
         if not any(key):
             front.append((w, m))
-        elif not any(x % p for x in w[:nf]):
+        elif not any([x % p for x in w[:nf]]):
             back.append((w, m))
         else:
             cross.setdefault(key, []).append((w, m))
-    rebuilt = Counter()
-    for w, m in itertools.chain(front, back, *cross.values()):
-        rebuilt[w] += m
-    if rebuilt != Counter(dict(char.weights)):
+    # each weight once, with its multiplicity
+    kinds = [*front, *back, *itertools.chain(*cross.values())]
+    if len(kinds) != len(char.weights) or dict(kinds) != char.weights:
         raise ValueError(f"the front/back split of {char!r} loses or repeats weights")
     return front, back, cross
 
@@ -256,111 +282,75 @@ def _check_permutation_invariant(char: Character) -> None:
             )
 
 
-class _Grid:
-    """The split-coordinate terms of a count table.
-
-    A cell's counts are packed into one int: character j's count of
-    exponent value v sits at bit (j * p + v) * width.  width spans whole
-    bytes, enough for the largest character dimension, so no count carries
-    into the next slot.  hf[f] and hb[b] are the packed front and back
-    histograms, and unrolled holds the distinct unrolled front histograms of
-    the cross groups, packed at offset 0.  The cross groups of one character
-    with equal front weights form a class; classes[c] is (U_c, bit offset of
-    the character), U_c[f] the class's unrolled histogram at front row f.
-    keys[b] packs, per class, the histogram of its groups' back-key
-    exponents at b: class c's count of value v sits at bit
-    (c * p + v) * key_width.  Immutable.
-    """
-
-    __slots__ = ("p", "width", "hf", "hb", "unrolled", "classes", "keys", "key_width")
-
-    def __init__(
-        self, p: int, width: int, hf: list, hb: list, unrolled: list, classes: list, keys: list, key_width: int
-    ):
-        for name, value in zip(self.__slots__, (p, width, hf, hb, unrolled, classes, keys, key_width)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("_Grid is immutable")
+# the split-coordinate terms of a count table per signature, see _grid
+_Grid = namedtuple("_Grid", "p width row_sig col_sig hf rolled hb keys")
 
 
 def _grid(p: int, n: int, chars: tuple) -> _Grid:
-    """The terms of _Grid for chars over (F_p)^n, front half n // 2.
+    """The terms of count_table's identity for chars over (F_p)^n, front
+    half n // 2, per signature.
 
-    Histograms are memoized by their pairs: at p = 5 the 8 lambda2 cross
-    groups share one unrolled histogram, the 16 delta+ groups two, and
-    lambda2's front-only and back-only weights one.  The key histograms
-    come from one more _histogram call, in which a back key of class c
-    enters with multiplicity 256^(c * p * key slot), one count at class c's
-    slots."""
-    nf, nb = n // 2, n - n // 2
+    A cell's counts are one int, character j's count of value v at bit
+    (j * p + v) * width, width whole bytes enough for the largest character
+    dimension.  A front row's record holds Hf and each class's U_c, a back
+    column's Hb and each class's K_c, as planes (_planes) in lanes of that
+    width, so its signature (row_sig[f], col_sig[b]) is its record's bytes,
+    and ints are read only from each signature's record: hf[s] and hb[t],
+    rolled[s] with U_c rolled by v at c's character's offset and keys[t]
+    with the matching K_c[v], per class c and value v.  Histograms are
+    memoized by their pairs: at p = 5 the 8 lambda2 cross groups share one
+    U_c, the 16 delta+ groups two, and lambda2's front-only and back-only
+    weights one histogram."""
+    nf = n // 2
     slot = (max(c.dim for c in chars).bit_length() + 7) // 8
-    layout = (len(chars) * p * slot, slot)
-    hists: dict[tuple, int] = {}
-
-    def hist(pairs, offset: int) -> int:
-        key = (tuple(sorted(pairs)), offset)
-        if key not in hists:
-            hists[key] = _histogram(p, key[0], layout, offset)
-        return hists[key]
-
-    hf = hb = 0
-    unrolled: dict[tuple, list] = {}
+    width, cell = 8 * slot, len(chars) * p * slot
+    planes = functools.cache(lambda pairs: _planes(p, pairs, slot))
+    front, back = [], []
     classes: dict[tuple, list] = {}  # (front pairs, bit offset) -> back keys
     for j, char in enumerate(chars):
-        offset = j * p * slot
-        front, back, cross = _split(char, nf, p)
-        hf += hist([(w[:nf], m) for w, m in front], offset)
-        hb += hist([(w[nf:], m) for w, m in back], offset)
+        ws_front, ws_back, cross = _split(char, nf, p)
+        front += planes(tuple(sorted((w[:nf], m) for w, m in ws_front)))
+        back += planes(tuple(sorted((w[nf:], m) for w, m in ws_back)))
         for key, weights in cross.items():
             pairs = tuple(sorted((w[:nf], m) for w, m in weights))
-            if pairs not in unrolled:
-                unrolled[pairs] = _records(hist(pairs, 0), layout[0], p**nf)
-            classes.setdefault((pairs, 8 * offset), []).append(key)
-    key_slot = (max(map(len, classes.values()), default=0).bit_length() + 7) // 8
-    key_layout = (len(classes) * p * key_slot, key_slot)
-    key_pairs = [
-        (key, 1 << 8 * c * p * key_slot)
-        for c, members in enumerate(classes.values())
-        for key in members
+            classes.setdefault((pairs, j * p * width), []).append((key, 1))
+    for (pairs, _), keys in classes.items():
+        front += planes(pairs)
+        back += _planes(p, keys, slot)
+    row_sig, fronts = _signatures(front, p**nf, slot)
+    col_sig, backs = _signatures(back, p ** (n - nf), slot)
+
+    def lanes(rec: bytes, size: int) -> list[int]:
+        """The ints in the lanes of size bytes that follow rec's histogram."""
+        return [int.from_bytes(rec[i : i + size], "little") for i in range(cell, len(rec), size)]
+
+    span, mask = p * width, (1 << p * width) - 1
+    rolled = [
+        [
+            ((x << v * width | x >> span - v * width) & mask) << offset
+            for x, (_, offset) in zip(lanes(rec, p * slot), classes)
+            for v in range(p)
+        ]
+        for rec in fronts
     ]
-    return _Grid(
-        p,
-        8 * slot,
-        _records(hf, layout[0], p**nf),
-        _records(hb, layout[0], p**nb),
-        list(unrolled.values()),
-        [(unrolled[pairs], offset) for pairs, offset in classes],
-        _records(_histogram(p, key_pairs, key_layout, 0), key_layout[0], p**nb),
-        8 * key_slot,
-    )
+    hf, hb = ([int.from_bytes(rec[:cell], "little") for rec in recs] for recs in (fronts, backs))
+    return _Grid(p, width, row_sig, col_sig, hf, rolled, hb, [lanes(rec, slot) for rec in backs])
 
 
-def _cell(grid: _Grid, f: int, b: int) -> int:
-    """The packed counts at cell (f, b): Hf[f] + Hb[b] plus, per class c and
-    back-key exponent v, K_c[b][v] copies of U_c[f] rolled by v.  Rolling by
-    v moves each of the p slots of a character up by v, cyclically."""
-    p, width = grid.p, grid.width
-    span = p * width
-    mask = (1 << span) - 1
-    keys, kmask = grid.keys[b], (1 << grid.key_width) - 1
-    total = grid.hf[f] + grid.hb[b]
-    for c, (hist, offset) in enumerate(grid.classes):
-        x = hist[f]
-        for v in range(p):
-            k = keys >> (c * p + v) * grid.key_width & kmask
-            if k:
-                total += k * (((x << v * width) | (x >> (span - v * width))) & mask) << offset
-    return total
+def _cell(grid: _Grid, s: int, t: int) -> int:
+    """The packed counts of every cell of front signature s and back
+    signature t: Hf + Hb plus, per class c and back-key exponent v,
+    K_c[v] copies of U_c rolled by v, one bilinear sum."""
+    return grid.hf[s] + grid.hb[t] + sum(map(mul, grid.keys[t], grid.rolled[s]))
 
 
-def _group(cells: list[int], index: dict) -> list[int]:
-    """The class id of each packed count vector in cells, through index,
-    which maps a count vector to its id.  A count vector not yet in index
-    gets the next id, in the order of the cell that first shows it."""
-    for key in dict.fromkeys(cells):
+def _group(keys: list, index: dict) -> list[int]:
+    """The id of each key in keys (a packed count vector or a record),
+    through index, which maps a key to its id.  A key not yet in index gets
+    the next id, in the order of the key's first occurrence."""
+    for key in dict.fromkeys(keys):
         index.setdefault(key, len(index))
-    return list(map(index.__getitem__, cells))
+    return list(map(index.__getitem__, keys))
 
 
 _TABLES: dict[tuple, CountTable] = {}
@@ -387,9 +377,11 @@ def count_table(p: int, chars, mode: str = "full") -> CountTable:
     signature (Hf[f], U_c[f] for every c) and the back column b only
     through its back signature (Hb[b], K_c[b] for every c), so the counts
     are one memoized function of the pair of signatures (_cell, called once
-    per pair).  The identity rests only on the split, which _split checks,
-    not on any symmetry.  At p = 5 the 625 front rows have 20 signatures
-    and the 625 back columns 20.
+    per pair): with the p rolled copies of each U_c precomputed per front
+    signature, a cell is Hf + Hb plus the dot product of the back
+    signature's K_c[v] with them.  The identity rests only on the split,
+    which _split checks, not on any symmetry.  At p = 5 the 625 front rows
+    have 20 signatures and the 625 back columns 20.
 
     Mode "full" fills every pair of signatures, 400 cells at p = 5, and
     reads each point's class id off its pair: it uses no symmetry and is
@@ -431,28 +423,23 @@ def _build_table(p: int, n: int, chars: tuple, mode: str) -> CountTable:
     # signatures are numbered by their first row and column, so a class
     # first met at signature pair (s, t) is first met at that pair's first
     # cell, and filling the pairs in order numbers the classes by first point
-    fronts: dict[tuple, int] = {}
-    row_sig = [fronts.setdefault(s, len(fronts)) for s in zip(grid.hf, *grid.unrolled)]
-    backs: dict[tuple, int] = {}
-    col_sig = [backs.setdefault(s, len(backs)) for s in zip(grid.hb, grid.keys)]
-    first_row = [row_sig.index(s) for s in range(len(fronts))]
-    first_col = [col_sig.index(t) for t in range(len(backs))]
-    cell = functools.cache(lambda s, t: _cell(grid, first_row[s], first_col[t]))
+    cell = functools.cache(lambda s, t: _cell(grid, s, t))
     index: dict[int, int] = {}
     weight: Counter = Counter()
 
     if mode == "full":
         reps = None
-        rows = [_group([cell(s, t) for t in range(len(backs))], index) for s in range(len(fronts))]
-        rows_per, cols_per = Counter(row_sig), Counter(col_sig)
+        rows = [_group([cell(s, t) for t in range(len(grid.hb))], index) for s in range(len(grid.hf))]
+        rows_per, cols_per = Counter(grid.row_sig), Counter(grid.col_sig)
         for s, ids in enumerate(rows):
             for t, k in enumerate(ids):
                 weight[k] += rows_per[s] * cols_per[t]
         weight[0] -= 1  # class 0 holds cell 0, the zero point, which is not swept
     else:
         reps = tuple(canonical_representatives(p, n))
-        cells = [divmod(functools.reduce(lambda x, a: x * p + a, alpha), len(col_sig)) for alpha in reps]
-        ids = _group([cell(row_sig[f], col_sig[b]) for f, b in cells], index)
+        cols = len(grid.col_sig)
+        cells = [divmod(functools.reduce(lambda x, a: x * p + a, alpha), cols) for alpha in reps]
+        ids = _group([cell(grid.row_sig[f], grid.col_sig[b]) for f, b in cells], index)
         for k, alpha in zip(ids, reps):
             weight[k] += orbit_size(alpha)
 
@@ -464,14 +451,14 @@ def _build_table(p: int, n: int, chars: tuple, mode: str) -> CountTable:
     fmt = "B" if len(kept) <= 1 << 8 else "H" if len(kept) <= 1 << 16 else "I"
 
     def encode(ids) -> bytes:
-        return array(fmt, map(renumber.__getitem__, ids)).tobytes()
+        return array(fmt, ids).tobytes()
 
     if mode == "full":
-        rows = [encode(map(ids.__getitem__, col_sig)) for ids in rows]
+        rows = [encode(map([renumber[k] for k in ids].__getitem__, grid.col_sig)) for ids in rows]
         # point i is cell i + 1
-        data = b"".join(map(rows.__getitem__, row_sig))[array(fmt).itemsize :]
+        data = b"".join(map(rows.__getitem__, grid.row_sig))[array(fmt).itemsize :]
     else:
-        data = encode(ids)
+        data = encode(map(renumber.__getitem__, ids))
     slot = (1 << grid.width) - 1
     counts = tuple(
         tuple(

@@ -12,11 +12,13 @@ nilpotents discarded), so cohomological degree is twice the t-exponent.
 Products in F_p[t] are one big-int product (Kronecker substitution): each
 coefficient list is packed into an int, a byte slot per coefficient, wide
 enough for min(len(a), len(b)) * (p - 1)^2 so that no slot carries into the
-next, and the slots of the product are reduced mod p once.  Slots are a
-power of two bytes wide: array items up to 8 bytes, byte strings beyond
-(for p near 2^32 and above).  Values derived from validated ones skip the
-public constructors' checks, and moduli are checked by a deterministic
-Miller-Rabin test, exact below PRIME_BOUND.
+next, and the slots of the product are reduced mod p once.  A total Chern
+class multiplies its at most p - 1 binomial powers as one such k-fold
+product, slots wide enough for (p - 1)^k times the product of every length
+but the longest.  Slots are a power of two bytes wide: array items up to 8
+bytes, byte strings beyond (for p near 2^32 and above).  Values derived
+from validated ones skip the public constructors' checks, and moduli are
+checked by a deterministic Miller-Rabin test, exact below PRIME_BOUND.
 
 Products and linear substitutions in F_p[y1..yn, X] work on packed exponent
 keys: each term's exponent vector is one int with a digit of width bits per
@@ -357,20 +359,33 @@ def _taylor_row(p: int, c: int, i: int, slot: int) -> int:
     return _pack(_binomial_power(p, c, i)[::-1], slot) if i else 1
 
 
+@functools.lru_cache(maxsize=1024)
+def _packed_power(p: int, v: int, m: int, slot: int) -> int:
+    """(1 + v*t)^m over F_p packed by _pack with slots of slot bytes."""
+    return _pack(_binomial_power(p, v, m), slot)
+
+
 def chern_of_counts(p: int, counts: Iterable[tuple[int, int]]) -> UPoly:
     """prod (1 + v*t)^m over the (value, multiplicity) pairs of counts: the
     total Chern class of a sum of line characters in which z^v occurs m
-    times.  Each power is built once per (p, v mod p, m) from the base-p
-    digits of m, and the powers are multiplied with the packed product."""
+    times.  The multiplicities of each nonzero residue v mod p are added up,
+    and each power is built once per (p, v, m) from the base-p digits of m
+    and packed once per slot width.  The powers are multiplied as one
+    Kronecker product (see the module docstring): each coefficient of the
+    k-fold integer product sums at most the product of every length but
+    the longest terms below (p - 1)^k, so no slot carries, and the product
+    is unpacked and reduced mod p once."""
     check_odd_prime(p)
-    coeffs = (1,)
+    powers: dict[int, int] = {}
     for v, m in counts:
         if m < 0:
             raise ValueError(f"multiplicities must be nonnegative, got {m}")
         if v % p and m:
-            power = _binomial_power(p, v % p, m)
-            coeffs = _product(p, coeffs, power) if len(coeffs) > 1 else power
-    return UPoly._reduced(p, coeffs)
+            powers[v % p] = powers.get(v % p, 0) + m
+    lengths = sorted(m + 1 for m in powers.values())
+    slot = _slot_bytes((p - 1) ** len(lengths) * math.prod(lengths[:-1]))
+    x = math.prod([_packed_power(p, v, m, slot) for v, m in powers.items()])
+    return UPoly._reduced(p, [c % p for c in _unpack(x, sum(powers.values()) + 1, slot)])
 
 
 def chern_of_exponents(p: int, exponents: Iterable[int]) -> UPoly:
@@ -379,13 +394,9 @@ def chern_of_exponents(p: int, exponents: Iterable[int]) -> UPoly:
 
     The product depends only on how often each residue occurs, so the
     exponents are counted and expanded by chern_of_counts: a multiset of N
-    exponents costs one product per distinct nonzero residue instead of N
+    exponents costs one packed product of at most p - 1 powers instead of N
     factors."""
-    check_odd_prime(p)
-    counts: Counter = Counter()
-    for a, m in Counter(exponents).items():
-        counts[int(a) % p] += m
-    return chern_of_counts(p, counts.items())
+    return chern_of_counts(p, Counter(map(int, exponents)).items())
 
 
 def pair_factor(p: int, ai: int, aj: int) -> UPoly:

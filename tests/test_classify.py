@@ -1,6 +1,7 @@
 """Classification sweeps: the 80-point mod-3 run, the mod-5 machinery, and
 the count-class-kernel-versus-character-pipeline cross-checks."""
 
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -118,6 +119,29 @@ def lopsided(n):
             w((0, 4), (last - 1, 2)): 1,
         },
     )
+
+
+def heavy_front(n):
+    """lopsided(n) plus a front-only weight of multiplicity 300 and a cross
+    weight of multiplicity 256: counts that need 2-byte lanes, on the front
+    side only."""
+    front_only, cross = [0] * n, [0] * n
+    front_only[0] = cross[0] = cross[n - 1] = 2
+    return lopsided(n) + Character(n, {tuple(front_only): 300, tuple(cross): 256})
+
+
+def assert_counts_point_by_point(p, chars, table):
+    """Every nonzero point of the table, in sweep order, against the
+    exponent counts of each character restricted at that point alone."""
+    n = chars[0].rank
+    alphas = [a for a in itertools.product(range(p), repeat=n) if any(a)]
+    assert table.points == len(alphas)
+    for i, alpha in enumerate(alphas):
+        assert table.alpha(i) == alpha
+        pt = RestrictionPoint(p, alpha)
+        for char, counts in zip(chars, table.counts[table.class_of[i]]):
+            exps = Counter(restricted_exponents(char, pt))
+            assert counts == tuple(exps[v] for v in range(p)), (alpha, char)
 
 
 class TestClassifyF4Mod3:
@@ -482,18 +506,23 @@ class TestDistinctFrontRows:
     """Both modes fill one cell per pair of front and back signatures, and
     full mode reads every point's class back from those cells."""
 
-    @pytest.mark.parametrize("p, n", [(3, 4), (3, 5), (5, 4)])
-    def test_every_point_against_restricted_exponents(self, p, n):
+    @pytest.mark.parametrize(
+        "p, n, heavy",
+        [
+            pytest.param(3, 4, False, id="3-4"),
+            pytest.param(3, 5, False, id="3-5"),
+            pytest.param(5, 4, False, id="5-4"),
+            # odd ranks: the back half is one coordinate longer than the
+            # front, and heavy_front needs 2-byte lanes
+            pytest.param(7, 3, True, id="7-3-heavy"),
+            pytest.param(5, 5, True, id="5-5-heavy"),
+        ],
+    )
+    def test_every_point_against_restricted_exponents(self, p, n, heavy):
         chars = (vector_weights(n), lopsided(n), exterior_square_weights(n), half_spin_weights(n, "+"))
+        chars += (heavy_front(n),) if heavy else ()
         table = count_table(p, chars)
-        alphas = [a for a in itertools.product(range(p), repeat=n) if any(a)]
-        assert table.points == len(alphas)
-        for i, alpha in enumerate(alphas):
-            assert table.alpha(i) == alpha
-            pt = RestrictionPoint(p, alpha)
-            for char, counts in zip(chars, table.counts[table.class_of[i]]):
-                exps = Counter(restricted_exponents(char, pt))
-                assert counts == tuple(exps[v] for v in range(p)), (alpha, char)
+        assert_counts_point_by_point(p, chars, table)
         assert all(w > 0 for w in table.weights)
         assert sum(table.weights) == p**n - 1
         assert Counter(table.class_of.tolist()) == dict(enumerate(table.weights))
@@ -528,13 +557,20 @@ class TestDistinctFrontRows:
         # slot would show in the next value's count or the next character's
         heavy = trivial(3, 300) + 100 * vector_weights(3) + half_spin_weights(3, "both")
         chars = (vector_weights(3), heavy, exterior_square_weights(3))
-        table = count_table(5, chars)
-        alphas = [a for a in itertools.product(range(5), repeat=3) if any(a)]
-        for i, alpha in enumerate(alphas):
-            pt = RestrictionPoint(5, alpha)
-            for char, counts in zip(chars, table.counts[table.class_of[i]]):
-                exps = Counter(restricted_exponents(char, pt))
-                assert counts == tuple(exps[v] for v in range(5)), (alpha, char)
+        assert_counts_point_by_point(5, chars, count_table(5, chars))
+
+    def test_back_to_back_builds_of_one_shape(self, monkeypatch):
+        # two character tuples of one p and rank, built one after the other
+        # with the table memo cleared and the first table dropped: a cache
+        # keyed by object identity that outlived the first build would hand
+        # its histograms to the second
+        monkeypatch.setattr(classify, "_TABLES", {})
+        for chars in (
+            (vector_weights(4), lopsided(4), half_spin_weights(4, "+")),
+            (exterior_square_weights(4), heavy_front(4), half_spin_weights(4, "-")),
+        ):
+            classify._TABLES.clear()
+            assert_counts_point_by_point(5, chars, count_table(5, chars))
 
     def test_more_than_256_classes_widen_the_class_ids(self):
         # each coordinate's weight has its own multiplicity, so the counts
@@ -694,3 +730,23 @@ def test_canonical_point_count_closed_form(p, n):
 
 def test_canonical_point_count_constant():
     assert classify.CANONICAL_POINTS_5 == len(canonical_representatives())
+
+
+# sha256 of bytes(class_of) + repr((counts, weights)): each table's class
+# numbering by first point, count vectors and weights, as built before the
+# kernel read its histograms as byte planes
+TABLE_DIGESTS = {
+    (3, "full"): "dd490ecf467f209bd443d9c0114db6260c0024163032457547e2caf5e9e54cd7",
+    (3, "canonical"): "1fd51a644bbbaadeec4ac75dd3a27aa8206fc139cb597c692e45035ac1e6541a",
+    (5, "full"): "f66c9213e1ddea416546466b9a12c244d1a16a3a86d5b7d725c53900e0f1e8cd",
+    (5, "canonical"): "c0b540ce6ca8f4e6be9d85b69ff2d49309ca388a9b2e1564bc8e40b2fe202efe",
+}
+
+
+@pytest.mark.parametrize("p, mode", sorted(TABLE_DIGESTS))
+def test_table_digest(monkeypatch, p, mode):
+    monkeypatch.setattr(classify, "_TABLES", {})
+    chars = classify._mod3_chars() if p == 3 else classify._mod5_chars()
+    table = count_table(p, chars, mode)
+    data = bytes(table.class_of) + repr((table.counts, table.weights)).encode()
+    assert hashlib.sha256(data).hexdigest() == TABLE_DIGESTS[p, mode]

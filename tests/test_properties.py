@@ -134,6 +134,32 @@ class TestChernOfExponentsDigits:
 
 
 @st.composite
+def count_lists(draw):
+    """A prime and (value, multiplicity) pairs for 1 to p - 1 distinct
+    residues (at most six), each value shifted by a multiple of p, so that
+    values are negative or divisible by p too, with multiplicities 0 to 300."""
+    p = draw(st.sampled_from((3, 5, 7, 65537, 4294967311)))
+    k = draw(st.integers(1, min(p - 1, 6)))
+    residues = draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k, unique=True))
+    return p, [(r + p * draw(st.integers(-2, 1)), draw(st.integers(0, 300))) for r in residues]
+
+
+class TestChernOfCountsOneProduct:
+    @given(count_lists())
+    @example((5, [(1, 300), (2, 300), (3, 300), (4, 300)]))  # the widest p = 5 slots
+    @example((3, [(0, 7), (-3, 2)]))  # only zero residues: the class is 1
+    @example((4294967311, [(-1, 300), (2, 300), (3, 1)]))  # slots beyond 8 bytes
+    @settings(deadline=None)
+    def test_matches_factor_by_factor_product(self, case):
+        p, counts = case
+        naive = UPoly.one(p)
+        for v, m in counts:
+            if v % p and m:
+                naive = naive * UPoly(p, fppoly._binomial_power(p, v % p, m))
+        assert fppoly.chern_of_counts(p, counts) == naive
+
+
+@st.composite
 def sparse_coefficient_pairs(draw):
     """A prime and two coefficient lists, mostly zeros; empty lists and
     all-zero lists give zero polynomials."""
