@@ -108,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_branch = sub.add_parser("branch", help="branching identities / branch a character")
     p_branch.add_argument("--rep", choices=REP_NAMES, default=None)
-    p_branch.add_argument("--rank", type=int, default=None)
-    p_branch.add_argument("--steps", type=int, default=1)
+    p_branch.add_argument("--rank", type=int, help="rank of the character to branch (needs --rep)")
+    p_branch.add_argument("--steps", type=int, help="branching steps, default 1 (needs --rep)")
     _add_common(p_branch)
     p_branch.set_defaults(handler=_cmd_branch)
 
@@ -215,6 +215,8 @@ def _cmd_dickson(args) -> int:
 
 def _cmd_branch(args) -> int:
     if args.rep is None:
+        if args.rank is not None or args.steps is not None:
+            raise UsageError("--rank and --steps need --rep")
         return _certify(args, ("prop-2.2-branching",), lambda s: run_statement(s))
     if args.out:
         raise UsageError("--out takes a certificate; branch --rep prints a report (use --json)")
@@ -224,15 +226,16 @@ def _cmd_branch(args) -> int:
         char = registry(args.rep, args.rank)
     except ValueError as exc:
         raise UsageError(exc) from None
-    if args.steps < 0 or args.rank - args.steps < 1:
-        raise UsageError(f"cannot branch {args.steps} steps from rank {args.rank}")
+    steps = 1 if args.steps is None else args.steps
+    if steps < 0 or args.rank - steps < 1:
+        raise UsageError(f"cannot branch {steps} steps from rank {args.rank}")
     branched = char
-    for _ in range(args.steps):
+    for _ in range(steps):
         branched = branched.branch()
     info: dict = {
         "rep": args.rep,
         "from_rank": args.rank,
-        "steps": args.steps,
+        "steps": steps,
         "to_rank": branched.rank,
         "dim": branched.dim,
     }
@@ -248,7 +251,7 @@ def _cmd_branch(args) -> int:
         print(json.dumps(info, indent=2, sort_keys=True))
     else:
         line = (
-            f"{args.rep}@{args.rank} branched {args.steps} step(s):"
+            f"{args.rep}@{args.rank} branched {steps} step(s):"
             f" rank {branched.rank}, dim {branched.dim}"
         )
         if matches is not None:

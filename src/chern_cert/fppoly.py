@@ -20,22 +20,23 @@ bytes, byte strings beyond (for p near 2^32 and above).  Values derived
 from validated ones skip the public constructors' checks, and moduli are
 checked by a deterministic Miller-Rabin test, exact below PRIME_BOUND.
 
-Products and linear substitutions in F_p[y1..yn, X] work on packed exponent
-keys: each term's exponent vector is one int with a digit of width bits per
-variable, variable i at bit i * width, where width is the bit length of the
-result's total-degree bound.  No exponent of the result reaches 2^width, so
-adding two keys adds the exponent vectors digit by digit with no carry, and
-a term product costs one int addition instead of a new tuple.  Operands are
-packed on entry and the result is unpacked once; MPoly.terms stays keyed by
+Products in F_p[y1..yn, X] work on packed exponent keys: each term's
+exponent vector is one int with a digit of width bits per variable,
+variable i at bit i * width, where width is the bit length of the result's
+total-degree bound.  No exponent of the result reaches 2^width, so adding
+two keys adds the exponent vectors digit by digit with no carry, and a term
+product costs one int addition instead of a new tuple.  Operands are packed
+on entry and the result is unpacked once; MPoly.terms stays keyed by
 exponent tuples.
 
-An elementary shear y_a -> y_a + c*y_b, the one linear substitution the
-Dickson checks make, skips the term products: the terms that agree in every
-other exponent and in e_a + e_b form a binary form with coefficient list H,
-whose image is the Taylor shift H(u + c).  That shift is one packed-int sum
-of h_i times the row (u + c)^i, each row packed like a product operand with
-slots sized for len(H) * (p - 1)^2 and memoized, and the sum's slots are
-reduced mod p once (one bytes.translate for byte slots).
+The only linear substitution is an elementary shear y_a -> y_a + c*y_b, the
+one change of coordinates the Dickson checks make, and it makes no term
+products: the terms that agree in every other exponent and in e_a + e_b
+form a binary form with coefficient list H, whose image is the Taylor shift
+H(u + c).  That shift is one packed-int sum of h_i times the row (u + c)^i,
+each row packed like a product operand with slots sized for
+len(H) * (p - 1)^2 and memoized, and the sum's slots are reduced mod p once
+(one bytes.translate for byte slots).
 
 All values are immutable after construction and every operation is pure;
 instances can be shared freely between concurrent workers.
@@ -51,7 +52,6 @@ from collections import Counter
 from collections.abc import Iterable, Mapping
 from operator import lshift
 from sys import byteorder
-from types import MappingProxyType
 
 __all__ = [
     "UPoly",
@@ -438,15 +438,14 @@ def pm_factorization(a: UPoly) -> "tuple[int, int] | None":
     return (e_minus, e_plus)
 
 
-def _product_terms(a: dict, b: dict, out: "dict | None" = None) -> dict:
-    """Add the product of two packed term dicts to out (a new dict by
-    default) and return it; coefficients are not reduced mod p.
+def _product_terms(a: dict, b: dict) -> dict:
+    """The product of two packed term dicts, coefficients not reduced mod p.
 
-    Keys are packed exponent vectors (see _packed_terms), and the caller
+    Keys are packed exponent vectors (see _packed_terms), and MPoly.__mul__
     sizes the digits for the product's total-degree bound, so no digit of
     ka + kb reaches 2^width and the sum of two keys is the key of the
     product monomial, with no digit carrying into its neighbour."""
-    out = {} if out is None else out
+    out: dict[int, int] = {}
     get = out.get
     for ka, ca in a.items():
         for kb, cb in b.items():
@@ -474,46 +473,6 @@ def _unpacked_terms(packed: dict, arity: int, width: int, p: int) -> dict:
     shifts = range(0, width * arity, width)
     mask = (1 << width) - 1
     return {tuple([k >> s & mask for s in shifts]): r for k, c in packed.items() if (r := c % p)}
-
-
-@functools.lru_cache(maxsize=256)
-def _linear_power(
-    p: int, column: tuple[tuple[int, int], ...], e: int, width: int
-) -> Mapping[int, int]:
-    """(sum_i m_i * y_i)^e over F_p, e >= 1, for the nonzero entries (i, m_i)
-    of column, as a read-only mapping of terms with exponents packed width
-    bits apart (e < 2^width).  The result is memoized and shared by every
-    substitution that needs it.  Elementary shears never come here (see
-    MPoly._shear), so the Dickson checks use none of these powers.
-
-    With e = sum_k d_k p^k in base p, the power is
-    prod_k (sum_i m_i y_i^(p^k))^(d_k), because raising to the p-th power is
-    additive in characteristic p and m^p = m in F_p.  Each digit factor is
-    expanded by the multinomial theorem; as d_k < p none of its coefficients
-    d_k! / prod_i k_i! * prod_i m_i^k_i vanishes mod p, and the factors of
-    different digits occupy different base-p digits of every exponent, so
-    their product has no coinciding terms and no zero coefficient."""
-    r = len(column)
-    if not r:
-        return MappingProxyType({})
-    out = {0: 1}
-    step = 1
-    while e:
-        e, d = divmod(e, p)
-        if d:
-            factor = {}
-            # stars and bars: r - 1 bars among d + r - 1 slots split d into r parts
-            for bars in itertools.combinations(range(d + r - 1), r - 1):
-                coeff = math.factorial(d)
-                key = 0
-                for (i, m), lo, hi in zip(column, (-1,) + bars, bars + (d + r - 1,)):
-                    k = hi - lo - 1
-                    coeff = coeff // math.factorial(k) * m**k
-                    key += k * step << i * width
-                factor[key] = coeff % p
-            out = {k: c % p for k, c in _product_terms(out, factor).items()}
-        step *= p
-    return MappingProxyType(out)
 
 
 class MPoly:
@@ -676,56 +635,26 @@ class MPoly:
 
         len(matrix) must equal the arity, or arity - 1 when the last slot is
         an auxiliary variable that the change of coordinates does not touch.
-        The route follows from the matrix shape alone: an elementary shear
-        (the identity but for one off-diagonal entry, mod p) is a Taylor
-        shift of binary forms (_shear); any other matrix expands each term
-        with memoized powers of its columns' linear forms.
+        Read mod p, the matrix is the identity (self is returned) or an
+        elementary shear, the identity but for one off-diagonal entry c at
+        row b, column a: y_a -> y_a + c*y_b (_shear).  Others raise ValueError.
         """
         n = len(matrix)
         if n not in (self.arity, self.arity - 1):
-            raise ValueError(
-                f"matrix size {n} does not match arity {self.arity}"
-            )
+            raise ValueError(f"matrix size {n} does not match arity {self.arity}")
         if any(len(row) != n for row in matrix):
             raise ValueError("matrix must be square")
         p = self.p
-        columns = [
-            tuple((i, int(matrix[i][j]) % p) for i in range(n) if int(matrix[i][j]) % p)
-            for j in range(n)
-        ]
-        # an identity column keeps its variable's exponent where it is
-        moved = [j for j in range(n) if columns[j] != ((j, 1),)]
-        if len(moved) == 1:
-            (a,) = moved
-            others = dict(columns[a])
-            if others.pop(a, 0) == 1 and len(others) == 1:
-                # an elementary shear: y_a -> y_a + c*y_b, all else fixed
-                ((b, c),) = others.items()
-                return self._shear(a, b, c)
-        # a linear substitution keeps every term's total degree
-        width = _width(self.total_degree)
-        shifts = range(0, width * self.arity, width)
-        powers: dict[tuple[int, int], Mapping[int, int]] = {}
-        data: dict[int, int] = {}
-        unit = {0: 1}
-        for key, coeff in self.terms.items():
-            kept = sum(map(lshift, key, shifts))
-            factors = []
-            for j in moved:
-                e = key[j]
-                if e:
-                    kept -= e << shifts[j]
-                    if (j, e) not in powers:
-                        powers[j, e] = _linear_power(p, columns[j], e, width)
-                    factors.append(powers[j, e])
-            partial = {kept: coeff}
-            for factor in factors[:-1]:
-                partial = _product_terms(partial, factor)
-            # the last factor's products go straight into the image
-            _product_terms(partial, factors[-1] if factors else unit, data)
-        out = MPoly.zero(p, self.arity)
-        out.terms = _unpacked_terms(data, self.arity, width, p)
-        return out
+        # (row, column, residue) of every entry that differs from the identity's
+        off = [(i, j, e % p) for i, row in enumerate(matrix)
+               for j, e in enumerate(map(int, row)) if e % p != (i == j)]
+        if not off:
+            return self
+        if len(off) == 1 and off[0][0] != off[0][1]:
+            ((b, a, c),) = off
+            return self._shear(a, b, c)
+        raise ValueError(f"not the identity or an elementary shear (the identity but for"
+                         f" one off-diagonal entry) mod {p}: {matrix}")
 
     def _shear(self, a: int, b: int, c: int) -> "MPoly":
         """self with y_a replaced by y_a + c*y_b, for a != b and c in 1..p-1.

@@ -91,9 +91,6 @@ class Character:
     def dim(self) -> int:
         return sum(self.weights.values())
 
-    def multiplicity(self, w: Weight) -> int:
-        return self.weights.get(tuple(w), 0)
-
     def __add__(self, other: "Character") -> "Character":
         if not isinstance(other, Character):
             return NotImplemented

@@ -270,6 +270,10 @@ class TestBranch:
         assert "dim 248" in out
         assert "matches registry entry: True" in out
 
+    def test_steps_default_to_one(self, capsys):
+        assert main(["branch", "--rep", "rho8", "--rank", "8"]) == 0
+        assert "branched 1 step(s): rank 7" in capsys.readouterr().out
+
     def test_rank_required_with_rep(self):
         assert main(["branch", "--rep", "rho8"]) == 2
 
@@ -333,6 +337,8 @@ class TestUsageErrors:
             ["branch", "--rep", "rho8"],
             ["branch", "--rep", "rho8", "--rank", "3"],
             ["branch", "--rep", "rho8", "--rank", "8", "--steps", "9"],
+            ["branch", "--rank", "0"],
+            ["branch", "--steps", "2"],
             ["dickson", "--p", "3", "--out", "{file}/x.json"],
             ["enumerate", "--p", "3", "--out", "{dir}"],
             ["branch", "--out", "{file}/x.json"],

@@ -172,32 +172,25 @@ class TestInvariance:
         result = dickson.sl3_invariance_check(5)
         assert result.verified
 
-    def test_gl_generators_fix_dickson_invariants_mod3(self):
-        # a diagonal generator together with the transvections generates the
-        # full linear group; the c invariants are stable under all of it
-        p = 3
+    @pytest.mark.parametrize("a", [0, 1, 2])
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_diagonal_generator_fixes_c_and_negates_e3(self, p, a):
+        # y_a -> 2*y_a and the transvections (checked above) generate
+        # GL_3(F_p).  The c invariants are fixed by all of it; e3 picks up
+        # det^((p - 1) / 2), the Legendre symbol of 2, which is -1 at 3 and 5
         ds = dickson.compute(p)
-        mats = dickson.transvection_generators(p) + [
-            [[2, 0, 0], [0, 1, 0], [0, 0, 1]]
-        ]
-        for m in mats:
-            for i in range(3):
-                assert ds.c(i).substitute_linear(m) == ds.c(i)
+
+        def scaled(f):
+            return MPoly(p, f.arity, {k: c * pow(2, k[a], p) for k, c in f.terms.items()})
+
+        for i in range(3):
+            assert scaled(ds.c(i)) == ds.c(i)
+        assert scaled(ds.e3) == (p - 1) * ds.e3
 
     def test_identity_matrix_trivially_fixes(self):
         ds = dickson.compute(3)
         eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         assert ds.e3.substitute_linear(eye) == ds.e3
-
-    @pytest.mark.parametrize("p", [3, 5])
-    def test_full_facts_take_only_the_shear_route(self, monkeypatch, p):
-        # the transvections and the tower shifts X -> X + a*y are all
-        # elementary shears; a slip in recognising one would fall back to
-        # the multinomial powers without changing any result
-        monkeypatch.setattr(dickson, "_CACHE", {})
-        fppoly._linear_power.cache_clear()
-        assert dickson.lemma_facts(p, full=True).verified
-        assert fppoly._linear_power.cache_info().misses == 0
 
 
 class TestLemmaFacts:

@@ -203,6 +203,8 @@ class TestMPoly:
         y1 = MPoly.variable(p, 3, 0)
         eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         assert y1.substitute_linear(eye) == y1
+        # entries are read mod p
+        assert y1.substitute_linear([[4, 0, 3], [0, -2, 0], [-3, 6, 7]]) == y1
 
     def test_substitute_transvection_binomial(self):
         # y1^2 under y1 -> y1 + y2 becomes y1^2 + 2 y1 y2 + y2^2
