@@ -96,6 +96,15 @@ def default_cert_dir() -> Path:
     return Path(os.environ.get(_CERT_DIR_ENV, "certs"))
 
 
+def _check_known(statement, status) -> None:
+    """Raise ValueError unless statement is one of STATEMENTS and status a
+    verdict."""
+    if statement not in STATEMENTS:
+        raise ValueError(f"unknown statement {statement!r}")
+    if status not in (VERIFIED, FALSIFIED):
+        raise ValueError(f"unknown status {status!r}")
+
+
 class Certificate:
     """A CheckResult with its schema version, the toolchain that produced it
     (this interpreter's by default) and the volatile run section."""
@@ -122,10 +131,7 @@ class Certificate:
 
     @classmethod
     def from_result(cls, result: CheckResult, run: "dict | None" = None) -> "Certificate":
-        if result.statement not in STATEMENTS:
-            raise ValueError(f"unknown statement {result.statement!r}")
-        if result.status not in (VERIFIED, FALSIFIED):
-            raise ValueError(f"unknown status {result.status!r}")
+        _check_known(result.statement, result.status)
         return cls(
             statement=result.statement,
             status=result.status,
@@ -173,9 +179,17 @@ class Certificate:
     @classmethod
     def load(cls, path: "Path | str") -> "Certificate":
         """Read a certificate file; unknown future fields are ignored.  Raises
-        ValueError unless the stored canonical_sha256 is the hash of the
-        loaded payload."""
+        ValueError, naming path, unless the file holds a known statement and
+        status (the checks of from_result) and the stored canonical_sha256 is
+        the hash of the loaded payload."""
         raw = json.loads(Path(path).read_text(encoding="ascii"))
+        for field in ("statement", "status"):
+            if field not in raw:
+                raise ValueError(f"{path}: {field} is missing")
+        try:
+            _check_known(raw["statement"], raw["status"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         cert = cls(
             statement=raw["statement"],
             status=raw["status"],

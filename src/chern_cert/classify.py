@@ -21,12 +21,16 @@ representatives.  The kernel is pure Python and works in bulk: each
 histogram is p planes of byte lanes built by bytes.translate, laid into one
 record per row or column whose bytes are its signature, and a cell's counts
 for every character are one int, a bilinear sum of precomputed ints per
-pair of signatures.  A class polynomial is expanded once per class and
-character, on the first read of that character's column, every statement
+pair of signatures.  A class's Chern class of one character is held as
+its negation-pair factors P_v(a, b) = (1 + v*t)^a (1 - v*t)^b, one per
+pair {v, -v} of nonzero residues, each expanded from the counts a of v and
+b of -v once per (p, v, a, b); a column is multiplied out only where a
+predicate, a fallback or a certificate reads it.  Every statement
 predicate, mod 3 and mod 5, is evaluated once per class, and each point
-keeps only its class id, one byte, from which consistent sets and witness
-lists are read back in point order.  All 390624 mod-5 points fall into 53
-count classes, and the 80 mod-3 points into 3.
+keeps only its class id, one byte, laid out per front row by one C-level
+call, from which consistent sets and witness lists are read back in point
+order.  All 390624 mod-5 points fall into 53 count classes, and the 80
+mod-3 points into 3.
 
 Both primes judge their classes one way: per swept column j, a frozenset
 of the classes where each named predicate holds, keyed name{j}
@@ -43,13 +47,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 from array import array
 from collections import Counter, namedtuple
-from operator import mul
+from operator import add, itemgetter, mul
 
 from .certificates import CheckResult
 from .dickson import subring_bound
-from .fppoly import UPoly, chern_of_counts, in_subring, inv2, pm_factorization
+from .fppoly import UPoly, _binomial_power, chern_of_counts, in_subring, inv2, pm_factorization
 from .spinchar import (
     REP_NAMES,
     Character,
@@ -155,36 +160,44 @@ class CountTable:
             return self.reps[i]
         return tuple((i + 1) // self.p ** (self.n - 1 - k) % self.p for k in range(self.n))
 
+    def factors(self, j: int) -> tuple[tuple[UPoly, ...], ...]:
+        """Each class's negation-pair factors of character j, in class order:
+        P_v(m[v], m[-v]) for v = 1..(p-1)/2, m the class's counts (see
+        _pair_factor).  Their product is the class's total Chern class; at
+        p = 3 the one factor is that class."""
+        p = self.p
+        return tuple(
+            tuple(_pair_factor(p, v, m[v], m[p - v]) for v in range(1, (p + 1) // 2))
+            for m in (cls[j] for cls in self.counts)
+        )
+
     def column(self, j: int) -> tuple[UPoly, ...]:
-        """Each class's total Chern class of character j, in class order.
-        A column is expanded from its counts on first read, so a character
-        that only enters through its counts (lambda1 at p = 5) is never
-        expanded."""
+        """Each class's total Chern class of character j, in class order,
+        its factors multiplied out on first read.  The mod-5 predicates read
+        only the factors and the counts, so a mod-5 column is multiplied out
+        only for a certificate or a fallback that reads it."""
         if j not in self._columns:
-            self._columns[j] = tuple(chern_of_counts(self.p, enumerate(cls[j])) for cls in self.counts)
+            self._columns[j] = tuple(map(_multiply, self.factors(j)))
         return self._columns[j]
 
     @property
     def polys(self) -> tuple:
-        """polys[k][j] is column(j)[k]; reading it expands every column."""
+        """polys[k][j] is column(j)[k]; reading it multiplies out every column."""
         return tuple(zip(*(self.column(j) for j in range(len(self.counts[0])))))
 
     def first(self, classes, cap: int) -> list[str]:
         """The first cap points, in sweep order, whose class is in classes."""
         if not classes:
             return []
-        classes = set(classes)
         if self.class_of.itemsize == 1:
-            # the scan runs in C: mark each point's byte, then find the marks
-            marks = self.class_of.obj.translate(bytes(k in classes for k in range(256)))
+            # the scan runs in C and stops at the cap-th point: a regular
+            # expression matching any one byte of classes
+            pattern = re.compile(b"[%s]" % re.escape(bytes(sorted(classes))))
+            points = (match.start() for match in pattern.finditer(self.class_of.obj))
         else:
-            marks = bytes(k in classes for k in self.class_of)
-        found = []
-        i = marks.find(1)
-        while i >= 0 and len(found) < cap:
-            found.append(_render_alpha(self.alpha(i)))
-            i = marks.find(1, i + 1)
-        return found
+            classes = set(classes)
+            points = (i for i, k in enumerate(self.class_of) if k in classes)
+        return [_render_alpha(self.alpha(i)) for i in itertools.islice(points, cap)]
 
 
 @functools.cache
@@ -454,9 +467,18 @@ def _build_table(p: int, n: int, chars: tuple, mode: str) -> CountTable:
         return array(fmt, ids).tobytes()
 
     if mode == "full":
-        rows = [encode(map([renumber[k] for k in ids].__getitem__, grid.col_sig)) for ids in rows]
-        # point i is cell i + 1
-        data = b"".join(map(rows.__getitem__, grid.row_sig))[array(fmt).itemsize :]
+        # each front signature's row of class ids in one C-level call: a
+        # translate of the back signature ids when they and the class ids
+        # fit a byte each, else an itemgetter
+        if fmt == "B" and len(grid.hb) <= 1 << 8:
+            cols = bytes(grid.col_sig)
+            rows = [cols.translate(bytes([renumber[k] for k in ids]).ljust(256, b"\0")) for ids in rows]
+        else:
+            spread = itemgetter(*grid.col_sig)
+            rows = [encode(spread([renumber[k] for k in ids])) for ids in rows]
+        # point i is cell i + 1, so the first row drops its first cell
+        head = rows[grid.row_sig[0]][array(fmt).itemsize :]
+        data = b"".join([head, *map(rows.__getitem__, grid.row_sig[1:])])
     else:
         data = encode(map(renumber.__getitem__, ids))
     slot = (1 << grid.width) - 1
@@ -472,6 +494,19 @@ def _build_table(p: int, n: int, chars: tuple, mode: str) -> CountTable:
     return CountTable(p, n, mode, counts, weights, memoryview(data).cast(fmt), reps)
 
 
+@functools.cache
+def _pair_factor(p: int, v: int, a: int, b: int) -> UPoly:
+    """P_v(a, b) = (1 + v*t)^a (1 - v*t)^b over F_p, the factor of a total
+    Chern class from the a weights with exponent v and the b with exponent
+    -v, expanded from those counts once per (p, v, a, b)."""
+    return chern_of_counts(p, ((v, a), (p - v, b)))
+
+
+def _multiply(factors) -> UPoly:
+    """The product of a class's factors: the class polynomial."""
+    return functools.reduce(mul, factors)
+
+
 def _consistent_value(p: int, d: int) -> UPoly:
     """1 - t^d, d = p^3 - p^2: the value expected on the consistent set."""
     return UPoly.one(p) - UPoly.monomial(p, 1, d)
@@ -479,22 +514,23 @@ def _consistent_value(p: int, d: int) -> UPoly:
 
 def _class_sets(table: CountTable, sizes: tuple[int, ...], predicates) -> dict[str, frozenset[int]]:
     """For each swept column j (the first len(sizes) columns) and each named
-    predicate of (counts, class polynomial), the classes where it holds,
-    keyed name{j}.  Two predicates are shared by both primes: "closure", the
-    column's exponent list is not negation-closed (m[v] != m[-v mod p]) or
-    misses the paper's constant size sizes[j], which a lost +- pair breaks,
-    and "trivial", the class is 1."""
+    predicate of (counts, negation-pair factors), the classes where it
+    holds, keyed name{j}.  Two predicates are shared by both primes:
+    "closure", the column's exponent list is not negation-closed
+    (m[v] != m[-v mod p]) or misses the paper's constant size sizes[j],
+    which a lost +- pair breaks, and "trivial", every factor is 1, so the
+    class is 1."""
     p = table.p
     sets = {}
     for j, size in enumerate(sizes):
         tests = {
-            "closure": lambda m, c: sum(m) != size or any(m[v] != m[-v % p] for v in range(1, p)),
-            "trivial": lambda m, c: c.is_one,
+            "closure": lambda m, fs: sum(m) != size or any(m[v] != m[-v % p] for v in range(1, p)),
+            "trivial": lambda m, fs: all(f.is_one for f in fs),
             **predicates,
         }
-        column = tuple(zip((cls[j] for cls in table.counts), table.column(j)))
+        column = tuple(zip((cls[j] for cls in table.counts), table.factors(j)))
         for name, test in tests.items():
-            sets[f"{name}{j}"] = frozenset(k for k, (m, c) in enumerate(column) if test(m, c))
+            sets[f"{name}{j}"] = frozenset(k for k, (m, fs) in enumerate(column) if test(m, fs))
     return sets
 
 
@@ -530,9 +566,9 @@ def _mod3_classes(table: CountTable, d: int) -> dict[str, frozenset[int]]:
         table,
         (24, 24),
         {
-            "indivisible": lambda m, c: c.divexact(one_minus_t2) is None,
-            "sub": lambda m, c: in_subring(c, d),
-            "off": lambda m, c: c != target,
+            "indivisible": lambda m, fs: _multiply(fs).divexact(one_minus_t2) is None,
+            "sub": lambda m, fs: in_subring(_multiply(fs), d),
+            "off": lambda m, fs: _multiply(fs) != target,
         },
     )
 
@@ -693,24 +729,32 @@ def _prop3_single(j: int, statement: str) -> CheckResult:
 
 @functools.cache
 def _square_binomial(sign: int, e: int) -> UPoly:
-    """(1 + sign*t^2)^e mod 5 by the binomial theorem."""
+    """(1 + sign*t^2)^e mod 5 by the binomial theorem: the memoized
+    coefficients of (1 + sign*u)^e spread onto the even powers of t."""
     coeffs = [0] * (2 * e + 1)
-    for i in range(e + 1):
-        coeffs[2 * i] = math.comb(e, i) * sign**i % P5
+    coeffs[::2] = _binomial_power(P5, sign % P5, e)
     return UPoly._reduced(P5, coeffs)
 
 
-def _pm_form(poly: UPoly, m) -> "tuple[int, int] | None":
-    """(e_minus, e_plus) with poly = (1-t^2)^e_minus (1+t^2)^e_plus, or None.
+def _pm_form(poly, m) -> "tuple[int, int] | None":
+    """(e_minus, e_plus) with poly = (1-t^2)^e_minus (1+t^2)^e_plus, or None,
+    for poly the class polynomial of the counts m, or a function that
+    multiplies it out.
 
-    Mod 5, (1+t)(1+4t) = 1 - t^2 and (1+2t)(1+3t) = 1 + t^2, so the counts
-    predict (m[1], m[2]); the prediction is accepted only when the product,
-    multiplied out from binomial coefficients, reproduces poly exactly.  On
-    disagreement the greedy repeated-division routine decides."""
+    Mod 5 the class is P_1(m[1], m[4]) P_2(m[2], m[3]) (_pair_factor), and
+    (1+t)(1-t) = 1 - t^2, (1+2t)(1-2t) = 1 + t^2, so the counts predict
+    (m[1], m[2]); the prediction is accepted only when P_1, expanded from
+    the counts, equals (1 - t^2)^m[1] and P_2 equals (1 + t^2)^m[2], both
+    from binomial coefficients.  The four linear factors are coprime, so
+    that holds exactly when poly is the predicted product.  On disagreement
+    poly is read and the greedy repeated-division routine decides."""
     a_cnt, b_cnt = m[1], m[2]
-    if _square_binomial(-1, a_cnt) * _square_binomial(1, b_cnt) == poly:
+    if (
+        _pair_factor(P5, 1, a_cnt, m[4]) == _square_binomial(-1, a_cnt)
+        and _pair_factor(P5, 2, b_cnt, m[3]) == _square_binomial(1, b_cnt)
+    ):
         return a_cnt, b_cnt
-    return pm_factorization(poly)
+    return pm_factorization(poly() if callable(poly) else poly)
 
 
 @functools.cache
@@ -733,30 +777,45 @@ _FAILURE_PROBLEMS = {
 }
 
 
+def _rho8(counts) -> UPoly:
+    """The rho8 class c(lambda2) c(delta+) of a mod-5 count class, expanded
+    from the two characters' summed counts (_summed_class)."""
+    m2, mD, _ = counts
+    return _summed_class(tuple(map(add, m2, mD)))
+
+
+@functools.cache
+def _summed_class(m: tuple) -> UPoly:
+    """The total Chern class mod 5 with m[v] weights of exponent v, expanded
+    from the counts once per m: the 53 classes of a sweep have 13 distinct
+    rho8 count sums."""
+    return chern_of_counts(P5, enumerate(m))
+
+
 @functools.cache
 def _mod5_classes(table: CountTable, d: int):
     """The mod-5 class sets, memoized per table and subring exponent d: the
     sets of _class_sets for the swept columns 0 (lambda2, size 112) and 1
     (delta+, size 128), plus "pm{j}", where the column is not a product of
-    1 - t^2 and 1 + t^2 factors; and, from the rho8 class f2 * fD, "s5",
-    where it lies in F_5[t^d], "value", where it does with a value other than
-    1 - t^d and (1 - t^d)^2, and "mixed", where some coordinate squares to 1
-    and another to -1 (lambda1's counts).  Also the orbit-weighted
-    occurrences of each S5 value."""
-    sets = _class_sets(table, (112, 128), {"pm": lambda m, c: _pm_form(c, m) is None})
+    1 - t^2 and 1 + t^2 factors (_pm_form, on the factors); and, from the
+    rho8 class (_rho8), "s5", where it lies in F_5[t^d], "value", where it
+    does with a value other than 1 - t^d and (1 - t^d)^2, and "mixed", where
+    some coordinate squares to 1 and another to -1 (lambda1's counts).  Also
+    the orbit-weighted occurrences of each S5 value."""
+    sets = _class_sets(table, (112, 128), {"pm": lambda m, fs: _pm_form(lambda: _multiply(fs), m) is None})
     v100 = _consistent_value(P5, d)
     allowed = (v100.render(), (v100**2).render())
     s5, value, mixed = [], [], []
     occ: dict[str, int] = {}
-    columns = zip(table.counts, table.column(0), table.column(1))
-    for k, ((_, _, m1), f2, fD) in enumerate(columns):
-        fr = f2 * fD
+    for k, counts in enumerate(table.counts):
+        fr = _rho8(counts)
         if in_subring(fr, d):
             s5.append(k)
             key = fr.render()
             occ[key] = occ.get(key, 0) + table.weights[k]
             if key not in allowed:
                 value.append(k)
+        _, _, m1 = counts
         if m1[1] and m1[2]:
             mixed.append(k)
     sets.update(s5=frozenset(s5), value=frozenset(value), mixed=frozenset(mixed))

@@ -326,27 +326,32 @@ def _byte_residues(p: int) -> bytes:
 
 @functools.lru_cache(maxsize=1024)
 def _binomial_power(p: int, v: int, m: int) -> tuple[int, ...]:
-    """The coefficients of (1 + v*t)^m over F_p, for v in 1..p-1 and m >= 1.
+    """The coefficients of (1 + v*t)^m over F_p, for v in 1..p-1 and m >= 0.
 
-    With m = sum_i d_i p^i in base p, (1 + v t)^m = prod_i (1 + v t^(p^i))^(d_i),
-    because raising to the p-th power is additive in characteristic p and
-    v^p = v in F_p (Lucas's theorem, coefficient by coefficient).  The
-    factor of digit i has the coefficients C(d_i, k) v^k at t^(k p^i), and
-    the product of the lower digits' factors has degree below p^i, so the
-    factor of digit i lays d_i + 1 scaled copies of it side by side, p^i
-    apart.  The leading coefficient is v^(sum_i d_i), so the degree is m."""
-    degree = m
-    coeffs = [1]
+    With m = d p^i + r, d the top base-p digit and r < p^i,
+    (1 + v t)^m = (1 + v t^(p^i))^d (1 + v t)^r, because raising to the
+    p-th power is additive in characteristic p and v^p = v in F_p (Lucas's
+    theorem, coefficient by coefficient).  The first factor has the
+    coefficients C(d, k) v^k at t^(k p^i), and the memoized power of the
+    lower digits r has degree r < p^i, so the result is d + 1 copies of it,
+    the k-th scaled by C(d, k) v^k and starting at t^(k p^i): a new power
+    costs one digit block on top of its memoized lower-digit prefix.  The
+    leading coefficient is v^(sum of the digits), so the degree is m."""
+    if not m:
+        return (1,)
     step = 1
-    while m:
-        m, d = divmod(m, p)
-        block = coeffs + [0] * (step - len(coeffs))
-        coeffs = []
-        for k in range(d + 1):
-            c = math.comb(d, k) * pow(v, k, p) % p
-            coeffs += [c * x % p for x in block]
+    while step * p <= m:
         step *= p
-    return tuple(coeffs[: degree + 1])
+    d, r = divmod(m, step)
+    prefix = _binomial_power(p, v, r)
+    gap = [0] * (step - len(prefix))
+    coeffs = [*prefix, *gap]
+    for k in range(1, d + 1):
+        c = math.comb(d, k) * pow(v, k, p) % p
+        coeffs += [c * x % p for x in prefix]
+        if k < d:
+            coeffs += gap
+    return tuple(coeffs)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -412,15 +417,20 @@ def in_subring(a: UPoly, d: int) -> bool:
     i.e. the polynomial lies in F_p[t^d]."""
     if d < 1:
         raise ValueError("subring exponent must be >= 1")
-    return all(c == 0 or k % d == 0 for k, c in enumerate(a.coeffs))
+    # every nonzero coefficient is one of the coefficients at multiples of d
+    coeffs, sub = a.coeffs, a.coeffs[::d]
+    return len(coeffs) - coeffs.count(0) == len(sub) - sub.count(0)
 
 
 def pm_factorization(a: UPoly) -> "tuple[int, int] | None":
     """Write a = (1-t^2)^e_minus * (1+t^2)^e_plus by greedy repeated exact
     division (all 1-t^2 factors first, then 1+t^2, then the remainder must be
     exactly 1).  Returns (e_minus, e_plus), or None when a is not of that
-    form.  The two factors are coprime for odd p, so the greedy order does not
-    affect the answer."""
+    form, zero included (zero divides exactly by everything, so the division
+    would never stop).  The two factors are coprime for odd p, so the greedy
+    order does not affect the answer."""
+    if a.is_zero:
+        return None
     p = a.p
     one_minus = UPoly(p, (1, 0, p - 1))
     one_plus = UPoly(p, (1, 0, 1))

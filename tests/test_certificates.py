@@ -106,6 +106,27 @@ class TestCertificate:
         with pytest.raises(ValueError, match="missing"):
             Certificate.load(path)
 
+    def test_load_rejects_unknown_statement_and_status(self, tmp_path):
+        # the hash matches, but from_result would refuse either field
+        for cert, match in (
+            (Certificate("nonsense", "Bogus", {}, {}), "unknown statement 'nonsense'"),
+            (Certificate("prop-3.2", "Bogus", {}, {}), "unknown status 'Bogus'"),
+        ):
+            path = cert.write(tmp_path / "c.json")
+            with pytest.raises(ValueError, match=match) as info:
+                Certificate.load(path)
+            assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("field", ["statement", "status"])
+    def test_load_rejects_missing_statement_or_status(self, tmp_path, field):
+        doc = Certificate.from_result(_result()).to_dict()
+        del doc[field]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"{field} is missing") as info:
+            Certificate.load(path)
+        assert str(path) in str(info.value)
+
     def test_file_is_ascii_json(self, tmp_path):
         cert = Certificate.from_result(_result())
         path = cert.write(tmp_path / "c.json")

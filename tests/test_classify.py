@@ -25,7 +25,7 @@ from chern_cert.classify import (
     sweep_mod5,
 )
 from chern_cert.dickson import subring_bound
-from chern_cert.fppoly import UPoly, chern_of_exponents, in_subring, pm_factorization
+from chern_cert.fppoly import UPoly, chern_of_counts, chern_of_exponents, in_subring, pm_factorization
 from chern_cert.spinchar import (
     REP_NAMES,
     Character,
@@ -216,14 +216,26 @@ class TestClassifyF4Mod3:
 
         monkeypatch.setattr(classify, "_TABLES", {})
         monkeypatch.setattr(classify, "chern_of_counts", counted)
+        classify._pair_factor.cache_clear()
+        classify._summed_class.cache_clear()
         # every per-point class (chern_named, total_chern) expands here
         monkeypatch.setattr(chern, "chern_of_exponents", forbidden)
         assert classify_f4_mod3().verified
-        assert len(calls) == 3 * 7
-        # mod 5 reads lambda2 and delta+; lambda1 enters only through its counts
+        # at p = 3 a class is its one pair factor (1 + t)^m[1] (1 - t)^m[2],
+        # and the 3 classes of the 7 columns hold 8 distinct (m[1], m[2])
+        table = count_table(3, classify._mod3_chars())
+        assert len({(m[1], m[2]) for cls in table.counts for m in cls}) == 8
+        assert len(calls) == 8
+        # mod 5 expands the 66 distinct pair factors (v, m[v], m[-v]) of
+        # lambda2 and delta+ and one rho8 class per distinct sum of their
+        # counts, 13 for the 53 classes; lambda1 enters only through its counts
         calls.clear()
         assert classify_e8_mod5("full").verified
-        assert len(calls) == 2 * 53
+        table = count_table(5, classify._mod5_chars(), "full")
+        pairs = {(v, cls[j][v], cls[j][-v]) for cls in table.counts for j in (0, 1) for v in (1, 2)}
+        sums = {tuple(map(sum, zip(*cls[:2]))) for cls in table.counts}
+        assert (len(pairs), len(sums), len(table.counts)) == (66, 13, 53)
+        assert len(calls) == 66 + 13
 
 
 class TestMod3LostWeight:
@@ -584,6 +596,15 @@ class TestDistinctFrontRows:
         assert table.class_of.tolist() == list(range(624))
         assert table.first({623, 5}, 3) == ["0,0,1,1", "4,4,4,4"]
 
+    def test_first_matches_class_ids_that_are_regex_syntax(self):
+        # first() scans one-byte class ids with a regular expression, so ids
+        # such as ] \ ^ - and NUL must match themselves and nothing else
+        ids = bytes(range(256)) * 2 + bytes(range(112))
+        table = classify.CountTable(5, 4, "full", (), (), memoryview(ids).cast("B"), None)
+        for classes in ({ord("]")}, {ord("\\"), ord("^")}, {ord("-"), 0}, {ord("a"), ord("z")}, set(range(256))):
+            points = [i for i, k in enumerate(ids) if k in classes][:5]
+            assert table.first(classes, 5) == [",".join(map(str, table.alpha(i))) for i in points]
+
     def test_lambda2_missing_a_weight_is_falsified(self, monkeypatch):
         lambda2, *rest = classify._mod5_chars()
         weights = dict(lambda2.weights)
@@ -653,8 +674,8 @@ class TestSweepMod5:
             assert sum(_pm_form(f2, m2)) > 0
 
     def test_class_expansion_and_predicates_skip_validation(self, monkeypatch):
-        # the 106 class expansions and the per-class predicates build every
-        # polynomial from reduced coefficients; only the two consistent
+        # the pair factors, rho8 expansions and per-class predicates build
+        # every polynomial from reduced coefficients; only the two consistent
         # values and their pieces go through the validating constructor
         monkeypatch.setattr(classify, "_TABLES", {})
         table = count_table(5, classify._mod5_chars(), "full")
@@ -667,8 +688,36 @@ class TestSweepMod5:
 
         monkeypatch.setattr(UPoly, "__init__", counted)
         assert classify_e8_mod5("full").verified
-        assert len(table._columns[0]) == len(table._columns[1]) == 53
+        # the predicates read factors and counts: no column is multiplied out
+        assert table._columns == {}
         assert len(calls) <= 8
+
+    @pytest.mark.parametrize("mode", ["canonical", "full"])
+    def test_factorwise_verdicts_match_the_multiplied_out_columns(self, monkeypatch, mode):
+        def unread():
+            raise AssertionError("the factor-wise verdict read the column")
+
+        def fallback(poly):
+            raise AssertionError(f"_pm_form fell back on {poly!r}")
+
+        table = count_table(5, classify._mod5_chars(), mode)
+        assert len(table.counts) == 53
+        monkeypatch.setattr(classify, "pm_factorization", fallback)
+        for k, counts in enumerate(table.counts):
+            for j in (0, 1):
+                m, column = counts[j], table.column(j)[k]
+                assert column == classify._multiply(table.factors(j)[k])
+                assert column == chern_of_counts(5, enumerate(m))
+                assert _pm_form(unread, m) == pm_factorization(column) is not None, (k, j)
+            assert classify._rho8(counts) == table.column(0)[k] * table.column(1)[k], k
+
+    def test_pm_form_on_counts_that_are_not_negation_closed(self):
+        # a factor that disagrees with its prediction sends the multiplied-out
+        # class to the greedy division, whichever pair {v, -v} it is
+        for m in itertools.product(range(3), repeat=4):
+            counts = (0, *m)
+            poly = chern_of_counts(5, enumerate(counts))
+            assert _pm_form(poly, counts) == pm_factorization(poly), counts
 
     def test_pm_fallback_is_dead_on_true_data(self, monkeypatch):
         # on true data every predicted +-t^2 form matches its expansion, so

@@ -177,6 +177,11 @@ class TestPmFactorization:
     def test_constant_one(self):
         assert pm_factorization(UPoly.one(3)) == (0, 0)
 
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_zero_is_not_of_form(self, p):
+        # zero divides exactly by 1 - t^2, so plain repeated division never stops
+        assert pm_factorization(UPoly.zero(p)) is None
+
     def test_reconstruction(self):
         p = 3
         a = (UPoly(p, (1, 0, -1)) ** 4) * (UPoly(p, (1, 0, 1)) ** 2)

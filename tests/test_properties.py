@@ -1,6 +1,7 @@
 """Property suites for the algebraic identities the sweeps rely on."""
 
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -143,6 +144,37 @@ class TestChernOfCountsOneProduct:
             if v % p and m:
                 naive = naive * UPoly(p, fppoly._binomial_power(p, v % p, m))
         assert fppoly.chern_of_counts(p, counts) == naive
+
+
+class TestBinomialPowerDigitPrefix:
+    @given(
+        st.sampled_from((3, 5, 7, 65537, 1000003, 4294967311)),
+        st.integers(1, 2**40),
+        st.integers(0, 700),
+    )
+    @example(5, 4, 624)  # four base-5 digits, every one of them 4
+    @example(3, 2, 243)  # a power of p: a lone top digit over the prefix 1
+    @example(4294967311, 4294967309, 300)  # v = p - 1: one digit, residues beyond 32 bits
+    @settings(deadline=None)
+    def test_matches_the_binomial_theorem(self, p, v, m):
+        # (1 + v*t)^m from its memoized lower-digit prefix and its top digit
+        v = v % (p - 1) + 1
+        expected = tuple(math.comb(m, k) * pow(v, k, p) % p for k in range(m + 1))
+        assert fppoly._binomial_power(p, v, m) == expected
+
+
+class TestInSubring:
+    @given(
+        st.sampled_from((3, 5, 1000003, 4294967311)),
+        st.lists(st.integers(0, 4), max_size=60),
+        st.integers(1, 12),
+    )
+    @settings(deadline=None)
+    def test_matches_the_definition(self, p, coeffs, d):
+        # zeros counted at multiples of d and everywhere, for every modulus
+        poly = UPoly(p, [c * (p // 3) for c in coeffs])
+        expected = all(c == 0 or k % d == 0 for k, c in enumerate(poly.coeffs))
+        assert fppoly.in_subring(poly, d) is expected
 
 
 @st.composite
