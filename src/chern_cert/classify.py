@@ -47,7 +47,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import re
 from array import array
 from collections import Counter, namedtuple
 from operator import add, itemgetter, mul
@@ -189,15 +188,18 @@ class CountTable:
         """The first cap points, in sweep order, whose class is in classes."""
         if not classes:
             return []
+        classes = set(classes)
         if self.class_of.itemsize == 1:
-            # the scan runs in C and stops at the cap-th point: a regular
-            # expression matching any one byte of classes
-            pattern = re.compile(b"[%s]" % re.escape(bytes(sorted(classes))))
-            points = (match.start() for match in pattern.finditer(self.class_of.obj))
+            # the scan runs in C: mark each point's byte, then find the marks
+            marks = self.class_of.obj.translate(bytes(k in classes for k in range(256)))
         else:
-            classes = set(classes)
-            points = (i for i, k in enumerate(self.class_of) if k in classes)
-        return [_render_alpha(self.alpha(i)) for i in itertools.islice(points, cap)]
+            marks = bytes(k in classes for k in self.class_of)
+        found = []
+        i = marks.find(1)
+        while i >= 0 and len(found) < cap:
+            found.append(_render_alpha(self.alpha(i)))
+            i = marks.find(1, i + 1)
+        return found
 
 
 @functools.cache
@@ -467,15 +469,10 @@ def _build_table(p: int, n: int, chars: tuple, mode: str) -> CountTable:
         return array(fmt, ids).tobytes()
 
     if mode == "full":
-        # each front signature's row of class ids in one C-level call: a
-        # translate of the back signature ids when they and the class ids
-        # fit a byte each, else an itemgetter
-        if fmt == "B" and len(grid.hb) <= 1 << 8:
-            cols = bytes(grid.col_sig)
-            rows = [cols.translate(bytes([renumber[k] for k in ids]).ljust(256, b"\0")) for ids in rows]
-        else:
-            spread = itemgetter(*grid.col_sig)
-            rows = [encode(spread([renumber[k] for k in ids])) for ids in rows]
+        # each front signature's row of class ids in one C-level call: the
+        # back signature ids picked out of the row's class ids by itemgetter
+        spread = itemgetter(*grid.col_sig)
+        rows = [encode(spread([renumber[k] for k in ids])) for ids in rows]
         # point i is cell i + 1, so the first row drops its first cell
         head = rows[grid.row_sig[0]][array(fmt).itemsize :]
         data = b"".join([head, *map(rows.__getitem__, grid.row_sig[1:])])
@@ -736,25 +733,23 @@ def _square_binomial(sign: int, e: int) -> UPoly:
     return UPoly._reduced(P5, coeffs)
 
 
-def _pm_form(poly, m) -> "tuple[int, int] | None":
-    """(e_minus, e_plus) with poly = (1-t^2)^e_minus (1+t^2)^e_plus, or None,
-    for poly the class polynomial of the counts m, or a function that
-    multiplies it out.
+def _pm_form(m) -> "tuple[int, int] | None":
+    """(e_minus, e_plus) with (1-t^2)^e_minus (1+t^2)^e_plus the mod-5 class
+    polynomial of the counts m, or None if it is not of that form.
 
     Mod 5 the class is P_1(m[1], m[4]) P_2(m[2], m[3]) (_pair_factor), and
     (1+t)(1-t) = 1 - t^2, (1+2t)(1-2t) = 1 + t^2, so the counts predict
     (m[1], m[2]); the prediction is accepted only when P_1, expanded from
     the counts, equals (1 - t^2)^m[1] and P_2 equals (1 + t^2)^m[2], both
     from binomial coefficients.  The four linear factors are coprime, so
-    that holds exactly when poly is the predicted product.  On disagreement
-    poly is read and the greedy repeated-division routine decides."""
+    that holds exactly when the class is the predicted product.  On
+    disagreement the two factors are multiplied out and the greedy
+    repeated-division routine decides."""
     a_cnt, b_cnt = m[1], m[2]
-    if (
-        _pair_factor(P5, 1, a_cnt, m[4]) == _square_binomial(-1, a_cnt)
-        and _pair_factor(P5, 2, b_cnt, m[3]) == _square_binomial(1, b_cnt)
-    ):
+    p1, p2 = _pair_factor(P5, 1, a_cnt, m[4]), _pair_factor(P5, 2, b_cnt, m[3])
+    if p1 == _square_binomial(-1, a_cnt) and p2 == _square_binomial(1, b_cnt):
         return a_cnt, b_cnt
-    return pm_factorization(poly() if callable(poly) else poly)
+    return pm_factorization(p1 * p2)
 
 
 @functools.cache
@@ -802,7 +797,7 @@ def _mod5_classes(table: CountTable, d: int):
     does with a value other than 1 - t^d and (1 - t^d)^2, and "mixed", where
     some coordinate squares to 1 and another to -1 (lambda1's counts).  Also
     the orbit-weighted occurrences of each S5 value."""
-    sets = _class_sets(table, (112, 128), {"pm": lambda m, fs: _pm_form(lambda: _multiply(fs), m) is None})
+    sets = _class_sets(table, (112, 128), {"pm": lambda m, fs: _pm_form(m) is None})
     v100 = _consistent_value(P5, d)
     allowed = (v100.render(), (v100**2).render())
     s5, value, mixed = [], [], []

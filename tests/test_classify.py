@@ -423,8 +423,8 @@ class TestTunedPathAgainstCharacterPipeline:
             gD = total_chern(chars["delta+"], pt)
             assert f2 == g2, alpha
             assert fD == gD, alpha
-            assert _pm_form(f2, m2) == pm_factorization(g2), alpha
-            assert _pm_form(fD, mD) == pm_factorization(gD), alpha
+            assert _pm_form(m2) == pm_factorization(g2), alpha
+            assert _pm_form(mD) == pm_factorization(gD), alpha
 
     def test_every_point_mod3_and_orbit_weights(self):
         # the table theorem-1.1 reads: the swept characters, then the registry
@@ -596,15 +596,6 @@ class TestDistinctFrontRows:
         assert table.class_of.tolist() == list(range(624))
         assert table.first({623, 5}, 3) == ["0,0,1,1", "4,4,4,4"]
 
-    def test_first_matches_class_ids_that_are_regex_syntax(self):
-        # first() scans one-byte class ids with a regular expression, so ids
-        # such as ] \ ^ - and NUL must match themselves and nothing else
-        ids = bytes(range(256)) * 2 + bytes(range(112))
-        table = classify.CountTable(5, 4, "full", (), (), memoryview(ids).cast("B"), None)
-        for classes in ({ord("]")}, {ord("\\"), ord("^")}, {ord("-"), 0}, {ord("a"), ord("z")}, set(range(256))):
-            points = [i for i, k in enumerate(ids) if k in classes][:5]
-            assert table.first(classes, 5) == [",".join(map(str, table.alpha(i))) for i in points]
-
     def test_lambda2_missing_a_weight_is_falsified(self, monkeypatch):
         lambda2, *rest = classify._mod5_chars()
         weights = dict(lambda2.weights)
@@ -666,12 +657,12 @@ class TestSweepMod5:
         lambda1_delta = vector_weights(8) + half_spin_weights(8, "both")
         table = count_table(5, (lambda1_delta,), "canonical")
         assert table.weighted_points == 5**8 - 1
-        for (m,), (poly,) in zip(table.counts, table.polys):
-            form = _pm_form(poly, m)
+        for (m,) in table.counts:
+            form = _pm_form(m)
             assert form is not None, m
             assert sum(form) > 0, m
-        for (m2, _, _), (f2, _, _) in zip(mod5_table.counts, mod5_table.polys):
-            assert sum(_pm_form(f2, m2)) > 0
+        for m2, _, _ in mod5_table.counts:
+            assert sum(_pm_form(m2)) > 0
 
     def test_class_expansion_and_predicates_skip_validation(self, monkeypatch):
         # the pair factors, rho8 expansions and per-class predicates build
@@ -694,9 +685,6 @@ class TestSweepMod5:
 
     @pytest.mark.parametrize("mode", ["canonical", "full"])
     def test_factorwise_verdicts_match_the_multiplied_out_columns(self, monkeypatch, mode):
-        def unread():
-            raise AssertionError("the factor-wise verdict read the column")
-
         def fallback(poly):
             raise AssertionError(f"_pm_form fell back on {poly!r}")
 
@@ -708,7 +696,7 @@ class TestSweepMod5:
                 m, column = counts[j], table.column(j)[k]
                 assert column == classify._multiply(table.factors(j)[k])
                 assert column == chern_of_counts(5, enumerate(m))
-                assert _pm_form(unread, m) == pm_factorization(column) is not None, (k, j)
+                assert _pm_form(m) == pm_factorization(column) is not None, (k, j)
             assert classify._rho8(counts) == table.column(0)[k] * table.column(1)[k], k
 
     def test_pm_form_on_counts_that_are_not_negation_closed(self):
@@ -717,7 +705,7 @@ class TestSweepMod5:
         for m in itertools.product(range(3), repeat=4):
             counts = (0, *m)
             poly = chern_of_counts(5, enumerate(counts))
-            assert _pm_form(poly, counts) == pm_factorization(poly), counts
+            assert _pm_form(counts) == pm_factorization(poly), counts
 
     def test_pm_fallback_is_dead_on_true_data(self, monkeypatch):
         # on true data every predicted +-t^2 form matches its expansion, so
