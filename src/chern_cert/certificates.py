@@ -183,6 +183,8 @@ class Certificate:
         status (the checks of from_result) and the stored canonical_sha256 is
         the hash of the loaded payload."""
         raw = json.loads(Path(path).read_text(encoding="ascii"))
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: expected a JSON object, got {type(raw).__name__}")
         for field in ("statement", "status"):
             if field not in raw:
                 raise ValueError(f"{path}: {field} is missing")

@@ -10,8 +10,15 @@ the factor 1 + a*t to the total Chern class.
 
 from __future__ import annotations
 
-from .dickson import subring_bound
-from .fppoly import UPoly, check_odd_prime, chern_of_exponents, in_subring, inv2, pm_factorization
+from .fppoly import (
+    UPoly,
+    check_odd_prime,
+    chern_of_exponents,
+    in_subring,
+    inv2,
+    pm_factorization,
+    subring_bound,
+)
 from .spinchar import Character, Weight, registry
 
 __all__ = [
@@ -20,7 +27,7 @@ __all__ = [
     "restricted_exponents",
     "total_chern",
     "chern_named",
-    "ChernReport",
+    "report_named",
 ]
 
 
@@ -122,58 +129,25 @@ def chern_named(name: str, point: RestrictionPoint) -> UPoly:
     return total_chern(registry(name, point.rank), point)
 
 
-class ChernReport:
-    """A restriction point, a total Chern class, and the form flags the
-    classification relies on.  Flags are recomputed from the polynomial on
-    demand rather than stored, so they cannot go stale.  Immutable, equal
-    and hashed by (point, poly, rep)."""
-
-    __slots__ = ("point", "poly", "rep")
-
-    def __init__(self, point: RestrictionPoint, poly: UPoly, rep: "str | None" = None):
-        for name, value in zip(self.__slots__, (point, poly, rep)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChernReport is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, ChernReport):
-            return NotImplemented
-        return (self.point, self.poly, self.rep) == (other.point, other.poly, other.rep)
-
-    def __hash__(self):
-        return hash((self.point, self.poly, self.rep))
-
-    def __reduce__(self):
-        return ChernReport, (self.point, self.poly, self.rep)
-
-    def flags(self) -> dict:
-        p = self.point.p
-        d = subring_bound(p)
-        pm = pm_factorization(self.poly)
-        return {
-            "divisible_by_1_minus_t2": self.poly.divexact(UPoly(p, (1, 0, p - 1)))
-            is not None,
+def report_named(name: str, point: RestrictionPoint) -> dict:
+    """The total Chern class of a registered representation at one point,
+    with the form flags the classification relies on, as plain data."""
+    poly = chern_named(name, point)
+    p = point.p
+    d = subring_bound(p)
+    pm = pm_factorization(poly)
+    return {
+        "p": p,
+        "alpha": point.render(),
+        "rank": point.rank,
+        "rep": name,
+        "total_chern": poly.render(),
+        "degree": poly.degree,
+        "flags": {
+            "divisible_by_1_minus_t2": poly.divexact(UPoly(p, (1, 0, p - 1))) is not None,
             "pm_form": list(pm) if pm is not None else None,
             "subring_exponent": d,
-            "in_subring": in_subring(self.poly, d),
-            "canonical_alpha": self.point.is_canonical,
-        }
-
-    def to_dict(self) -> dict:
-        out = {
-            "p": self.point.p,
-            "alpha": self.point.render(),
-            "rank": self.point.rank,
-            "total_chern": self.poly.render(),
-            "degree": self.poly.degree,
-            "flags": self.flags(),
-        }
-        if self.rep is not None:
-            out["rep"] = self.rep
-        return out
-
-
-def report_named(name: str, point: RestrictionPoint) -> ChernReport:
-    return ChernReport(point=point, poly=chern_named(name, point), rep=name)
+            "in_subring": in_subring(poly, d),
+            "canonical_alpha": point.is_canonical,
+        },
+    }

@@ -52,8 +52,15 @@ from collections import Counter, namedtuple
 from operator import add, itemgetter, mul
 
 from .certificates import CheckResult
-from .dickson import subring_bound
-from .fppoly import UPoly, _binomial_power, chern_of_counts, in_subring, inv2, pm_factorization
+from .fppoly import (
+    UPoly,
+    _binomial_power,
+    chern_of_counts,
+    in_subring,
+    inv2,
+    pm_factorization,
+    subring_bound,
+)
 from .spinchar import (
     REP_NAMES,
     Character,
@@ -137,9 +144,8 @@ class CountTable:
         weights: tuple,
         class_of: memoryview,
         reps: "tuple | None",
-        _columns: "dict | None" = None,
     ):
-        values = (p, n, mode, counts, weights, class_of, reps, {} if _columns is None else _columns)
+        values = (p, n, mode, counts, weights, class_of, reps, {})
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 

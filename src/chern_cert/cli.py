@@ -186,14 +186,14 @@ def _cmd_chern(args) -> int:
         print("error: alpha must not be the zero vector", file=sys.stderr)
         return 1
     report = report_named(args.rep, point)
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(text + "\n")
     if args.json:
         print(text)
     else:
-        print(report.poly.render())
+        print(report["total_chern"])
     return 0
 
 

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 
 from .certificates import CheckResult
-from .fppoly import MPoly, UPoly, check_odd_prime
+from .fppoly import MPoly, UPoly, check_odd_prime, subring_bound
 
 __all__ = [
     "DicksonSet",
-    "subring_bound",
     "compute",
     "orbit_product",
     "antipodal_representatives",
@@ -44,30 +44,12 @@ STATEMENT = {3: "lemma-3.1-facts", 5: "lemma-4.2-facts"}
 _PRIMES = tuple(STATEMENT)
 
 
-def subring_bound(p: int) -> int:
-    """t-exponent of the rank-1 image of the top proper Dickson invariant:
-    p^3 - p^2.  Every restricted class of the ambient group lands in
-    F_p[t^(p^3 - p^2)]."""
-    check_odd_prime(p)
-    return p**3 - p**2
-
-
-class DicksonSet:
-    """The computed invariants at one prime: c[i] is c_{3,i} (a polynomial in
+class DicksonSet(namedtuple("DicksonSet", "p cs e3 sign")):
+    """The computed invariants at one prime: cs[i] is c_{3,i} (a polynomial in
     y1, y2, y3), e3 its square-root partner, sign the unit with
-    e3^2 = sign * c_{3,0} (None if the relation failed).  Immutable."""
+    e3^2 = sign * c_{3,0} (None if the relation failed)."""
 
-    __slots__ = ("p", "cs", "e3", "sign")
-
-    def __init__(self, p: int, cs: tuple[MPoly, MPoly, MPoly], e3: MPoly, sign: "int | None"):
-        for name, value in zip(self.__slots__, (p, cs, e3, sign)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DicksonSet is immutable")
-
-    def __reduce__(self):
-        return DicksonSet, (self.p, self.cs, self.e3, self.sign)
+    __slots__ = ()
 
     def c(self, i: int) -> MPoly:
         return self.cs[i]
@@ -302,23 +284,18 @@ def transvection_generators(p: int) -> list[list[list[int]]]:
     return mats
 
 
-def sl3_invariance_check(p: int, ds: "DicksonSet | None" = None) -> CheckResult:
-    """Every elementary transvection fixes c_{3,0}, c_{3,1}, c_{3,2} and e3;
-    each violation is a witness."""
+def sl3_invariance_check(p: int, ds: "DicksonSet | None" = None) -> list[dict]:
+    """The (generator, matrix, invariant) of every elementary transvection
+    that moves one of c_{3,0}, c_{3,1}, c_{3,2} and e3: empty exactly when
+    all four are invariant."""
     ds = ds or compute(p)
     violations = []
     polys = {"c0": ds.c(0), "c1": ds.c(1), "c2": ds.c(2), "e3": ds.e3}
-    generators = transvection_generators(p)
-    for gi, m in enumerate(generators):
+    for gi, m in enumerate(transvection_generators(p)):
         for name, poly in polys.items():
             if poly.substitute_linear(m) != poly:
                 violations.append({"generator": gi, "matrix": m, "invariant": name})
-    return CheckResult.judge(
-        STATEMENT[p],
-        {"p": p, "rank": _RANK, "scope": "sl3-invariance"},
-        {"generators_checked": len(generators), "invariants_checked": sorted(polys)},
-        witnesses=violations,
-    )
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +352,10 @@ def lemma_facts(p: int, full: bool = False) -> CheckResult:
             problems.append(f"e3 degree {e3_degree}, expected {p**3 - 1}")
         if ds.sign is None:
             problems.append("e3^2 is not a unit multiple of c_{3,0}")
-        invariance = sl3_invariance_check(p, ds)
-        if not invariance.verified:
+        violations = sl3_invariance_check(p, ds)
+        if violations:
             problems.append("transvection invariance failed")
-            evidence["invariance_violations"] = invariance.evidence["witnesses"]
+            evidence["invariance_violations"] = violations
         # cross-check: restricting the expanded invariants reproduces the
         # factored-route images
         cross = all(
@@ -395,7 +372,7 @@ def lemma_facts(p: int, full: bool = False) -> CheckResult:
                     "e3": e3_degree,
                 },
                 "e3_squared_sign": ds.sign,
-                "transvection_invariance": invariance.verified,
+                "transvection_invariance": not violations,
                 "expanded_restriction_cross_check": cross,
                 "orbit_x_support": [p**i for i in range(_RANK + 1)],
             }

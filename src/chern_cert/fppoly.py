@@ -10,15 +10,16 @@ mod-p cohomology of the classifying space of an order-p cyclic group (with
 nilpotents discarded), so cohomological degree is twice the t-exponent.
 
 Products in F_p[t] are one big-int product (Kronecker substitution): each
-coefficient list is packed into an int, a byte slot per coefficient, wide
-enough for min(len(a), len(b)) * (p - 1)^2 so that no slot carries into the
-next, and the slots of the product are reduced mod p once.  A total Chern
-class multiplies its at most p - 1 binomial powers as one such k-fold
-product, slots wide enough for (p - 1)^k times the product of every length
-but the longest.  Slots are a power of two bytes wide: array items up to 8
-bytes, byte strings beyond (for p near 2^32 and above).  Values derived
-from validated ones skip the public constructors' checks, and moduli are
-checked by a deterministic Miller-Rabin test, exact below PRIME_BOUND.
+of k coefficient lists is packed into an int, a byte slot per coefficient,
+wide enough for (p - 1)^k times the product of every length but the longest
+so that no slot carries into the next, and the slots of the product are
+reduced mod p once.  The two operands of UPoly.__mul__ are the case k = 2,
+slots for min(len(a), len(b)) * (p - 1)^2; a total Chern class multiplies
+its at most p - 1 binomial powers as one such product.  Slots are a power
+of two bytes wide: array items up to 8 bytes, byte strings beyond (for p
+near 2^32 and above).  Values derived from validated ones skip the public
+constructors' checks, and moduli are checked by a deterministic
+Miller-Rabin test, exact below PRIME_BOUND.
 
 Products in F_p[y1..yn, X] work on packed exponent keys: each term's
 exponent vector is one int with a digit of width bits per variable,
@@ -38,8 +39,7 @@ each row packed like a product operand with slots sized for
 len(H) * (p - 1)^2 and memoized, and the sum's slots are reduced mod p once
 (one bytes.translate for byte slots).
 
-All values are immutable after construction and every operation is pure;
-instances can be shared freely between concurrent workers.
+All values are immutable after construction and every operation is pure.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ __all__ = [
     "chern_of_counts",
     "pair_factor",
     "in_subring",
+    "subring_bound",
     "pm_factorization",
 ]
 
@@ -205,7 +206,7 @@ class UPoly:
         self._check_same(other)
         if self.is_zero or other.is_zero:
             return UPoly._reduced(self.p, ())
-        return UPoly._reduced(self.p, _product(self.p, self.coeffs, other.coeffs))
+        return UPoly._reduced(self.p, _product(self.p, (self.coeffs, other.coeffs)))
 
     def __pow__(self, exponent: int) -> "UPoly":
         if exponent < 0:
@@ -281,17 +282,20 @@ class UPoly:
 _SLOT_CODES = {array(code).itemsize: code for code in "QLIHB"}
 
 
-def _product(p: int, a, b) -> list[int]:
-    """The coefficients of a * b over F_p, for nonempty coefficient
-    sequences a and b of residues in range(p), by Kronecker substitution.
+def _product(p: int, seqs) -> list[int]:
+    """The coefficients of the product of seqs over F_p, for nonempty
+    coefficient sequences of residues in range(p), by Kronecker substitution.
 
-    Every coefficient of the integer product is a sum of at most
-    min(len(a), len(b)) terms below p^2, so with byte slots that wide the
-    packed ints multiply without any slot carrying into the next, and each
-    slot of the big-int product is one coefficient before reduction."""
-    slot = _slot_bytes(min(len(a), len(b)) * (p - 1) ** 2)
-    x = _pack(a, slot) * _pack(b, slot)
-    return [c % p for c in _unpack(x, len(a) + len(b) - 1, slot)]
+    Fixing the index in every sequence but the longest fixes the last one, so
+    every coefficient of the k-fold integer product is a sum of at most the
+    product of every length but the longest terms, each at most (p - 1)^k.
+    With byte slots that wide the packed ints multiply without any slot
+    carrying into the next, and each slot of the big-int product is one
+    coefficient before reduction.  The empty product is [1]."""
+    lengths = sorted(map(len, seqs))
+    slot = _slot_bytes((p - 1) ** len(lengths) * math.prod(lengths[:-1]))
+    x = math.prod([_pack(s, slot) for s in seqs])
+    return [c % p for c in _unpack(x, sum(lengths) - len(lengths) + 1, slot)]
 
 
 def _slot_bytes(bound: int) -> int:
@@ -364,22 +368,12 @@ def _taylor_row(p: int, c: int, i: int, slot: int) -> int:
     return _pack(_binomial_power(p, c, i)[::-1], slot) if i else 1
 
 
-@functools.lru_cache(maxsize=1024)
-def _packed_power(p: int, v: int, m: int, slot: int) -> int:
-    """(1 + v*t)^m over F_p packed by _pack with slots of slot bytes."""
-    return _pack(_binomial_power(p, v, m), slot)
-
-
 def chern_of_counts(p: int, counts: Iterable[tuple[int, int]]) -> UPoly:
     """prod (1 + v*t)^m over the (value, multiplicity) pairs of counts: the
     total Chern class of a sum of line characters in which z^v occurs m
     times.  The multiplicities of each nonzero residue v mod p are added up,
-    and each power is built once per (p, v, m) from the base-p digits of m
-    and packed once per slot width.  The powers are multiplied as one
-    Kronecker product (see the module docstring): each coefficient of the
-    k-fold integer product sums at most the product of every length but
-    the longest terms below (p - 1)^k, so no slot carries, and the product
-    is unpacked and reduced mod p once."""
+    each power is built once per (p, v, m) from the base-p digits of m, and
+    the powers are multiplied as one k-fold _product."""
     check_odd_prime(p)
     powers: dict[int, int] = {}
     for v, m in counts:
@@ -387,10 +381,7 @@ def chern_of_counts(p: int, counts: Iterable[tuple[int, int]]) -> UPoly:
             raise ValueError(f"multiplicities must be nonnegative, got {m}")
         if v % p and m:
             powers[v % p] = powers.get(v % p, 0) + m
-    lengths = sorted(m + 1 for m in powers.values())
-    slot = _slot_bytes((p - 1) ** len(lengths) * math.prod(lengths[:-1]))
-    x = math.prod([_packed_power(p, v, m, slot) for v, m in powers.items()])
-    return UPoly._reduced(p, [c % p for c in _unpack(x, sum(powers.values()) + 1, slot)])
+    return UPoly._reduced(p, _product(p, [_binomial_power(p, v, m) for v, m in powers.items()]))
 
 
 def chern_of_exponents(p: int, exponents: Iterable[int]) -> UPoly:
@@ -420,6 +411,14 @@ def in_subring(a: UPoly, d: int) -> bool:
     # every nonzero coefficient is one of the coefficients at multiples of d
     coeffs, sub = a.coeffs, a.coeffs[::d]
     return len(coeffs) - coeffs.count(0) == len(sub) - sub.count(0)
+
+
+def subring_bound(p: int) -> int:
+    """t-exponent of the rank-1 image of the top proper Dickson invariant:
+    p^3 - p^2.  Every restricted class of the ambient group lands in
+    F_p[t^(p^3 - p^2)]."""
+    check_odd_prime(p)
+    return p**3 - p**2
 
 
 def pm_factorization(a: UPoly) -> "tuple[int, int] | None":
@@ -717,14 +716,12 @@ class MPoly:
     def __repr__(self):
         return f"MPoly(p={self.p}, arity={self.arity}, {len(self.terms)} terms)"
 
-    def render(self, names: "tuple[str, ...] | None" = None) -> str:
-        """Canonical text form with terms sorted by exponent vector."""
+    def render(self) -> str:
+        """Canonical text form in the variables y1..yn, terms sorted by
+        exponent vector."""
         if not self.terms:
             return "0"
-        if names is None:
-            names = tuple(f"y{i + 1}" for i in range(self.arity))
-        if len(names) != self.arity:
-            raise ValueError("names must match arity")
+        names = [f"y{i + 1}" for i in range(self.arity)]
         parts = []
         for key, c in self.sorted_terms():
             factors = []

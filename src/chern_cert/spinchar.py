@@ -9,9 +9,9 @@ arithmetic; a weight is valid only when its entries are all even or all odd.
 
 Characters are finite multisets of weights with positive multiplicities
 (genuine characters only; virtual combinations are rejected).  They are
-immutable after construction, hash by their weight multiset and are safe
-to share across workers; the weight-system constructors are memoized, so a
-repeated call hands back the same character.  Sums, scalar multiples and
+immutable after construction and hash by their weight multiset; the
+weight-system constructors are memoized, so a repeated call hands back the
+same character.  Sums, scalar multiples and
 branchings are built from weights of valid characters, which keep their
 rank (or lose the last entry) and their parity, so they skip the public
 constructor's checks; zero multiplicities are still dropped.

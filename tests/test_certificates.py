@@ -127,6 +127,14 @@ class TestCertificate:
             Certificate.load(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("text", ["5", "null", '["statement", "status"]'])
+    def test_load_rejects_non_object_json(self, tmp_path, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="expected a JSON object") as info:
+            Certificate.load(path)
+        assert str(path) in str(info.value)
+
     def test_file_is_ascii_json(self, tmp_path):
         cert = Certificate.from_result(_result())
         path = cert.write(tmp_path / "c.json")

@@ -5,7 +5,6 @@ import pickle
 import pytest
 
 from chern_cert.chern import (
-    ChernReport,
     RestrictionPoint,
     chern_named,
     report_named,
@@ -146,8 +145,7 @@ class TestChernNamed:
 class TestChernReport:
     def test_flags_recomputed_from_polynomial(self):
         pt = RestrictionPoint(3, (1, 1, 1, 0))
-        report = report_named("rho4", pt)
-        flags = report.flags()
+        flags = report_named("rho4", pt)["flags"]
         assert flags["divisible_by_1_minus_t2"] is True
         assert flags["pm_form"] == [9, 0]
         assert flags["subring_exponent"] == 18
@@ -156,25 +154,15 @@ class TestChernReport:
 
     def test_to_dict(self):
         pt = RestrictionPoint(3, (0, 1, 1, 1))
-        d = report_named("rho7", pt).to_dict()
+        d = report_named("rho7", pt)
         assert d["total_chern"] == "1 + t^18 + t^36"
         assert d["rep"] == "rho7"
         assert d["alpha"] == "0,1,1,1"
         assert d["flags"]["canonical_alpha"] is True
 
-    def test_report_for_plain_polynomial(self):
+    def test_report_outside_the_subring(self):
         pt = RestrictionPoint(5, (1, 0, 0, 0, 0, 0, 0, 0))
-        poly = total_chern(exterior_square_weights(8), pt)
-        report = ChernReport(point=pt, poly=poly)
-        assert report.flags()["pm_form"] == [14, 0]
-        assert report.flags()["in_subring"] is False
-
-    def test_value_semantics(self):
-        pt = RestrictionPoint(3, (0, 1, 1, 1))
-        report = report_named("rho7", pt)
-        same = ChernReport(RestrictionPoint(3, (3, 1, 4, 1)), chern_named("rho7", pt), "rho7")
-        assert report == same and hash(report) == hash(same)
-        assert report != ChernReport(pt, report.poly)
-        assert pickle.loads(pickle.dumps(report)) == report
-        with pytest.raises(AttributeError):
-            report.rep = None
+        d = report_named("rho8", pt)
+        assert (d["p"], d["rank"], d["degree"]) == (5, 8, 156)
+        assert d["flags"]["pm_form"] == [14, 64]
+        assert d["flags"]["in_subring"] is False

@@ -24,8 +24,14 @@ from chern_cert.classify import (
     orbit_size,
     sweep_mod5,
 )
-from chern_cert.dickson import subring_bound
-from chern_cert.fppoly import UPoly, chern_of_counts, chern_of_exponents, in_subring, pm_factorization
+from chern_cert.fppoly import (
+    UPoly,
+    chern_of_counts,
+    chern_of_exponents,
+    in_subring,
+    pm_factorization,
+    subring_bound,
+)
 from chern_cert.spinchar import (
     REP_NAMES,
     Character,

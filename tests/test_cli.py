@@ -314,6 +314,26 @@ def test_commands_run_without_numpy(tmp_path):
     assert done.stdout.split()[-1] == "False"
 
 
+def test_import_layering():
+    # the package root loads no submodule, and the per-point layers do not
+    # load the Dickson expansion
+    env = dict(os.environ, PYTHONPATH=str(Path(chern_cert.__file__).resolve().parents[1]))
+
+    def loaded(module):
+        probe = "print(*[m for m in sys.modules if m.startswith('chern_cert.')])"
+        done = subprocess.run(
+            [sys.executable, "-c", f"import sys, {module}; {probe}"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()
+
+    assert loaded("chern_cert") == []
+    for module in ("chern_cert.chern", "chern_cert.classify"):
+        modules = loaded(module)
+        assert module in modules and "chern_cert.dickson" not in modules
+
+
 class TestUsageErrors:
     """Every usage error exits 2 with one "error:" line and no traceback,
     before any certificate is written."""

@@ -12,6 +12,7 @@ from chern_cert.fppoly import (
     inv2,
     pair_factor,
     pm_factorization,
+    subring_bound,
 )
 
 
@@ -160,6 +161,17 @@ class TestInSubring:
     def test_rejects_bad_exponent(self):
         with pytest.raises(ValueError):
             in_subring(UPoly.one(3), 0)
+
+
+class TestSubringBound:
+    def test_values(self):
+        assert subring_bound(3) == 18
+        assert subring_bound(5) == 100
+        assert subring_bound(7) == 294
+
+    def test_rejects_p2(self):
+        with pytest.raises(ValueError):
+            subring_bound(2)
 
 
 class TestPmFactorization:
