@@ -179,10 +179,14 @@ class Certificate:
     @classmethod
     def load(cls, path: "Path | str") -> "Certificate":
         """Read a certificate file; unknown future fields are ignored.  Raises
-        ValueError, naming path, unless the file holds a known statement and
-        status (the checks of from_result) and the stored canonical_sha256 is
-        the hash of the loaded payload."""
-        raw = json.loads(Path(path).read_text(encoding="ascii"))
+        ValueError, naming path, unless the file can be read as ASCII JSON,
+        holds a known statement and status (the checks of from_result) and
+        the stored canonical_sha256 is the hash of the loaded payload."""
+        try:
+            raw = json.loads(Path(path).read_text(encoding="ascii"))
+        except (OSError, ValueError) as exc:
+            # ValueError covers json.JSONDecodeError and UnicodeDecodeError
+            raise ValueError(f"{path}: {exc}") from None
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: expected a JSON object, got {type(raw).__name__}")
         for field in ("statement", "status"):

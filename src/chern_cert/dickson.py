@@ -126,9 +126,7 @@ def orbit_product(p: int) -> MPoly:
         product = MPoly.one(p, arity)
         for a in order:
             # X -> X + a*y_axis, every other variable fixed
-            shift = [[int(i == j) for j in range(arity)] for i in range(arity)]
-            shift[axis][x] = a
-            product = product * tower.substitute_linear(shift)
+            product = product * tower.substitute_linear(x, axis, a)
         tower = product
     return tower
 
@@ -270,31 +268,26 @@ def restrict_expanded(poly: MPoly) -> UPoly:
 # ---------------------------------------------------------------------------
 
 
-def transvection_generators(p: int) -> list[list[list[int]]]:
+def transvection_generators(p: int) -> list[tuple[int, int]]:
     """The six elementary transvections of SL_3(F_p): y_a -> y_a + y_b for
-    a != b, all other variables fixed (as substitution matrices)."""
-    mats = []
-    for a in range(_RANK):
-        for b in range(_RANK):
-            if a == b:
-                continue
-            m = [[1 if i == j else 0 for j in range(_RANK)] for i in range(_RANK)]
-            m[b][a] = 1
-            mats.append(m)
-    return mats
+    a != b, all other variables fixed, as the index pairs (a, b)."""
+    return list(itertools.permutations(range(_RANK), 2))
 
 
 def sl3_invariance_check(p: int, ds: "DicksonSet | None" = None) -> list[dict]:
     """The (generator, matrix, invariant) of every elementary transvection
     that moves one of c_{3,0}, c_{3,1}, c_{3,2} and e3: empty exactly when
-    all four are invariant."""
+    all four are invariant.  A violation records the transvection (a, b) as
+    its substitution matrix, the identity with a 1 at row b, column a."""
     ds = ds or compute(p)
     violations = []
     polys = {"c0": ds.c(0), "c1": ds.c(1), "c2": ds.c(2), "e3": ds.e3}
-    for gi, m in enumerate(transvection_generators(p)):
+    for gi, (a, b) in enumerate(transvection_generators(p)):
         for name, poly in polys.items():
-            if poly.substitute_linear(m) != poly:
-                violations.append({"generator": gi, "matrix": m, "invariant": name})
+            if poly.substitute_linear(a, b, 1) != poly:
+                matrix = [[int(i == j or (i, j) == (b, a)) for j in range(_RANK)]
+                          for i in range(_RANK)]
+                violations.append({"generator": gi, "matrix": matrix, "invariant": name})
     return violations
 
 

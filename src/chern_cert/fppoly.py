@@ -30,14 +30,15 @@ product costs one int addition instead of a new tuple.  Operands are packed
 on entry and the result is unpacked once; MPoly.terms stays keyed by
 exponent tuples.
 
-The only linear substitution is an elementary shear y_a -> y_a + c*y_b, the
-one change of coordinates the Dickson checks make, and it makes no term
-products: the terms that agree in every other exponent and in e_a + e_b
-form a binary form with coefficient list H, whose image is the Taylor shift
-H(u + c).  That shift is one packed-int sum of h_i times the row (u + c)^i,
-each row packed like a product operand with slots sized for
-len(H) * (p - 1)^2 and memoized, and the sum's slots are reduced mod p once
-(one bytes.translate for byte slots).
+The only linear substitution is an elementary shear y_a -> y_a + c*y_b,
+MPoly.substitute_linear(a, b, c): the Dickson checks make no other change
+of coordinates (the tower shifts X -> X + a*y and the transvections
+y_a -> y_a + y_b).  A shear makes no term products: the terms that agree in
+every other exponent and in e_a + e_b form a binary form with coefficient
+list H, whose image is the Taylor shift H(u + c).  That shift is one
+packed-int sum of h_i times the row (u + c)^i, each row packed like a
+product operand with slots sized for len(H) * (p - 1)^2 and memoized, and
+the sum's slots are reduced mod p once (one bytes.translate for byte slots).
 
 All values are immutable after construction and every operation is pure.
 """
@@ -632,41 +633,15 @@ class MPoly:
         the remaining variables (arity drops by one)."""
         if self.arity < 2:
             raise ValueError("cannot drop the only variable")
-        data = {}
-        for key, c in self.terms.items():
-            if key[var] == exponent:
-                data[key[:var] + key[var + 1 :]] = c
-        return MPoly(self.p, self.arity - 1, data)
+        out = MPoly.zero(self.p, self.arity - 1)
+        out.terms = {key[:var] + key[var + 1 :]: c
+                     for key, c in self.terms.items() if key[var] == exponent}
+        return out
 
-    def substitute_linear(self, matrix) -> "MPoly":
-        """Replace variable j by sum_i matrix[i][j] * variable_i for the
-        leading len(matrix) variables; trailing variables are left fixed.
-
-        len(matrix) must equal the arity, or arity - 1 when the last slot is
-        an auxiliary variable that the change of coordinates does not touch.
-        Read mod p, the matrix is the identity (self is returned) or an
-        elementary shear, the identity but for one off-diagonal entry c at
-        row b, column a: y_a -> y_a + c*y_b (_shear).  Others raise ValueError.
-        """
-        n = len(matrix)
-        if n not in (self.arity, self.arity - 1):
-            raise ValueError(f"matrix size {n} does not match arity {self.arity}")
-        if any(len(row) != n for row in matrix):
-            raise ValueError("matrix must be square")
-        p = self.p
-        # (row, column, residue) of every entry that differs from the identity's
-        off = [(i, j, e % p) for i, row in enumerate(matrix)
-               for j, e in enumerate(map(int, row)) if e % p != (i == j)]
-        if not off:
-            return self
-        if len(off) == 1 and off[0][0] != off[0][1]:
-            ((b, a, c),) = off
-            return self._shear(a, b, c)
-        raise ValueError(f"not the identity or an elementary shear (the identity but for"
-                         f" one off-diagonal entry) mod {p}: {matrix}")
-
-    def _shear(self, a: int, b: int, c: int) -> "MPoly":
-        """self with y_a replaced by y_a + c*y_b, for a != b and c in 1..p-1.
+    def substitute_linear(self, a: int, b: int, c: int) -> "MPoly":
+        """self with y_a replaced by y_a + c*y_b, an elementary shear, for
+        distinct variable indices a and b below the arity; c is read mod p
+        and c = 0 returns self.
 
         The terms that agree in every exponent but e_a and e_b and in
         s = e_a + e_b form a binary form sum_i h_i y_a^i y_b^(s - i), whose
@@ -675,7 +650,14 @@ class MPoly:
         adds one product below p^2 per term of the form, so the slots are
         sized for len(h) * (p - 1)^2 and reduced once.  The images of
         distinct forms share no monomial, so each output term is written once."""
+        indices = range(self.arity)
+        if a == b or a not in indices or b not in indices:
+            raise ValueError(f"a shear needs two distinct variable indices in"
+                             f" {indices}, got a = {a}, b = {b}")
         p = self.p
+        c %= p
+        if not c:
+            return self
         groups: dict[tuple[int, ...], dict[int, int]] = {}
         for key, coeff in self.terms.items():
             # the form's key: e_a moved onto e_b, so slot b holds s

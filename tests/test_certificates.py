@@ -135,6 +135,23 @@ class TestCertificate:
             Certificate.load(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize(
+        "content, match",
+        [
+            (b"{", "Expecting property name"),  # malformed JSON
+            (b'{"statement": "caf\xc3\xa9"}', "codec can't decode"),  # a non-ASCII byte
+            (None, "No such file"),  # a missing file
+        ],
+        ids=["malformed", "non-ascii", "missing"],
+    )
+    def test_load_rejects_unreadable_file(self, tmp_path, content, match):
+        path = tmp_path / "c.json"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ValueError, match=match) as info:
+            Certificate.load(path)
+        assert str(path) in str(info.value)
+
     def test_file_is_ascii_json(self, tmp_path):
         cert = Certificate.from_result(_result())
         path = cert.write(tmp_path / "c.json")

@@ -216,37 +216,37 @@ class TestMPoly:
         assert not (a + b).terms
 
     def test_substitute_identity(self):
+        # a shear by c = 0 mod p is the identity and returns the polynomial
         p = 3
         y1 = MPoly.variable(p, 3, 0)
-        eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-        assert y1.substitute_linear(eye) == y1
-        # entries are read mod p
-        assert y1.substitute_linear([[4, 0, 3], [0, -2, 0], [-3, 6, 7]]) == y1
+        assert y1.substitute_linear(0, 1, 0) is y1
+        assert y1.substitute_linear(0, 2, -3) is y1
+        # c is read mod p
+        assert y1.substitute_linear(0, 1, 4) == y1.substitute_linear(0, 1, 1)
 
     def test_substitute_transvection_binomial(self):
         # y1^2 under y1 -> y1 + y2 becomes y1^2 + 2 y1 y2 + y2^2
         p = 3
         f = MPoly.monomial(p, 3, (2, 0, 0))
-        m = [[1, 0, 0], [1, 1, 0], [0, 0, 1]]
-        got = f.substitute_linear(m)
+        got = f.substitute_linear(0, 1, 1)
         want = MPoly(
             p, 3, {(2, 0, 0): 1, (1, 1, 0): 2, (0, 2, 0): 1}
         )
         assert got == want
 
     def test_substitute_fixes_trailing_auxiliary(self):
-        # arity 3 polynomial, 2x2 matrix: the last variable is fixed
+        # y1 -> y1 + y2 leaves the last variable fixed
         p = 3
         f = MPoly.monomial(p, 3, (1, 0, 2))
-        m = [[1, 0], [1, 1]]
-        got = f.substitute_linear(m)
+        got = f.substitute_linear(0, 1, 1)
         want = MPoly(p, 3, {(1, 0, 2): 1, (0, 1, 2): 1})
         assert got == want
 
     def test_substitute_arity_mismatch(self):
+        # a variable index beyond the arity names no variable
         f = MPoly.variable(3, 3, 0)
         with pytest.raises(ValueError):
-            f.substitute_linear([[1]])
+            f.substitute_linear(0, 3, 1)
 
     def test_coefficient_extraction(self):
         p = 3

@@ -319,7 +319,8 @@ class TestPackedKeys:
 
 
 def shear_matrix(n, a, b, c):
-    """The n x n identity with c at row b, column a: y_a -> y_a + c*y_b."""
+    """The n x n identity with c at row b, column a: y_a -> y_a + c*y_b, the
+    matrix the references substitute."""
     m = [[int(i == j) for j in range(n)] for i in range(n)]
     m[b][a] = c
     return m
@@ -328,33 +329,30 @@ def shear_matrix(n, a, b, c):
 @st.composite
 def shear_cases(draw):
     """A polynomial over F_p in 2..4 variables, not homogeneous in general
-    and possibly zero, and an elementary shear acting on all variables or
-    on all but the last.  Entries are drawn up to a multiple of p away from
-    their residues, so the shape is read after reduction mod p."""
+    and possibly zero, and an elementary shear (a, b, c) of two of its
+    variables.  c is drawn up to a multiple of p away from its residue, 0
+    included, so the shear is read after reduction mod p."""
     p = draw(st.sampled_from((3, 5, 7)))
     arity = draw(st.integers(2, 4))
-    n = draw(st.sampled_from((arity, arity - 1) if arity > 2 else (arity,)))
-    a, b = draw(st.permutations(range(n)))[:2]
-    c = draw(st.integers(1, p - 1)) + p * draw(st.integers(-1, 1))
-    m = shear_matrix(n, a, b, c)
-    m[a][a] += p * draw(st.integers(0, 1))
+    a, b = draw(st.permutations(range(arity)))[:2]
+    c = draw(st.integers(0, p - 1)) + p * draw(st.integers(-1, 1))
     keys = st.tuples(*(st.integers(0, 6) for _ in range(arity)))
     terms = draw(st.dictionaries(keys, st.integers(0, p - 1), max_size=8))
-    return MPoly(p, arity, terms), m
+    return MPoly(p, arity, terms), a, b, c
 
 
 class TestShear:
     """substitute_linear's elementary shears (Taylor shifts of packed binary
-    forms) against the tuple-keyed references, and every other matrix
-    rejected."""
+    forms) against the tuple-keyed references, and bad indices rejected."""
 
     @given(shear_cases())
-    @example((MPoly(3, 2, {}), [[1, 0], [1, 1]]))
-    @example((MPoly(5, 3, {(2, 1, 0): 1, (0, 3, 4): 2, (0, 0, 0): 3}), [[1, 0], [4, 1]]))
+    @example((MPoly(3, 2, {}), 0, 1, 1))
+    @example((MPoly(5, 3, {(2, 1, 0): 1, (0, 3, 4): 2, (0, 0, 0): 3}), 0, 1, 4))
     @settings(max_examples=80, deadline=None)
     def test_matches_references(self, case):
-        f, matrix = case
-        got = f.substitute_linear(matrix)
+        f, a, b, c = case
+        matrix = shear_matrix(f.arity, a, b, c)
+        got = f.substitute_linear(a, b, c)
         assert got.terms == tuple_substitute(f.p, f.arity, f.terms, matrix)
         assert got == naive_substitute(f, matrix)
 
@@ -362,12 +360,11 @@ class TestShear:
     def test_every_shift_and_both_orders(self, p):
         # a non-homogeneous polynomial in y1, y2, y3 and an auxiliary X
         terms = {(3, 1, 0, 2): 1, (0, 4, 1, 0): p - 1, (1, 1, 1, 1): 2, (2, 0, 0, 0): 1, (0, 0, 0, 3): 1}
-        for n in (4, 3):
-            f = MPoly(p, 4, terms)
-            for a, b in itertools.permutations(range(n), 2):
-                for c in range(1, p):
-                    m = shear_matrix(n, a, b, c)
-                    assert f.substitute_linear(m).terms == tuple_substitute(p, 4, f.terms, m), (n, a, b, c)
+        f = MPoly(p, 4, terms)
+        for a, b in itertools.permutations(range(4), 2):
+            for c in range(1, p):
+                m = shear_matrix(4, a, b, c)
+                assert f.substitute_linear(a, b, c).terms == tuple_substitute(p, 4, f.terms, m), (a, b, c)
 
     @pytest.mark.parametrize("e", [13, 48])
     def test_dense_form_needs_two_byte_slots(self, e):
@@ -377,9 +374,8 @@ class TestShear:
         p = 7
         f = MPoly.linear_form(p, 3, (1, 1)) ** e + MPoly.monomial(p, 3, (2, 1, 1), 3)
         for a, b in ((0, 1), (1, 0)):
-            m = shear_matrix(3, a, b, 2)
-            assert f.substitute_linear(m) == naive_substitute(f, m)
-        assert f.substitute_linear(shear_matrix(3, 1, 0, 6)).terms == tuple_substitute(
+            assert f.substitute_linear(a, b, 2) == naive_substitute(f, shear_matrix(3, a, b, 2))
+        assert f.substitute_linear(1, 0, 6).terms == tuple_substitute(
             p, 3, f.terms, shear_matrix(3, 1, 0, 6)
         )
 
@@ -389,27 +385,29 @@ class TestShear:
         # (packed byte strings, not arrays) at p = 4294967311
         f = MPoly(p, 3, {(3, 2, 0): p - 1, (1, 4, 1): 2, (0, 5, 0): p - 2, (4, 0, 2): 1})
         for a, b in ((0, 1), (1, 0), (2, 0)):
-            m = shear_matrix(3, a, b, p - 3)
-            assert f.substitute_linear(m) == naive_substitute(f, m)
+            got = f.substitute_linear(a, b, p - 3)
+            assert got == naive_substitute(f, shear_matrix(3, a, b, p - 3))
 
     @pytest.mark.parametrize(
-        "matrix",
+        "a, b",
         [
-            [[2, 0, 0], [0, 1, 0], [0, 0, 1]],  # a diagonal scaling
-            [[1, 0, 0], [1, 1, 1], [0, 0, 1]],  # two columns moved
-            [[1, 0, 0], [1, 1, 0], [1, 0, 1]],  # one column, two entries added
-            [[2, 0, 0], [1, 1, 0], [0, 0, 1]],  # a shear's column, scaled
-            [[0, 1], [1, 0]],  # a swap
-            [[0, 0, 0], [0, 0, 0], [0, 0, 0]],  # singular
+            (1, 1),  # a == b: a scaling, not a shear
+            (0, 3),  # b is the arity
+            (4, 0),  # a beyond the arity
+            (-1, 0),  # negative indices do not count from the end
+            (0, -3),
         ],
     )
-    def test_other_matrices_are_rejected(self, matrix):
-        # only the identity and elementary shears are substituted; the
-        # polynomial has one auxiliary variable beyond the matrix's reach
-        p, n = 5, len(matrix)
-        f = MPoly(p, n + 1, {(3,) * n + (2,): 1, (1,) * (n + 1): 2})
-        with pytest.raises(ValueError, match="elementary shear"):
-            f.substitute_linear(matrix)
+    def test_bad_indices_are_rejected(self, a, b):
+        f = MPoly(5, 3, {(3, 3, 2): 1, (1, 1, 1): 2})
+        with pytest.raises(ValueError, match="distinct variable indices"):
+            f.substitute_linear(a, b, 1)
+
+    def test_zero_shift_returns_self(self):
+        # c = 0 and every multiple of p are the identity
+        f = MPoly(5, 3, {(3, 3, 2): 1, (1, 1, 1): 2})
+        for c in (0, 5, -10):
+            assert f.substitute_linear(0, 2, c) is f
 
 
 class TestMPolyCancellation:
