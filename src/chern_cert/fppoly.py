@@ -633,6 +633,8 @@ class MPoly:
         the remaining variables (arity drops by one)."""
         if self.arity < 2:
             raise ValueError("cannot drop the only variable")
+        if var not in range(self.arity):
+            raise ValueError(f"no variable {var} in arity {self.arity}")
         out = MPoly.zero(self.p, self.arity - 1)
         out.terms = {key[:var] + key[var + 1 :]: c
                      for key, c in self.terms.items() if key[var] == exponent}

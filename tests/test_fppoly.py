@@ -253,6 +253,10 @@ class TestMPoly:
         f = MPoly(p, 2, {(2, 1): 2, (0, 1): 1, (1, 0): 1})
         c1 = f.coefficient_in_var(1, 1)
         assert c1 == MPoly(p, 1, {(2,): 2, (0,): 1})
+        # the result is built from the terms unchecked, so the index is checked
+        for var in (-1, 2):
+            with pytest.raises(ValueError, match="no variable"):
+                f.coefficient_in_var(var, 1)
 
     def test_pow(self):
         p = 5
