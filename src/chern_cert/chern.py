@@ -59,9 +59,6 @@ class RestrictionPoint:
     def __repr__(self):
         return f"RestrictionPoint(p={self.p}, alpha={self.alpha})"
 
-    def __reduce__(self):
-        return RestrictionPoint, (self.p, self.alpha)
-
     @classmethod
     def parse(cls, p: int, text: str) -> "RestrictionPoint":
         """Parse a comma-separated digit list such as "1,1,1,0"."""

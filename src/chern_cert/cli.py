@@ -102,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="force the full 3-variable expansion and its"
                                 " transvection-invariance check")
     p_dickson.add_argument("--restrict", action="store_true",
-                           help="rank-1 restriction facts only (cheap path)")
+                           help="rank-1 restriction facts only (cheap path);"
+                                " not with --full")
     _add_common(p_dickson)
     p_dickson.set_defaults(handler=_cmd_dickson)
 
@@ -208,6 +209,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_dickson(args) -> int:
+    if args.restrict and args.full:
+        raise UsageError("--restrict and --full (alias --check-sl3) exclude each other")
     full = args.full or (args.p == 3 and not args.restrict)
     return _certify(args, (STATEMENT[args.p],),
                     lambda s: certify(lambda: lemma_facts(args.p, full=full)))

@@ -15,6 +15,12 @@ The full 3-variable expansion builds the orbit product up a tower of
 coordinate subspaces with sparse MPoly arithmetic, and e3 apart from it as a
 dense product of its linear factors, one byte per coefficient of one int.
 The rank-1 restriction path never needs the expansion.
+
+compute(p) only measures, into a DicksonSet (p; cs = c_{3,0..2}; e3; sign,
+the unit with e3^2 = sign * c_{3,0} or None; the orbit product's X-support;
+monic, whether its X^(p^3) coefficient is 1), and lemma_facts judges it: a
+wrong X-support or a non-monic product is a named problem of a Falsified
+result, whose evidence records the measured support.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import math
 from collections import namedtuple
 
 from .certificates import CheckResult
-from .fppoly import MPoly, UPoly, check_odd_prime, subring_bound
+from .fppoly import MPoly, UPoly, _byte_residues, check_odd_prime, subring_bound
 
 __all__ = [
     "DicksonSet",
@@ -44,19 +50,8 @@ STATEMENT = {3: "lemma-3.1-facts", 5: "lemma-4.2-facts"}
 _PRIMES = tuple(STATEMENT)
 
 
-class DicksonSet(namedtuple("DicksonSet", "p cs e3 sign")):
-    """The computed invariants at one prime: cs[i] is c_{3,i} (a polynomial in
-    y1, y2, y3), e3 its square-root partner, sign the unit with
-    e3^2 = sign * c_{3,0} (None if the relation failed)."""
-
-    __slots__ = ()
-
-    def c(self, i: int) -> MPoly:
-        return self.cs[i]
-
-    def cohomological_degrees(self) -> tuple[int, int, int]:
-        # the y-variables sit in cohomological degree 2
-        return tuple(2 * c.total_degree for c in self.cs)
+# what compute measured at one prime; the module docstring names the fields
+DicksonSet = namedtuple("DicksonSet", "p cs e3 sign x_support monic")
 
 
 def _check_supported_prime(p: int) -> None:
@@ -86,7 +81,7 @@ def _dense_product(p: int, forms) -> MPoly:
         raise ValueError(f"byte cells cannot hold {arity} forms' terms at p = {p}")
     extents = [1 + sum(1 for f in forms if f[a]) for a in range(arity - 1)]
     strides = [math.prod(extents[a + 1 :]) for a in range(arity - 1)]
-    reduce = bytes(b % p for b in range(256))
+    reduce = _byte_residues(p)
     cur = 1
     for *head, last in forms:
         nxt = cur * last  # the last variable's term
@@ -153,21 +148,12 @@ _CACHE: dict[int, DicksonSet] = {}
 
 
 def compute(p: int) -> DicksonSet:
-    """Expand the orbit product and extract c_{3,0}, c_{3,1}, c_{3,2} and e3
-    (memoized per prime)."""
+    """Expand the orbit product and record c_{3,0}, c_{3,1}, c_{3,2}, e3 and
+    the product's shape in X, unjudged (memoized per prime)."""
     _check_supported_prime(p)
     if p in _CACHE:
         return _CACHE[p]
     product = orbit_product(p)
-    support = product.support_in_var(3)
-    expected = [p**i for i in range(_RANK + 1)]
-    if support != expected:
-        raise ArithmeticError(
-            f"orbit product has X-support {support}, expected {expected}"
-        )
-    top = product.coefficient_in_var(3, p**_RANK)
-    if not (len(top.terms) == 1 and top.terms.get((0,) * _RANK) == 1):
-        raise ArithmeticError("orbit product is not monic in X")
     cs = []
     for i in range(_RANK):
         sign = 1 if (_RANK - i) % 2 == 0 else -1
@@ -180,7 +166,8 @@ def compute(p: int) -> DicksonSet:
         unit = -1
     else:
         unit = None
-    ds = DicksonSet(p=p, cs=tuple(cs), e3=e3, sign=unit)
+    monic = product.coefficient_in_var(3, p**_RANK) == MPoly.one(p, _RANK)
+    ds = DicksonSet(p, tuple(cs), e3, unit, product.support_in_var(3), monic)
     _CACHE[p] = ds
     return ds
 
@@ -268,7 +255,7 @@ def restrict_expanded(poly: MPoly) -> UPoly:
 # ---------------------------------------------------------------------------
 
 
-def transvection_generators(p: int) -> list[tuple[int, int]]:
+def transvection_generators() -> list[tuple[int, int]]:
     """The six elementary transvections of SL_3(F_p): y_a -> y_a + y_b for
     a != b, all other variables fixed, as the index pairs (a, b)."""
     return list(itertools.permutations(range(_RANK), 2))
@@ -281,8 +268,8 @@ def sl3_invariance_check(p: int, ds: "DicksonSet | None" = None) -> list[dict]:
     its substitution matrix, the identity with a 1 at row b, column a."""
     ds = ds or compute(p)
     violations = []
-    polys = {"c0": ds.c(0), "c1": ds.c(1), "c2": ds.c(2), "e3": ds.e3}
-    for gi, (a, b) in enumerate(transvection_generators(p)):
+    polys = {"c0": ds.cs[0], "c1": ds.cs[1], "c2": ds.cs[2], "e3": ds.e3}
+    for gi, (a, b) in enumerate(transvection_generators()):
         for name, poly in polys.items():
             if poly.substitute_linear(a, b, 1) != poly:
                 matrix = [[int(i == j or (i, j) == (b, a)) for j in range(_RANK)]
@@ -336,7 +323,14 @@ def lemma_facts(p: int, full: bool = False) -> CheckResult:
 
     if full:
         ds = compute(p)
-        degrees = ds.cohomological_degrees()
+        expected_support = [p**i for i in range(_RANK + 1)]
+        if ds.x_support != expected_support:
+            problems.append(f"orbit product has X-support {ds.x_support},"
+                            f" expected {expected_support}")
+        if not ds.monic:
+            problems.append("orbit product is not monic in X")
+        # the y-variables sit in cohomological degree 2
+        degrees = tuple(2 * c.total_degree for c in ds.cs)
         expected_degrees = (2 * (p**3 - 1), 2 * (p**3 - p), 2 * (p**3 - p**2))
         if degrees != expected_degrees:
             problems.append(f"degrees {degrees}, expected {expected_degrees}")
@@ -352,7 +346,7 @@ def lemma_facts(p: int, full: bool = False) -> CheckResult:
         # cross-check: restricting the expanded invariants reproduces the
         # factored-route images
         cross = all(
-            restrict_expanded(ds.c(i)) == images[i] for i in range(_RANK)
+            restrict_expanded(c) == image for c, image in zip(ds.cs, images)
         ) and restrict_expanded(ds.e3) == restriction["e3_image"]
         if not cross:
             problems.append("expanded restriction disagrees with factored routes")
@@ -367,7 +361,7 @@ def lemma_facts(p: int, full: bool = False) -> CheckResult:
                 "e3_squared_sign": ds.sign,
                 "transvection_invariance": not violations,
                 "expanded_restriction_cross_check": cross,
-                "orbit_x_support": [p**i for i in range(_RANK + 1)],
+                "orbit_x_support": ds.x_support,
             }
         )
 

@@ -1,7 +1,5 @@
 """Restriction points, restricted exponents, and total Chern classes."""
 
-import pickle
-
 import pytest
 
 from chern_cert.chern import (
@@ -47,7 +45,6 @@ class TestRestrictionPoint:
         same = RestrictionPoint(5, (1, 0, 4))
         assert pt == same and hash(pt) == hash(same)
         assert pt != RestrictionPoint(7, (1, 0, 4)) and pt != (1, 0, 4)
-        assert pickle.loads(pickle.dumps(pt)) == pt
         with pytest.raises(AttributeError):
             pt.alpha = (0, 0, 1)
 

@@ -242,7 +242,7 @@ class TestDickson:
         [
             (["--p", "5", "--full"], True),
             (["--p", "5", "--check-sl3"], True),
-            (["--p", "5", "--restrict", "--full"], True),
+            (["--p", "3", "--full"], True),
             (["--p", "5"], False),
             (["--p", "5", "--restrict"], False),
             (["--p", "3", "--restrict"], False),
@@ -360,6 +360,8 @@ class TestUsageErrors:
             ["branch", "--rank", "0"],
             ["branch", "--steps", "2"],
             ["dickson", "--p", "3", "--out", "{file}/x.json"],
+            ["dickson", "--p", "3", "--restrict", "--check-sl3"],
+            ["dickson", "--p", "5", "--restrict", "--full"],
             ["enumerate", "--p", "3", "--out", "{dir}"],
             ["branch", "--out", "{file}/x.json"],
             ["branch", "--rep", "rho8", "--rank", "8", "--out", "{file}"],

@@ -7,7 +7,8 @@ import pickle
 
 import pytest
 
-from chern_cert import dickson, fppoly
+from chern_cert import cli, dickson, fppoly
+from chern_cert.verify import run_statement
 from chern_cert.fppoly import MPoly, UPoly
 
 
@@ -48,7 +49,7 @@ class TestOrbitProductMod3:
 
     def test_polynomial_and_cohomological_degrees(self):
         ds = dickson.compute(3)
-        assert ds.cohomological_degrees() == (52, 48, 36)
+        assert tuple(2 * c.total_degree for c in ds.cs) == (52, 48, 36)
 
     def test_invariants_homogeneous(self):
         ds = dickson.compute(3)
@@ -78,7 +79,7 @@ EXPANSION_DIGESTS = {
 @pytest.mark.parametrize("p, name", sorted(EXPANSION_DIGESTS))
 def test_expansion_render_digests(p, name):
     ds = dickson.compute(p)
-    poly = {"c0": ds.c(0), "c1": ds.c(1), "c2": ds.c(2), "e3": ds.e3}.get(name) or dickson.orbit_product(p)
+    poly = {"c0": ds.cs[0], "c1": ds.cs[1], "c2": ds.cs[2], "e3": ds.e3}.get(name) or dickson.orbit_product(p)
     digest = hashlib.sha256(poly.render().encode("ascii")).hexdigest()
     assert (len(poly.terms), digest) == EXPANSION_DIGESTS[p, name]
 
@@ -96,7 +97,7 @@ class TestSquareRootInvariant:
         ds = dickson.compute(3)
         assert 2 * ds.e3.total_degree == 26
         assert ds.sign == 1
-        assert ds.e3 * ds.e3 == ds.c(0)
+        assert ds.e3 * ds.e3 == ds.cs[0]
 
     def test_antipodal_representatives(self):
         reps = dickson.antipodal_representatives(3)
@@ -147,14 +148,14 @@ class TestRank1Restriction:
         ds = dickson.compute(p)
         facts = dickson.rank1_restriction(p)
         for i in range(3):
-            assert dickson.restrict_expanded(ds.c(i)) == facts["images"][i]
+            assert dickson.restrict_expanded(ds.cs[i]) == facts["images"][i]
         assert dickson.restrict_expanded(ds.e3) == facts["e3_image"]
 
 
 class TestInvariance:
     def test_transvections_fix_everything_mod3(self):
         assert dickson.sl3_invariance_check(3) == []
-        assert len(dickson.transvection_generators(3)) == 6
+        assert len(dickson.transvection_generators()) == 6
 
     def test_transvections_fix_everything_mod5(self):
         assert dickson.sl3_invariance_check(5) == []
@@ -171,7 +172,7 @@ class TestInvariance:
             return MPoly(p, f.arity, {k: c * pow(2, k[a], p) for k, c in f.terms.items()})
 
         for i in range(3):
-            assert scaled(ds.c(i)) == ds.c(i)
+            assert scaled(ds.cs[i]) == ds.cs[i]
         assert scaled(ds.e3) == (p - 1) * ds.e3
 
     def test_identity_matrix_trivially_fixes(self):
@@ -246,7 +247,7 @@ class TestOrbitProductMod5:
         product = dickson.orbit_product(5)
         assert product.support_in_var(3) == [1, 5, 25, 125]
         ds = dickson.compute(5)
-        assert ds.cohomological_degrees() == (248, 240, 200)
+        assert tuple(2 * c.total_degree for c in ds.cs) == (248, 240, 200)
 
     def test_restriction_matches_direct_substitution(self):
         # substituting the expanded orbit product agrees with the collapsed
@@ -274,7 +275,7 @@ class TestMutations:
     @pytest.mark.parametrize("index", [0, 1, 2, -1])
     def test_flipped_orbit_coefficient_breaks_invariance(self, monkeypatch, p, index):
         product = dickson.orbit_product(p)
-        # a term of some c_{3,i}; flipping the monic X^(p^3) term would raise
+        # a term of some c_{3,i}; TestBrokenExpansion doubles the X^(p^3) term
         keys = sorted(k for k in product.terms if k[3] != p**3)
         flipped = _flip(product, keys[index])
         monkeypatch.setattr(dickson, "orbit_product", lambda q: flipped)
@@ -294,6 +295,42 @@ class TestMutations:
         problems = result.evidence["problems"]
         assert "e3^2 is not a unit multiple of c_{3,0}" in problems
         assert any(problem.startswith("e3 degree") for problem in problems)
+
+
+def _without_x1(product: MPoly) -> MPoly:
+    """product with its X^1 terms, and so c_{3,0}, dropped."""
+    return MPoly(product.p, product.arity, {k: c for k, c in product.terms.items() if k[3] != 1})
+
+
+def _doubled_top(product: MPoly) -> MPoly:
+    """product with its X^(p^3) coefficient doubled, so it is not monic."""
+    top = product.p**3
+    terms = {k: 2 * c if k[3] == top else c for k, c in product.terms.items()}
+    return MPoly(product.p, product.arity, terms)
+
+
+class TestBrokenExpansion:
+    """An orbit product with the wrong X-support or not monic in X makes the
+    full facts Falsified with a named problem, never an exception."""
+
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("fault", [_without_x1, _doubled_top])
+    def test_named_problem_and_exit_1(self, monkeypatch, tmp_path, p, fault):
+        broken = fault(dickson.orbit_product(p))
+        monkeypatch.setattr(dickson, "orbit_product", lambda q: broken)
+        monkeypatch.setattr(dickson, "_CACHE", {})
+        support = [1, p, p**2, p**3]
+        if fault is _without_x1:
+            support = support[1:]
+            problem = f"orbit product has X-support {support}, expected {[1, p, p**2, p**3]}"
+        else:
+            problem = "orbit product is not monic in X"
+        cert = run_statement(dickson.STATEMENT[p], full_dickson=True)
+        assert cert.status == "Falsified"
+        assert cert.evidence["problems"][0] == problem
+        assert cert.evidence["orbit_x_support"] == support
+        args = ["verify", dickson.STATEMENT[p], "--full-dickson", "--out", str(tmp_path / "c.json")]
+        assert cli.main(args) == 1
 
 
 _TAYLOR_ROW = fppoly._taylor_row
