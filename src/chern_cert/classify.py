@@ -16,12 +16,11 @@ exponent.  A front row enters the counts only through its front signature
 only through its back signature (its back histogram and, per class of
 groups with equal front parts, the histogram of their back exponents), so
 one cell per pair of signatures stands for every cell: at p = 5, 400
-cells stand for the 390625 of full mode and 170 for the 494 canonical
-representatives.  The kernel is pure Python and works in bulk: each
-histogram is p planes of byte lanes built by bytes.translate, laid into one
-record per row or column whose bytes are its signature, and a cell's counts
-for every character are one int, a bilinear sum of precomputed ints per
-pair of signatures.  A class's Chern class of one character is held as
+cells stand for the 390625 points.  The kernel is pure Python and works in
+bulk: each histogram is p planes of byte lanes built by bytes.translate,
+laid into one record per row or column whose bytes are its signature, and a
+cell's counts for every character are one int, a bilinear sum of
+precomputed ints per pair of signatures.  A class's Chern class of one character is held as
 its negation-pair factors P_v(a, b) = (1 + v*t)^a (1 - v*t)^b, one per
 pair {v, -v} of nonzero residues, each expanded from the counts a of v and
 b of -v once per (p, v, a, b); a column is multiplied out only where a
@@ -38,8 +37,9 @@ of the classes where each named predicate holds, keyed name{j}
 about.  Tables are memoized per (p, characters, mode), so the statements
 that share a sweep share one table and a changed character gets a table of
 its own; the class sets are memoized per (table, subring exponent), so a
-changed bound is judged afresh against the same table.  The sweep runs in
-one process.
+changed bound is judged afresh against the same table.  A canonical table
+is a view of the full one (count_table), so both modes judge one set of
+classes.  The sweep runs in one process.
 """
 
 from __future__ import annotations
@@ -109,8 +109,8 @@ def canonical_representatives(p: int = P5, n: int = N5) -> list[tuple[int, ...]]
 def orbit_size(alpha) -> int:
     """Number of distinct coordinate permutations of alpha."""
     size = math.factorial(len(alpha))
-    for count in Counter(alpha).values():
-        size //= math.factorial(count)
+    for v in set(alpha):
+        size //= math.factorial(alpha.count(v))
     return size
 
 
@@ -129,8 +129,11 @@ class CountTable:
     (full mode: every nonzero point in lexicographic order, canonical mode:
     the weakly increasing representatives), one byte per point unless there
     are more than 256 classes.  Class ids are numbered by the first point of
-    each class, and every class holds at least one swept point.  Immutable
-    (the column cache aside); equal only to itself.
+    each class, the unswept zero point included.  Every class of a full
+    table holds a swept point; a canonical view keeps the full table's
+    classes, so a class no representative hits has weight 0 (only when a
+    character is not permutation-invariant).  Immutable (the column cache
+    aside); equal only to itself.
     """
 
     __slots__ = ("p", "n", "mode", "counts", "weights", "class_of", "reps", "_columns")
@@ -290,19 +293,6 @@ def _split(char: Character, nf: int, p: int):
     return front, back, cross
 
 
-def _check_permutation_invariant(char: Character) -> None:
-    """Orbit weighting is sound only for characters whose weight multiset
-    each adjacent coordinate transposition leaves unchanged."""
-    weights = dict(char.weights)
-    for i in range(char.rank - 1):
-        swapped = {w[:i] + (w[i + 1], w[i]) + w[i + 2 :]: m for w, m in weights.items()}
-        if swapped != weights:
-            raise ValueError(
-                f"canonical mode needs permutation-invariant characters;"
-                f" swapping coordinates {i} and {i + 1} changes {char!r}"
-            )
-
-
 # the split-coordinate terms of a count table per signature, see _grid
 _Grid = namedtuple("_Grid", "p width row_sig col_sig hf rolled hb keys")
 
@@ -406,12 +396,11 @@ def count_table(p: int, chars, mode: str = "full") -> CountTable:
 
     Mode "full" fills every pair of signatures, 400 cells at p = 5, and
     reads each point's class id off its pair: it uses no symmetry and is
-    the oracle for canonical mode.  Mode "canonical" looks up the cells of
-    the weakly increasing representatives in the same memo (170 pairs for
-    494 representatives at p = 5) and weights each by its orbit size, which
-    is sound because every swept character is invariant under coordinate
-    permutations (checked).  Exponents are one byte each, so p must be
-    below 256.
+    the oracle for canonical mode.  Mode "canonical" is a view of the full
+    table (_canonical_view) over the weakly increasing representatives, 494
+    at p = 5, each weighted by its orbit size.  That is sound exactly when
+    the view's class weights equal the full table's, which sweep_mod5
+    checks.  Exponents are one byte each, so p must be below 256.
 
     Classes are numbered by the first point they hold; a class that no
     swept point hits (at p = 5 the zero point's) is dropped, so it is
@@ -431,15 +420,32 @@ def count_table(p: int, chars, mode: str = "full") -> CountTable:
     n = ranks[0]
     key = (p, chars, mode)
     if key not in _TABLES:
-        _TABLES[key] = _build_table(p, n, chars, mode)
+        if mode == "full":
+            _TABLES[key] = _build_table(p, n, chars)
+        else:
+            _TABLES[key] = _canonical_view(count_table(p, chars))
     return _TABLES[key]
 
 
-def _build_table(p: int, n: int, chars: tuple, mode: str) -> CountTable:
-    """The count table of chars over (F_p)^n in mode; see count_table."""
-    if mode == "canonical":
-        for char in chars:
-            _check_permutation_invariant(char)
+def _canonical_view(full: CountTable) -> CountTable:
+    """The weakly increasing representatives of full's points, each with
+    its class id read off full (point index = base-p value - 1) and weighted
+    by its orbit size, sharing full's classes and counts.  The least point
+    of a permutation-closed class is sorted, so for permutation-invariant
+    characters every class holds a representative and the weights are
+    full's."""
+    p, fmt = full.p, full.class_of.format
+    reps = tuple(canonical_representatives(p, full.n))
+    ids = [full.class_of[functools.reduce(lambda x, a: x * p + a, alpha) - 1] for alpha in reps]
+    weight = [0] * len(full.counts)
+    for k, alpha in zip(ids, reps):
+        weight[k] += orbit_size(alpha)
+    class_of = memoryview(array(fmt, ids).tobytes()).cast(fmt)
+    return CountTable(p, full.n, "canonical", full.counts, tuple(weight), class_of, reps)
+
+
+def _build_table(p: int, n: int, chars: tuple) -> CountTable:
+    """The full count table of chars over (F_p)^n; see count_table."""
     grid = _grid(p, n, chars)
     # signatures are numbered by their first row and column, so a class
     # first met at signature pair (s, t) is first met at that pair's first
@@ -447,22 +453,12 @@ def _build_table(p: int, n: int, chars: tuple, mode: str) -> CountTable:
     cell = functools.cache(lambda s, t: _cell(grid, s, t))
     index: dict[int, int] = {}
     weight: Counter = Counter()
-
-    if mode == "full":
-        reps = None
-        rows = [_group([cell(s, t) for t in range(len(grid.hb))], index) for s in range(len(grid.hf))]
-        rows_per, cols_per = Counter(grid.row_sig), Counter(grid.col_sig)
-        for s, ids in enumerate(rows):
-            for t, k in enumerate(ids):
-                weight[k] += rows_per[s] * cols_per[t]
-        weight[0] -= 1  # class 0 holds cell 0, the zero point, which is not swept
-    else:
-        reps = tuple(canonical_representatives(p, n))
-        cols = len(grid.col_sig)
-        cells = [divmod(functools.reduce(lambda x, a: x * p + a, alpha), cols) for alpha in reps]
-        ids = _group([cell(grid.row_sig[f], grid.col_sig[b]) for f, b in cells], index)
-        for k, alpha in zip(ids, reps):
-            weight[k] += orbit_size(alpha)
+    rows = [_group([cell(s, t) for t in range(len(grid.hb))], index) for s in range(len(grid.hf))]
+    rows_per, cols_per = Counter(grid.row_sig), Counter(grid.col_sig)
+    for s, ids in enumerate(rows):
+        for t, k in enumerate(ids):
+            weight[k] += rows_per[s] * cols_per[t]
+    weight[0] -= 1  # class 0 holds cell 0, the zero point, which is not swept
 
     kept = [k for k in range(len(index)) if weight[k] > 0]
     renumber = [0] * len(index)
@@ -470,20 +466,13 @@ def _build_table(p: int, n: int, chars: tuple, mode: str) -> CountTable:
         renumber[k] = new
     # one byte per point unless there are more than 256 classes
     fmt = "B" if len(kept) <= 1 << 8 else "H" if len(kept) <= 1 << 16 else "I"
-
-    def encode(ids) -> bytes:
-        return array(fmt, ids).tobytes()
-
-    if mode == "full":
-        # each front signature's row of class ids in one C-level call: the
-        # back signature ids picked out of the row's class ids by itemgetter
-        spread = itemgetter(*grid.col_sig)
-        rows = [encode(spread([renumber[k] for k in ids])) for ids in rows]
-        # point i is cell i + 1, so the first row drops its first cell
-        head = rows[grid.row_sig[0]][array(fmt).itemsize :]
-        data = b"".join([head, *map(rows.__getitem__, grid.row_sig[1:])])
-    else:
-        data = encode(map(renumber.__getitem__, ids))
+    # each front signature's row of class ids in one C-level call: the back
+    # signature ids picked out of the row's class ids by itemgetter
+    spread = itemgetter(*grid.col_sig)
+    rows = [array(fmt, spread([renumber[k] for k in ids])).tobytes() for ids in rows]
+    # point i is cell i + 1, so the first row drops its first cell
+    head = rows[grid.row_sig[0]][array(fmt).itemsize :]
+    data = b"".join([head, *map(rows.__getitem__, grid.row_sig[1:])])
     slot = (1 << grid.width) - 1
     counts = tuple(
         tuple(
@@ -494,7 +483,7 @@ def _build_table(p: int, n: int, chars: tuple, mode: str) -> CountTable:
         if weight[k] > 0
     )
     weights = tuple(weight[k] for k in kept)
-    return CountTable(p, n, mode, counts, weights, memoryview(data).cast(fmt), reps)
+    return CountTable(p, n, "full", counts, weights, memoryview(data).cast(fmt), None)
 
 
 @functools.cache
@@ -794,53 +783,57 @@ def _summed_class(m: tuple) -> UPoly:
 
 
 @functools.cache
-def _mod5_classes(table: CountTable, d: int):
-    """The mod-5 class sets, memoized per table and subring exponent d: the
-    sets of _class_sets for the swept columns 0 (lambda2, size 112) and 1
-    (delta+, size 128), plus "pm{j}", where the column is not a product of
-    1 - t^2 and 1 + t^2 factors (_pm_form, on the factors); and, from the
-    rho8 class (_rho8), "s5", where it lies in F_5[t^d], "value", where it
-    does with a value other than 1 - t^d and (1 - t^d)^2, and "mixed", where
-    some coordinate squares to 1 and another to -1 (lambda1's counts).  Also
-    the orbit-weighted occurrences of each S5 value."""
-    sets = _class_sets(table, (112, 128), {"pm": lambda m, fs: _pm_form(m) is None})
+def _mod5_classes(full: CountTable, d: int) -> dict[str, frozenset[int]]:
+    """The mod-5 class sets, memoized per full table and subring exponent d,
+    so both modes judge the classes once: the sets of _class_sets for the
+    swept columns 0 (lambda2, size 112) and 1 (delta+, size 128), plus
+    "pm{j}", where the column is not a product of 1 - t^2 and 1 + t^2
+    factors (_pm_form, on the factors); and, from the rho8 class (_rho8),
+    "s5", where it lies in F_5[t^d], "value", where it does with a value
+    other than 1 - t^d and (1 - t^d)^2, and "mixed", where some coordinate
+    squares to 1 and another to -1 (lambda1's counts)."""
+    sets = _class_sets(full, (112, 128), {"pm": lambda m, fs: _pm_form(m) is None})
     v100 = _consistent_value(P5, d)
     allowed = (v100.render(), (v100**2).render())
     s5, value, mixed = [], [], []
-    occ: dict[str, int] = {}
-    for k, counts in enumerate(table.counts):
+    for k, counts in enumerate(full.counts):
         fr = _rho8(counts)
         if in_subring(fr, d):
             s5.append(k)
-            key = fr.render()
-            occ[key] = occ.get(key, 0) + table.weights[k]
-            if key not in allowed:
+            if fr.render() not in allowed:
                 value.append(k)
         _, _, m1 = counts
         if m1[1] and m1[2]:
             mixed.append(k)
     sets.update(s5=frozenset(s5), value=frozenset(value), mixed=frozenset(mixed))
-    return sets, tuple(occ.items())
+    return sets
 
 
 def sweep_mod5(mode: str) -> dict:
-    """Run the rank-8 mod-5 sweep: its count table and class sets (both
-    memoized, see _mod5_classes) under the current subring exponent, the
-    point and orbit-weight totals, the orbit-weighted size and first points
-    of the consistent set S5, the occurrences of each S5 value and the
+    """Run the rank-8 mod-5 sweep: the table of mode and the full table's
+    class sets (both memoized, see _mod5_classes) under the current subring
+    exponent, the point and orbit-weight totals, whether the class weights
+    equal the full table's, the orbit-weighted size and first points of the
+    consistent set S5, the occurrences of each S5 value and the
     orbit-weighted number of mixed-square points."""
     d = subring_bound(P5)
+    full = count_table(P5, _mod5_chars())
     table = count_table(P5, _mod5_chars(), mode)
-    sets, occ = _mod5_classes(table, d)
+    sets = _mod5_classes(full, d)
+    occ: dict[str, int] = {}
+    for k in sorted(sets["s5"]):
+        key = _rho8(table.counts[k]).render()
+        occ[key] = occ.get(key, 0) + table.weights[k]
     return {
         "table": table,
         "sets": sets,
         "subring_exponent": d,
         "points": table.points,
         "weighted_points": table.weighted_points,
+        "weights_agree": table.weights == full.weights,
         "s5_weight": sum(table.weights[k] for k in sets["s5"]),
         "s5_first": table.first(sets["s5"], WITNESS_CAP),
-        "occ": dict(occ),
+        "occ": occ,
         "mixed_weight": sum(table.weights[k] for k in sets["mixed"]),
     }
 
@@ -849,8 +842,9 @@ def _mod5_result(statement, sweep, failing, evidence, parameters, problems=()) -
     """A mod-5 statement's result from failing, its checks' failing classes
     keyed by witness key.  Each failed check records the first FAIL_CAP
     points of its classes as witnesses and names its problem; the problems
-    start with any wrong point or orbit-weight total and end with the
-    statement's own."""
+    start with any wrong point or orbit-weight total, then any difference
+    between the table's class weights and the full table's, and end with
+    the statement's own."""
     table, mode = sweep["table"], sweep["table"].mode
     witnesses = {key: table.first(ks, FAIL_CAP) for key, ks in failing.items() if ks}
     expected = TOTAL_POINTS_5 if mode == "full" else CANONICAL_POINTS_5
@@ -859,6 +853,8 @@ def _mod5_result(statement, sweep, failing, evidence, parameters, problems=()) -
         found.append(f"scanned {table.points} points, expected {expected}")
     if table.weighted_points != TOTAL_POINTS_5:
         found.append(f"orbit-weighted total {table.weighted_points}, expected {TOTAL_POINTS_5}")
+    if not sweep["weights_agree"]:
+        found.append("orbit-weighted class weights differ from the full sweep's")
     found += [_FAILURE_PROBLEMS[key] for key in witnesses]
     found += problems
     evidence = {

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from chern_cert import chern, classify
+from chern_cert import chern, classify, cli
 from chern_cert.certificates import Certificate, canonical_json
 from chern_cert.chern import RestrictionPoint, chern_named, restricted_exponents, total_chern
 from chern_cert.classify import (
@@ -69,7 +69,7 @@ def mod5_chars():
 
 @pytest.fixture(scope="module")
 def mod5_table(mod5_chars):
-    # the table the mod-5 statements read
+    # the canonical view the mod-5 statements read by default
     return count_table(5, mod5_chars, "canonical")
 
 
@@ -403,7 +403,7 @@ class TestProp3Checks:
     def test_count_table_and_grid_are_immutable(self):
         chars = classify._mod3_chars()[:2]
         table = count_table(3, chars)
-        rebuilt = classify._build_table(3, 4, chars, "full")
+        rebuilt = classify._build_table(3, 4, chars)
         # equal only to itself: the memoized class sets are keyed by table
         assert table != rebuilt and table == table
         assert bytes(rebuilt.class_of) == bytes(table.class_of)
@@ -499,10 +499,15 @@ class TestSplitGrid:
 
     def test_canonical_mode_rejects_asymmetric_character(self):
         lopsided = Character(3, {(2, 0, 0): 1, (-2, 0, 0): 1})
-        with pytest.raises(ValueError, match="permutation"):
-            count_table(3, (lopsided,), "canonical")
         # full mode visits every point and needs no symmetry
-        assert count_table(3, (lopsided,)).weighted_points == 26
+        full = count_table(3, (lopsided,))
+        assert full.weighted_points == 26
+        # the orbit weights still sum to the point total, but not class by
+        # class: the weights differ from the full table's
+        canonical = count_table(3, (lopsided,), "canonical")
+        assert canonical.counts is full.counts
+        assert canonical.weighted_points == 26
+        assert canonical.weights != full.weights
 
     def test_split_that_loses_a_weight_is_rejected(self, monkeypatch):
         class Dropping(Character):
@@ -521,8 +526,9 @@ class TestSplitGrid:
 
 
 class TestDistinctFrontRows:
-    """Both modes fill one cell per pair of front and back signatures, and
-    full mode reads every point's class back from those cells."""
+    """Full mode fills one cell per pair of front and back signatures and
+    reads every point's class back from those cells; canonical mode is a
+    view of the full table and fills none."""
 
     @pytest.mark.parametrize(
         "p, n, heavy",
@@ -557,9 +563,9 @@ class TestDistinctFrontRows:
         monkeypatch.setattr(classify, "_cell", counted)
         cases = [
             (5, classify._mod5_chars(), "full", 400),  # 20 front by 20 back signatures
-            (5, classify._mod5_chars(), "canonical", 170),  # for 494 representatives
+            (5, classify._mod5_chars(), "canonical", 0),  # a view of the full table
             (3, classify._mod3_chars(), "full", 9),  # 3 by 3
-            (3, classify._mod3_chars(), "canonical", 4),  # for 14 representatives
+            (3, classify._mod3_chars(), "canonical", 0),
         ]
         for p, chars, mode, cells in cases:
             filled.clear()
@@ -616,8 +622,25 @@ class TestDistinctFrontRows:
         alpha = tuple(int(a) for a in witnesses[0].split(","))
         exps = Counter(restricted_exponents(lossy[0], RestrictionPoint(5, alpha)))
         assert exps != Counter({-v % 5: m for v, m in exps.items()})
-        with pytest.raises(ValueError, match="permutation"):
-            classify_e8_mod5("canonical")
+        # the fault breaks coordinate-permutation symmetry, so the orbit
+        # weights no longer match the full sweep's class weights
+        canonical = classify_e8_mod5("canonical")
+        assert not canonical.verified
+        problems = canonical.evidence["problems"]
+        assert problems[0] == "orbit-weighted class weights differ from the full sweep's"
+        assert "negation closure fails" in problems
+
+    def test_symmetry_fault_gives_a_falsified_certificate(self, monkeypatch, tmp_path):
+        lossy = lambda2_mod5(lambda w: w != (0,) * 6 + (2, 2))
+        monkeypatch.setattr(classify, "_mod5_chars", lambda: lossy)
+        out = tmp_path / "theorem-4.1.json"
+        # canonical is the default mode
+        assert cli.main(["verify", "theorem-4.1", "--out", str(out)]) == 1
+        cert = Certificate.load(out)
+        assert cert.status == "Falsified"
+        assert cert.evidence["problems"][0] == (
+            "orbit-weighted class weights differ from the full sweep's"
+        )
 
 
 class TestSweepMod5:
@@ -751,6 +774,24 @@ class TestSweepMod5:
                 for payload in (true[key], swapped[key]):
                     del payload["evidence"]["s5_witnesses_first"]
             assert canonical_json(swapped[key]) == canonical_json(true[key])
+
+    def test_class_sets_judged_once_for_both_modes(self, monkeypatch):
+        # the canonical view shares the full table's classes, so the mod-5
+        # statements of both modes read one judgement of them
+        calls = []
+        real = classify._class_sets
+
+        def counted(table, sizes, predicates):
+            calls.append(table.mode)
+            return real(table, sizes, predicates)
+
+        monkeypatch.setattr(classify, "_TABLES", {})
+        monkeypatch.setattr(classify, "_class_sets", counted)
+        classify._mod5_classes.cache_clear()
+        for mode in ("canonical", "full"):
+            for check in (classify_e8_mod5, check_prop43, check_prop44):
+                assert check(mode).verified
+        assert calls == ["full"]
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -94,6 +94,8 @@ class TestCountGrid:
         canonical = count_table(p, chars, "canonical")
         rep = canonical.reps.index(tuple(sorted(alpha)))
         assert canonical.counts[canonical.class_of[rep]] == table.counts[table.class_of[i]]
+        # and orbit weighting gives every class its exhaustive weight
+        assert canonical.weights == table.weights
 
 
 @st.composite
