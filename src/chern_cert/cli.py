@@ -23,7 +23,6 @@ import sys
 from pathlib import Path
 
 from .certificates import STATEMENTS, default_cert_dir
-from .chern import RestrictionPoint, report_named
 from .dickson import STATEMENT, lemma_facts
 from .spinchar import REP_NAMES, registry, rep_group
 from .verify import certify, run_statement, statements_for
@@ -169,6 +168,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_chern(args) -> int:
+    # only this command evaluates a single point
+    from .chern import RestrictionPoint, report_named
+
     if args.out:
         _check_target(Path(args.out), f"--out {args.out}")
     try:

@@ -96,7 +96,7 @@ def _dense_product(p: int, forms) -> MPoly:
     for i in itertools.compress(range(len(cells)), cells):
         key = tuple(i // stride % extent for stride, extent in zip(strides, extents))
         terms[key + (degree - sum(key),)] = cells[i]
-    return MPoly(p, arity, terms)
+    return MPoly._reduced(p, arity, terms)
 
 
 def orbit_product(p: int) -> MPoly:

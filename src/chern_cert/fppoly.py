@@ -17,9 +17,8 @@ reduced mod p once.  The two operands of UPoly.__mul__ are the case k = 2,
 slots for min(len(a), len(b)) * (p - 1)^2; a total Chern class multiplies
 its at most p - 1 binomial powers as one such product.  Slots are a power
 of two bytes wide: array items up to 8 bytes, byte strings beyond (for p
-near 2^32 and above).  Values derived from validated ones skip the public
-constructors' checks, and moduli are checked by a deterministic
-Miller-Rabin test, exact below PRIME_BOUND.
+near 2^32 and above).  Moduli are checked by a deterministic Miller-Rabin
+test, exact below PRIME_BOUND.
 
 Products in F_p[y1..yn, X] work on packed exponent keys: each term's
 exponent vector is one int with a digit of width bits per variable,
@@ -40,7 +39,13 @@ packed-int sum of h_i times the row (u + c)^i, each row packed like a
 product operand with slots sized for len(H) * (p - 1)^2 and memoized, and
 the sum's slots are reduced mod p once (one bytes.translate for byte slots).
 
-All values are immutable after construction and every operation is pure.
+Each type has one internal constructor for values derived from checked
+ones, UPoly._reduced(p, coeffs) and MPoly._reduced(p, arity, terms): every
+sum, negation, difference, product, power, quotient, coefficient extraction
+and shear is built through it without the checks that the public
+constructors UPoly(p, coeffs) and MPoly(p, arity, terms) keep for outside
+input, and both power methods share one square-and-multiply.  No value is
+changed after it is built, and every operation is pure.
 """
 
 from __future__ import annotations
@@ -139,11 +144,12 @@ class UPoly:
         in range(p) already and p is a modulus some UPoly was built with, so
         only trailing zeros are trimmed."""
         coeffs = tuple(coeffs)
-        while coeffs and not coeffs[-1]:
-            coeffs = coeffs[:-1]
+        n = len(coeffs)
+        while n and not coeffs[n - 1]:
+            n -= 1
         self = object.__new__(cls)
         self.p = p
-        self.coeffs = coeffs
+        self.coeffs = coeffs[:n]
         return self
 
     @classmethod
@@ -186,22 +192,15 @@ class UPoly:
 
     def __add__(self, other):
         self._check_same(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UPoly(
-            self.p,
-            (self.coefficient(k) + other.coefficient(k) for k in range(n)),
-        )
-
-    def __sub__(self, other):
-        self._check_same(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UPoly(
-            self.p,
-            (self.coefficient(k) - other.coefficient(k) for k in range(n)),
-        )
+        p = self.p
+        pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return UPoly._reduced(p, [(a + b) % p for a, b in pairs])
 
     def __neg__(self):
-        return UPoly(self.p, (-c for c in self.coeffs))
+        return UPoly._reduced(self.p, [-c % self.p for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
 
     def __mul__(self, other):
         self._check_same(other)
@@ -210,17 +209,7 @@ class UPoly:
         return UPoly._reduced(self.p, _product(self.p, (self.coeffs, other.coeffs)))
 
     def __pow__(self, exponent: int) -> "UPoly":
-        if exponent < 0:
-            raise ValueError("negative powers are not defined")
-        result = UPoly._reduced(self.p, (1,))
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return _power(self, exponent, UPoly._reduced(self.p, (1,)))
 
     def divexact(self, divisor: "UPoly") -> "UPoly | None":
         """Exact quotient self / divisor, or None when the division leaves a
@@ -277,6 +266,19 @@ class UPoly:
                 var = "t" if k == 1 else f"t^{k}"
                 parts.append(var if c == 1 else f"{c}*{var}")
         return " + ".join(parts)
+
+
+def _power(base, exponent: int, one):
+    """base ** exponent by square-and-multiply, starting from the unit one."""
+    if exponent < 0:
+        raise ValueError("negative powers are not defined")
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        base = base * base if exponent > 1 else base
+        exponent >>= 1
+    return result
 
 
 # array type codes by item size, for packing slots of 1, 2, 4 and 8 bytes
@@ -432,20 +434,13 @@ def pm_factorization(a: UPoly) -> "tuple[int, int] | None":
     if a.is_zero:
         return None
     p = a.p
-    one_minus = UPoly(p, (1, 0, p - 1))
-    one_plus = UPoly(p, (1, 0, 1))
-    e_minus = 0
-    current = a
-    while (q := current.divexact(one_minus)) is not None:
-        current = q
-        e_minus += 1
-    e_plus = 0
-    while (q := current.divexact(one_plus)) is not None:
-        current = q
-        e_plus += 1
-    if not current.is_one:
-        return None
-    return (e_minus, e_plus)
+    exponents = []
+    for factor in (UPoly._reduced(p, (1, 0, p - 1)), UPoly._reduced(p, (1, 0, 1))):
+        e = 0
+        while (q := a.divexact(factor)) is not None:
+            a, e = q, e + 1
+        exponents.append(e)
+    return tuple(exponents) if a.is_one else None
 
 
 def _product_terms(a: dict, b: dict) -> dict:
@@ -519,6 +514,18 @@ class MPoly:
         self.terms = data
 
     @classmethod
+    def _reduced(cls, p: int, arity: int, terms: dict) -> "MPoly":
+        """The internal constructor for derived values: terms maps exponent
+        tuples of length arity to nonzero residues in range(p), and p and
+        arity are those some MPoly was built with, so nothing is checked
+        again."""
+        self = object.__new__(cls)
+        self.p = p
+        self.arity = arity
+        self.terms = terms
+        return self
+
+    @classmethod
     def zero(cls, p: int, arity: int) -> "MPoly":
         return cls(p, arity)
 
@@ -580,53 +587,37 @@ class MPoly:
                 data[key] = v
             else:
                 data.pop(key, None)
-        out = MPoly.zero(self.p, self.arity)
-        out.terms = data
-        return out
+        return MPoly._reduced(p, self.arity, data)
 
     def __neg__(self):
-        out = MPoly.zero(self.p, self.arity)
-        out.terms = {k: self.p - c for k, c in self.terms.items()}
-        return out
+        p = self.p
+        return MPoly._reduced(p, self.arity, {k: p - c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
+        p, arity = self.p, self.arity
         if isinstance(other, int):
-            c = other % self.p
-            out = MPoly.zero(self.p, self.arity)
-            if c:
-                # c and every stored coefficient are units mod the prime p,
-                # so no product vanishes
-                out.terms = {k: v * c % self.p for k, v in self.terms.items()}
-            return out
+            c = other % p
+            # c and every stored coefficient are units mod the prime p, so
+            # no product vanishes
+            terms = {k: v * c % p for k, v in self.terms.items()} if c else {}
+            return MPoly._reduced(p, arity, terms)
         self._check_same(other)
-        p = self.p
-        out = MPoly.zero(p, self.arity)
-        if self.terms and other.terms:
-            width = _width(self.total_degree + other.total_degree)
-            product = _product_terms(
-                _packed_terms(self.terms, self.arity, width),
-                _packed_terms(other.terms, self.arity, width),
-            )
-            out.terms = _unpacked_terms(product, self.arity, width, p)
-        return out
+        if not (self.terms and other.terms):
+            return MPoly._reduced(p, arity, {})
+        width = _width(self.total_degree + other.total_degree)
+        product = _product_terms(
+            _packed_terms(self.terms, arity, width),
+            _packed_terms(other.terms, arity, width),
+        )
+        return MPoly._reduced(p, arity, _unpacked_terms(product, arity, width, p))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "MPoly":
-        if exponent < 0:
-            raise ValueError("negative powers are not defined")
-        result = MPoly.one(self.p, self.arity)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return _power(self, exponent, MPoly._reduced(self.p, self.arity, {(0,) * self.arity: 1}))
 
     def coefficient_in_var(self, var: int, exponent: int) -> "MPoly":
         """Coefficient of variable var to the given power, as a polynomial in
@@ -635,10 +626,9 @@ class MPoly:
             raise ValueError("cannot drop the only variable")
         if var not in range(self.arity):
             raise ValueError(f"no variable {var} in arity {self.arity}")
-        out = MPoly.zero(self.p, self.arity - 1)
-        out.terms = {key[:var] + key[var + 1 :]: c
-                     for key, c in self.terms.items() if key[var] == exponent}
-        return out
+        terms = {key[:var] + key[var + 1 :]: c
+                 for key, c in self.terms.items() if key[var] == exponent}
+        return MPoly._reduced(self.p, self.arity - 1, terms)
 
     def substitute_linear(self, a: int, b: int, c: int) -> "MPoly":
         """self with y_a replaced by y_a + c*y_b, an elementary shear, for
@@ -682,9 +672,7 @@ class MPoly:
                 key[a] = k
                 key[b] = s - k
                 data[tuple(key)] = cells[k]
-        out = MPoly.zero(p, self.arity)
-        out.terms = data
-        return out
+        return MPoly._reduced(p, self.arity, data)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items())

@@ -11,10 +11,13 @@ Characters are finite multisets of weights with positive multiplicities
 (genuine characters only; virtual combinations are rejected).  They are
 immutable after construction and hash by their weight multiset; the
 weight-system constructors are memoized, so a repeated call hands back the
-same character.  Sums, scalar multiples and
-branchings are built from weights of valid characters, which keep their
-rank (or lose the last entry) and their parity, so they skip the public
-constructor's checks; zero multiplicities are still dropped.
+same character.  The generated weight systems (vector_weights,
+exterior_square_weights, half_spin_weights) are valid by construction, and
+sums, scalar multiples and branchings are built from weights of valid
+characters, which keep their rank (or lose the last entry) and their
+parity; all of them are built through the internal constructor
+Character._derived, without the public constructor's checks, and a multiple
+by 0 is the empty character.  No character is changed after it is built.
 """
 
 from __future__ import annotations
@@ -163,7 +166,7 @@ def vector_weights(n: int) -> Character:
     for i in range(n):
         for s in (2, -2):
             data[tuple(s if j == i else 0 for j in range(n))] = 1
-    return Character(n, data)
+    return Character._derived(n, data)
 
 
 @functools.cache
@@ -179,7 +182,7 @@ def exterior_square_weights(n: int) -> Character:
                 w = [0] * n
                 w[i], w[j] = si, sj
                 data[tuple(w)] = 1
-    return Character(n, data)
+    return Character._derived(n, data)
 
 
 @functools.cache
@@ -195,7 +198,7 @@ def half_spin_weights(n: int, sign: str = "+") -> Character:
         parity = 1 if eps.count(-1) % 2 == 0 else -1
         if sign == "both" or (parity == 1) == (sign == "+"):
             data[eps] = 1
-    return Character(n, data)
+    return Character._derived(n, data)
 
 
 REP_NAMES = ("rho4", "rho4adj", "rho6", "rho7", "rho8")

@@ -315,8 +315,9 @@ def test_commands_run_without_numpy(tmp_path):
 
 
 def test_import_layering():
-    # the package root loads no submodule, and the per-point layers do not
-    # load the Dickson expansion
+    # the package root loads no submodule, the per-point layers do not load
+    # the Dickson expansion, and the CLI loads the single-point layer only
+    # for the chern command
     env = dict(os.environ, PYTHONPATH=str(Path(chern_cert.__file__).resolve().parents[1]))
 
     def loaded(module):
@@ -332,6 +333,8 @@ def test_import_layering():
     for module in ("chern_cert.chern", "chern_cert.classify"):
         modules = loaded(module)
         assert module in modules and "chern_cert.dickson" not in modules
+    modules = loaded("chern_cert.cli")
+    assert "chern_cert.cli" in modules and "chern_cert.chern" not in modules
 
 
 class TestUsageErrors:

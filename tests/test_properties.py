@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from chern_cert import fppoly
+from chern_cert import dickson, fppoly
 from chern_cert.chern import RestrictionPoint, restricted_exponents, total_chern
 from chern_cert.classify import count_table
 from chern_cert.fppoly import (
@@ -420,6 +420,85 @@ class TestMPolyCancellation:
         product = (y1 + y2) * (y1 - y2)
         assert product.terms == {(2, 0): 1, (0, 2): 4}
         assert 0 not in product.terms.values()
+
+
+def assert_upoly_rebuilds(a):
+    """a equals the UPoly the validating constructor builds from its
+    coefficients, which are residues with no trailing zero."""
+    assert a == UPoly(a.p, a.coeffs)
+    assert all(0 <= c < a.p for c in a.coeffs)
+    assert not a.coeffs or a.coeffs[-1]
+
+
+def assert_mpoly_rebuilds(f):
+    """f equals the MPoly the validating constructor builds from its terms,
+    which have nonzero residues and keys of f's arity only."""
+    assert f == MPoly(f.p, f.arity, f.terms)
+    assert all(0 < c < f.p for c in f.terms.values())
+    assert all(type(key) is tuple and len(key) == f.arity for key in f.terms)
+
+
+@st.composite
+def upoly_pairs(draw):
+    """Two polynomials over one prime, zero included."""
+    p = draw(primes)
+    coeffs = st.lists(st.integers(-6, 12), max_size=26)
+    return UPoly(p, draw(coeffs)), UPoly(p, draw(coeffs))
+
+
+@st.composite
+def mpoly_cases(draw):
+    """Two polynomials over one prime in {3, 5, 7} at one arity of 1 to 4,
+    zero included, an int scalar that may be a multiple of p, a variable
+    index and two distinct variable indices (one when the arity is 1)."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    arity = draw(st.integers(1, 4))
+    keys = st.tuples(*(st.integers(0, 4) for _ in range(arity)))
+    terms = st.dictionaries(keys, st.integers(0, p - 1), max_size=6)
+    f, g = MPoly(p, arity, draw(terms)), MPoly(p, arity, draw(terms))
+    k = draw(st.integers(-2 * p, 2 * p))
+    var = draw(st.integers(0, arity - 1))
+    shear = tuple(draw(st.permutations(range(arity)))[:2])
+    return f, g, k, var, shear
+
+
+class TestInternalConstructors:
+    """Derived polynomials skip the public constructors' checks; each must
+    still be the polynomial those constructors would build."""
+
+    @given(upoly_pairs(), st.integers(0, 6))
+    @example((UPoly(5, (1, 2, 3)), UPoly(5, (1, 2, 3))), 0)  # a - a cancels every term
+    @example((UPoly(5, (1, 2)), UPoly(5, (0, 3))), 2)  # the top terms of a + b cancel
+    @example((UPoly(3, (0, 1)), UPoly(3, ())), 1)  # -a keeps its zero coefficient a residue
+    @settings(deadline=None)
+    def test_upoly_operations(self, pair, e):
+        a, b = pair
+        for result in (a + b, a - b, -a, a * b, a**e):
+            assert_upoly_rebuilds(result)
+        if not b.is_zero:
+            assert_upoly_rebuilds((a * b).divexact(b))
+            if (q := a.divexact(b)) is not None:
+                assert_upoly_rebuilds(q)
+
+    @given(mpoly_cases(), st.integers(0, 3), st.integers(0, 4))
+    # (y1 + y2)(y1 - y2) cancels its y1*y2 terms, and 5 * f is zero
+    @example(
+        (MPoly(5, 2, {(1, 0): 1, (0, 1): 1}), MPoly(5, 2, {(1, 0): 1, (0, 1): 4}), 5, 0, (0, 1)), 2, 1
+    )
+    @settings(deadline=None)
+    def test_mpoly_operations(self, case, e, exponent):
+        f, g, k, var, shear = case
+        for result in (f + g, f + (-f), -f, f * k, k * f, f * g, f**e):
+            assert_mpoly_rebuilds(result)
+        if f.arity >= 2:
+            assert_mpoly_rebuilds(f.coefficient_in_var(var, exponent))
+            assert_mpoly_rebuilds(f.substitute_linear(*shear, k))
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_dickson_expansion(self, p):
+        ds = dickson.compute(p)
+        for poly in (ds.e3, *ds.cs):
+            assert_mpoly_rebuilds(poly)
 
 
 class TestFrobenius:
