@@ -8,6 +8,12 @@ For every seed K, each TREE (a checkout of this repository) runs
 turns to go first.  BENCH_<N>.json holds, per workload and end-to-end
 metric, every run's value with their median and quartiles, and the machine,
 CPU count, Python version, the tree's commit, the seeds and the seconds.
+
+Every run imports the package from source: each bench/run.py starts with
+PYTHONDONTWRITEBYTECODE=1, and a TREE that holds src/chern_cert/__pycache__
+is refused before any run.  Otherwise a tree with bytecode left from an
+earlier run imports faster than one without (about 0.275 against 0.308 s of
+setup_s), and a comparison reads a cache difference as a code difference.
 """
 
 import argparse
@@ -24,7 +30,8 @@ END_TO_END = ("wall_s", "cpu_s", "peak_rss_mib", "setup_s")
 
 
 def output(cmd: list, tree: str) -> str:
-    return subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True).stdout
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True, check=True).stdout
 
 
 def main() -> None:
@@ -36,11 +43,16 @@ def main() -> None:
     if len(args.seeds) < 2:
         parser.error("quartiles need at least two seeds")
     trees = dict(spec.split("=", 1) for spec in args.trees)
+    for tree in trees.values():
+        if (Path(tree) / "src" / "chern_cert" / "__pycache__").exists():
+            parser.error(f"{tree} holds src/chern_cert/__pycache__; remove it so that"
+                         " every tree imports from source")
     runs: dict = {n: [] for n in trees}
     for i, seed in enumerate(args.seeds):
         for n in list(trees)[:: (-1) ** i]:
-            cmd = [sys.executable, "bench/run.py", "--workload", "all", "--seconds", str(args.seconds)]
-            runs[n].append(json.loads(output(cmd + ["--seed", str(seed)], trees[n]).splitlines()[-1]))
+            cmd = [sys.executable, "bench/run.py", "--workload", "all", "--seconds", str(args.seconds),
+                   "--seed", str(seed)]
+            runs[n].append(json.loads(output(cmd, trees[n]).splitlines()[-1]))
     cpuinfo = Path("/proc/cpuinfo")
     cpu = [s for s in (cpuinfo.read_text() if cpuinfo.exists() else "").splitlines() if s.startswith("model name")]
     for n, tree in trees.items():

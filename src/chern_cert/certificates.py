@@ -93,7 +93,8 @@ def toolchain_fingerprint() -> dict:
 
 
 def default_cert_dir() -> Path:
-    return Path(os.environ.get(_CERT_DIR_ENV, "certs"))
+    """$CHERN_CERT_DIR, or ./certs when it is unset or empty."""
+    return Path(os.environ.get(_CERT_DIR_ENV) or "certs")
 
 
 def _check_known(statement, status) -> None:

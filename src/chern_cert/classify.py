@@ -124,7 +124,8 @@ class CountTable:
 
     counts[k][j] is the number of restricted weights of character j taking
     each exponent value 0..p-1 in class k, weights[k] its orbit-weighted
-    number of points and column(j)[k] its total Chern class of character j.
+    number of points and column(j)[k] its total Chern class of character j,
+    multiplied out from the factors on each read of column(j).
     class_of is a read-only view of each point's class id in sweep order
     (full mode: every nonzero point in lexicographic order, canonical mode:
     the weakly increasing representatives), one byte per point unless there
@@ -132,11 +133,10 @@ class CountTable:
     each class, the unswept zero point included.  Every class of a full
     table holds a swept point; a canonical view keeps the full table's
     classes, so a class no representative hits has weight 0 (only when a
-    character is not permutation-invariant).  Immutable (the column cache
-    aside); equal only to itself.
+    character is not permutation-invariant).  Immutable; equal only to itself.
     """
 
-    __slots__ = ("p", "n", "mode", "counts", "weights", "class_of", "reps", "_columns")
+    __slots__ = ("p", "n", "mode", "counts", "weights", "class_of", "reps")
 
     def __init__(
         self,
@@ -148,7 +148,7 @@ class CountTable:
         class_of: memoryview,
         reps: "tuple | None",
     ):
-        values = (p, n, mode, counts, weights, class_of, reps, {})
+        values = (p, n, mode, counts, weights, class_of, reps)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -181,16 +181,15 @@ class CountTable:
 
     def column(self, j: int) -> tuple[UPoly, ...]:
         """Each class's total Chern class of character j, in class order,
-        its factors multiplied out on first read.  The mod-5 predicates read
-        only the factors and the counts, so a mod-5 column is multiplied out
-        only for a certificate or a fallback that reads it."""
-        if j not in self._columns:
-            self._columns[j] = tuple(map(_multiply, self.factors(j)))
-        return self._columns[j]
+        its factors multiplied out on each read (no command reads a column
+        twice).  The mod-5 predicates read only the factors and the counts,
+        so a mod-5 column is multiplied out only for a certificate or a
+        fallback that reads it."""
+        return tuple(map(_multiply, self.factors(j)))
 
     @property
     def polys(self) -> tuple:
-        """polys[k][j] is column(j)[k]; reading it multiplies out every column."""
+        """polys[k][j] is column(j)[k]; each read multiplies out every column."""
         return tuple(zip(*(self.column(j) for j in range(len(self.counts[0])))))
 
     def first(self, classes, cap: int) -> list[str]:
@@ -575,6 +574,8 @@ def _mod3_walk(table: CountTable, consistent, checks) -> tuple[list[str], list[d
     alphas: list[str] = []
     witnesses: list[dict] = []
     kept: Counter = Counter()
+    # a witness's columns are multiplied out once, and only if its check fails
+    columns = {j: table.column(j) for _, failing, fs in checks if failing for j in fs.values()}
     for i, k in enumerate(table.class_of.tolist()):
         alpha = _render_alpha(table.alpha(i))
         if k in consistent:
@@ -583,7 +584,7 @@ def _mod3_walk(table: CountTable, consistent, checks) -> tuple[list[str], list[d
             if k in failing and kept[label] < WITNESS_CAP:
                 kept[label] += 1
                 witness = {"alpha": alpha, "check": label}
-                witness.update((name, table.column(j)[k].render()) for name, j in fields.items())
+                witness.update((name, columns[j][k].render()) for name, j in fields.items())
                 witnesses.append(witness)
     return alphas, witnesses, [label for label, failing, _ in checks if failing]
 

@@ -144,15 +144,10 @@ def _e3(p: int) -> MPoly:
     return _dense_product(p, antipodal_representatives(p))
 
 
-_CACHE: dict[int, DicksonSet] = {}
-
-
 def compute(p: int) -> DicksonSet:
     """Expand the orbit product and record c_{3,0}, c_{3,1}, c_{3,2}, e3 and
-    the product's shape in X, unjudged (memoized per prime)."""
+    the product's shape in X, unjudged."""
     _check_supported_prime(p)
-    if p in _CACHE:
-        return _CACHE[p]
     product = orbit_product(p)
     cs = []
     for i in range(_RANK):
@@ -167,9 +162,7 @@ def compute(p: int) -> DicksonSet:
     else:
         unit = None
     monic = product.coefficient_in_var(3, p**_RANK) == MPoly.one(p, _RANK)
-    ds = DicksonSet(p, tuple(cs), e3, unit, product.support_in_var(3), monic)
-    _CACHE[p] = ds
-    return ds
+    return DicksonSet(p, tuple(cs), e3, unit, product.support_in_var(3), monic)
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +254,11 @@ def transvection_generators() -> list[tuple[int, int]]:
     return list(itertools.permutations(range(_RANK), 2))
 
 
-def sl3_invariance_check(p: int, ds: "DicksonSet | None" = None) -> list[dict]:
+def sl3_invariance_check(ds: DicksonSet) -> list[dict]:
     """The (generator, matrix, invariant) of every elementary transvection
     that moves one of c_{3,0}, c_{3,1}, c_{3,2} and e3: empty exactly when
     all four are invariant.  A violation records the transvection (a, b) as
     its substitution matrix, the identity with a 1 at row b, column a."""
-    ds = ds or compute(p)
     violations = []
     polys = {"c0": ds.cs[0], "c1": ds.cs[1], "c2": ds.cs[2], "e3": ds.e3}
     for gi, (a, b) in enumerate(transvection_generators()):
@@ -339,7 +331,7 @@ def lemma_facts(p: int, full: bool = False) -> CheckResult:
             problems.append(f"e3 degree {e3_degree}, expected {p**3 - 1}")
         if ds.sign is None:
             problems.append("e3^2 is not a unit multiple of c_{3,0}")
-        violations = sl3_invariance_check(p, ds)
+        violations = sl3_invariance_check(ds)
         if violations:
             problems.append("transvection invariance failed")
             evidence["invariance_violations"] = violations

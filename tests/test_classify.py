@@ -421,10 +421,11 @@ class TestTunedPathAgainstCharacterPipeline:
     def test_all_canonical_representatives(self, chars, mod5_table):
         reps = canonical_representatives()
         assert [mod5_table.alpha(i) for i in range(mod5_table.points)] == reps
+        polys = mod5_table.polys
         for i, alpha in enumerate(reps):
             pt = RestrictionPoint(5, alpha)
             k = mod5_table.class_of[i]
-            (m2, mD, _), (f2, fD, _) = mod5_table.counts[k], mod5_table.polys[k]
+            (m2, mD, _), (f2, fD, _) = mod5_table.counts[k], polys[k]
             g2 = total_chern(chars["lambda2"], pt)
             gD = total_chern(chars["delta+"], pt)
             assert f2 == g2, alpha
@@ -443,9 +444,10 @@ class TestTunedPathAgainstCharacterPipeline:
             vector_weights(4) + half_spin_weights(4, "both"),
             exterior_square_weights(4),
         )
+        polys = full.polys
         for i, alpha in enumerate(alphas):
             pt = RestrictionPoint(3, alpha)
-            got = full.polys[full.class_of[i]]
+            got = polys[full.class_of[i]]
             assert got[:2] == tuple(total_chern(c, pt) for c in chars), alpha
             assert got[2:] == tuple(chern_named(name, pt) for name in REP_NAMES), alpha
         # canonical mode weights each class by orbit sizes to the same totals
@@ -707,9 +709,12 @@ class TestSweepMod5:
             real(self, p, coeffs)
 
         monkeypatch.setattr(UPoly, "__init__", counted)
+        multiplied = []
+        multiply = classify._multiply
+        monkeypatch.setattr(classify, "_multiply", lambda fs: multiplied.append(fs) or multiply(fs))
         assert classify_e8_mod5("full").verified
         # the predicates read factors and counts: no column is multiplied out
-        assert table._columns == {}
+        assert multiplied == []
         assert len(calls) <= 8
 
     @pytest.mark.parametrize("mode", ["canonical", "full"])
@@ -720,13 +725,14 @@ class TestSweepMod5:
         table = count_table(5, classify._mod5_chars(), mode)
         assert len(table.counts) == 53
         monkeypatch.setattr(classify, "pm_factorization", fallback)
+        columns = (table.column(0), table.column(1))
         for k, counts in enumerate(table.counts):
             for j in (0, 1):
-                m, column = counts[j], table.column(j)[k]
+                m, column = counts[j], columns[j][k]
                 assert column == classify._multiply(table.factors(j)[k])
                 assert column == chern_of_counts(5, enumerate(m))
                 assert _pm_form(m) == pm_factorization(column) is not None, (k, j)
-            assert classify._rho8(counts) == table.column(0)[k] * table.column(1)[k], k
+            assert classify._rho8(counts) == columns[0][k] * columns[1][k], k
 
     def test_pm_form_on_counts_that_are_not_negation_closed(self):
         # a factor that disagrees with its prediction sends the multiplied-out

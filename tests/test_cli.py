@@ -142,6 +142,19 @@ class TestVerify:
         for p in paths:
             assert Certificate.load(p).verified
 
+    def test_empty_cert_dir_counts_as_unset(self, tmp_path, capsys, monkeypatch):
+        # CHERN_CERT_DIR= writes into ./certs, not into the working directory
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.setenv("CHERN_CERT_DIR", "")
+        assert main(["verify", "prop-3.2"]) == 0
+        assert capsys.readouterr().out.split() == [str(Path("certs", "prop-3.2.json"))]
+        assert sorted(p.relative_to(work) for p in work.rglob("*")) == [
+            Path("certs"),
+            Path("certs", "prop-3.2.json"),
+        ]
+
     def test_explicit_out_path(self, tmp_path, capsys):
         target = tmp_path / "somewhere" / "t11.json"
         code = main(["verify", "theorem-1.1", "--out", str(target)])

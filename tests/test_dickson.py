@@ -154,11 +154,11 @@ class TestRank1Restriction:
 
 class TestInvariance:
     def test_transvections_fix_everything_mod3(self):
-        assert dickson.sl3_invariance_check(3) == []
+        assert dickson.sl3_invariance_check(dickson.compute(3)) == []
         assert len(dickson.transvection_generators()) == 6
 
     def test_transvections_fix_everything_mod5(self):
-        assert dickson.sl3_invariance_check(5) == []
+        assert dickson.sl3_invariance_check(dickson.compute(5)) == []
 
     @pytest.mark.parametrize("a", [0, 1, 2])
     @pytest.mark.parametrize("p", [3, 5])
@@ -279,17 +279,27 @@ class TestMutations:
         keys = sorted(k for k in product.terms if k[3] != p**3)
         flipped = _flip(product, keys[index])
         monkeypatch.setattr(dickson, "orbit_product", lambda q: flipped)
-        monkeypatch.setattr(dickson, "_CACHE", {})
         result = dickson.lemma_facts(p, full=True)
         assert not result.verified
         assert "transvection invariance failed" in result.evidence["problems"]
         assert result.evidence["invariance_violations"]
 
     @pytest.mark.parametrize("p", [3, 5])
+    def test_fault_after_a_first_run_is_seen(self, monkeypatch, p):
+        # nothing kept from a first run hides a fault injected after it
+        assert dickson.lemma_facts(p, full=True).verified
+        product = dickson.orbit_product(p)
+        keys = sorted(k for k in product.terms if k[3] != p**3)
+        flipped = _flip(product, keys[-1])
+        monkeypatch.setattr(dickson, "orbit_product", lambda q: flipped)
+        result = dickson.lemma_facts(p, full=True)
+        assert not result.verified
+        assert "transvection invariance failed" in result.evidence["problems"]
+
+    @pytest.mark.parametrize("p", [3, 5])
     def test_dropped_antipodal_representative_breaks_e3(self, monkeypatch, p):
         reps = dickson.antipodal_representatives(p)
         monkeypatch.setattr(dickson, "antipodal_representatives", lambda q: reps[1:])
-        monkeypatch.setattr(dickson, "_CACHE", {})
         result = dickson.lemma_facts(p, full=True)
         assert not result.verified
         problems = result.evidence["problems"]
@@ -318,7 +328,6 @@ class TestBrokenExpansion:
     def test_named_problem_and_exit_1(self, monkeypatch, tmp_path, p, fault):
         broken = fault(dickson.orbit_product(p))
         monkeypatch.setattr(dickson, "orbit_product", lambda q: broken)
-        monkeypatch.setattr(dickson, "_CACHE", {})
         support = [1, p, p**2, p**3]
         if fault is _without_x1:
             support = support[1:]
@@ -357,8 +366,10 @@ class TestShearRowMutations:
     def test_corrupted_row_breaks_invariance(self, monkeypatch, p, row):
         ds = dickson.compute(p)  # the orbit product is expanded before the fault
         monkeypatch.setattr(fppoly, "_taylor_row", row)
-        violations = dickson.sl3_invariance_check(p, ds)
+        violations = dickson.sl3_invariance_check(ds)
         assert violations
+        # lemma_facts judges the same expansion, not one made under the fault
+        monkeypatch.setattr(dickson, "compute", lambda q: ds)
         facts = dickson.lemma_facts(p, full=True)
         assert not facts.verified
         assert "transvection invariance failed" in facts.evidence["problems"]
@@ -370,4 +381,4 @@ class TestShearRowMutations:
         monkeypatch.setattr(
             fppoly, "_taylor_row", lambda q, c, i, slot: _TAYLOR_ROW(q, c % (q - 1) + 1, i, slot)
         )
-        assert dickson.sl3_invariance_check(p, ds) == []
+        assert dickson.sl3_invariance_check(ds) == []

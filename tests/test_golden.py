@@ -59,7 +59,7 @@ def _flipped_orbit_coefficient():
     product = dickson.orbit_product(5)
     key = max(k for k in product.terms if k[3] != 125)
     flipped = MPoly(5, 4, {**product.terms, key: 2 * product.terms[key]})
-    return [(dickson, "orbit_product", lambda p: flipped), (dickson, "_CACHE", {})]
+    return [(dickson, "orbit_product", lambda p: flipped)]
 
 
 # Falsified payloads under a fault injected into a swept character or into
