@@ -12,8 +12,10 @@ CHERN_CERT_DIR: `verify all` in both sweep modes, with and without
 command in REPORTS runs the same way, and its standard output, the report
 JSON, is compared byte for byte.  One line is printed per certificate and per
 report, and the exit status is 1 when any certificate is missing from either
-tree, any canonical_sha256 or report differs, or a report command fails,
-else 0.
+tree, any canonical_sha256 or report differs, or a command fails, else 0.  A
+certificate command fails when it writes no certificate or exits with a
+status other than 0 (all verified) or 1 (something falsified); a report
+command fails when it exits with any status but 0.
 """
 
 import hashlib
@@ -53,12 +55,14 @@ def _run(tree: str, command: list, certs: str) -> subprocess.CompletedProcess:
                           env=env, capture_output=True)
 
 
-def digests(tree: str, command: list) -> dict:
-    """statement -> canonical_sha256 of each certificate the command writes."""
+def digests(tree: str, command: list) -> "dict | None":
+    """statement -> canonical_sha256 of each certificate the command writes,
+    or None when the command fails (see the module docstring)."""
     with tempfile.TemporaryDirectory() as certs:
-        _run(tree, command, certs)
-        return {path.stem: json.loads(path.read_text())["canonical_sha256"]
-                for path in sorted(Path(certs).glob("*.json"))}
+        done = _run(tree, command, certs)
+        found = {path.stem: json.loads(path.read_text())["canonical_sha256"]
+                 for path in sorted(Path(certs).glob("*.json"))}
+    return found if found and done.returncode in (0, 1) else None
 
 
 def report(tree: str, command: list) -> "bytes | None":
@@ -76,16 +80,22 @@ def main() -> int:
     if len(sys.argv) != 3:
         sys.exit(__doc__.split("\n\n")[1].strip())
     tree_a, tree_b = sys.argv[1:]
-    total = differ = 0
+    total = differ = failed = 0
     for command in COMMANDS:
         a, b = digests(tree_a, command), digests(tree_b, command)
+        if a is None or b is None:
+            failed += 1
+            print(f"{' '.join(command)}: {'failed' if a is None else 'ok'}"
+                  f" {'failed' if b is None else 'ok'} FAILED")
+            continue
         for statement in sorted(a.keys() | b.keys()):
             same = statement in a and a.get(statement) == b.get(statement)
             total += 1
             differ += not same
             print(f"{' '.join(command)} :: {statement}: {a.get(statement, 'missing')[:16]}"
                   f" {b.get(statement, 'missing')[:16]} {'equal' if same else 'DIFFERENT'}")
-    print(f"{total - differ} of {total} canonical_sha256 equal, {differ} different")
+    print(f"{total - differ} of {total} canonical_sha256 equal, {differ} different,"
+          f" {failed} of {len(COMMANDS)} commands failed")
     reports_differ = 0
     for command in REPORTS:
         a, b = report(tree_a, command), report(tree_b, command)
@@ -95,7 +105,7 @@ def main() -> int:
               f" {'identical' if same else 'DIFFERENT'}")
     print(f"{len(REPORTS) - reports_differ} of {len(REPORTS)} chern reports byte-identical,"
           f" {reports_differ} different")
-    return 1 if differ or reports_differ or not total else 0
+    return 1 if differ or failed or reports_differ or not total else 0
 
 
 if __name__ == "__main__":

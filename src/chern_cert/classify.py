@@ -31,15 +31,18 @@ call, from which consistent sets and witness lists are read back in point
 order.  All 390624 mod-5 points fall into 53 count classes, and the 80
 mod-3 points into 3.
 
-Both primes judge their classes one way: per swept column j, a frozenset
-of the classes where each named predicate holds, keyed name{j}
-(_class_sets), and each statement reads only the sets of the columns it is
-about.  Tables are memoized per (p, characters, mode), so the statements
-that share a sweep share one table and a changed character gets a table of
-its own; the class sets are memoized per (table, subring exponent), so a
-changed bound is judged afresh against the same table.  A canonical table
-is a view of the full one (count_table), so both modes judge one set of
-classes.  The sweep runs in one process.
+The six sweep statements are rows of data (_ROWS), and one judge, _judge,
+builds every certificate from its row.  One pass, _class_sets, judges a
+sweep's classes for both primes: per swept column the classes where each
+named predicate holds, per reading (a column or a product of columns) those
+in F_p[t^d] and those off the expected values.  It is memoized on values
+(table, sweep, d, expected polynomials), so a prime's statements share one
+judgement and a changed bound or expected value is judged afresh.  Each
+check's witnesses are its first points by CountTable.first, laid out per
+row: merged by point and check order mod 3, keyed by check mod 5.  Tables
+are memoized per (p, characters, mode), and a canonical table is a view of
+the full one (count_table), so both modes judge one set of classes.  The
+sweep runs in one process.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import itertools
 import math
 from array import array
 from collections import Counter, namedtuple
-from operator import add, itemgetter, mul
+from operator import itemgetter, mul
 
 from .certificates import CheckResult
 from .fppoly import (
@@ -92,8 +95,9 @@ TOTAL_POINTS_5 = 5**N5 - 1
 # the weakly increasing nonzero vectors: multisets of N5 digits, less zero
 CANONICAL_POINTS_5 = math.comb(P5 + N5 - 1, N5) - 1
 
-def _render_alpha(alpha) -> str:
-    return ",".join(str(a) for a in alpha)
+def _point(table: CountTable, i: int) -> str:
+    """Point i of table's sweep order as text, e.g. "0,1,2,2"."""
+    return ",".join(map(str, table.alpha(i)))
 
 
 def canonical_representatives(p: int = P5, n: int = N5) -> list[tuple[int, ...]]:
@@ -192,8 +196,9 @@ class CountTable:
         """polys[k][j] is column(j)[k]; each read multiplies out every column."""
         return tuple(zip(*(self.column(j) for j in range(len(self.counts[0])))))
 
-    def first(self, classes, cap: int) -> list[str]:
-        """The first cap points, in sweep order, whose class is in classes."""
+    def first(self, classes, cap: int) -> list[int]:
+        """The indices of the first cap points, in sweep order, whose class is
+        in classes."""
         if not classes:
             return []
         classes = set(classes)
@@ -205,7 +210,7 @@ class CountTable:
         found = []
         i = marks.find(1)
         while i >= 0 and len(found) < cap:
-            found.append(_render_alpha(self.alpha(i)))
+            found.append(i)
             i = marks.find(1, i + 1)
         return found
 
@@ -503,26 +508,288 @@ def _consistent_value(p: int, d: int) -> UPoly:
     return UPoly.one(p) - UPoly.monomial(p, 1, d)
 
 
-def _class_sets(table: CountTable, sizes: tuple[int, ...], predicates) -> dict[str, frozenset[int]]:
-    """For each swept column j (the first len(sizes) columns) and each named
-    predicate of (counts, negation-pair factors), the classes where it
-    holds, keyed name{j}.  Two predicates are shared by both primes:
-    "closure", the column's exponent list is not negation-closed
-    (m[v] != m[-v mod p]) or misses the paper's constant size sizes[j],
-    which a lost +- pair breaks, and "trivial", every factor is 1, so the
-    class is 1."""
-    p = table.p
+@functools.cache
+def _summed_class(p: int, m: tuple) -> UPoly:
+    """The total Chern class mod p with m[v] weights of exponent v, expanded
+    from the counts once per (p, m): the 53 mod-5 classes have 13 distinct
+    rho8 count sums."""
+    return chern_of_counts(p, enumerate(m))
+
+
+def _reading(table: CountTable, cols: tuple[int, ...], classes) -> list[UPoly]:
+    """The total Chern class of the characters of columns cols together, in
+    each of classes: column(j) for one column j, else expanded from the
+    summed counts (_summed_class)."""
+    if len(cols) == 1:
+        column = table.column(*cols)
+        return [column[k] for k in classes]
+    sums = (tuple(map(sum, zip(*(table.counts[k][j] for j in cols)))) for k in classes)
+    return [_summed_class(table.p, m) for m in sums]
+
+
+# The per-column predicates by name, of a class's counts m and negation-pair
+# factors fs in a swept column of the paper's constant size: "closure", the
+# exponent list is not negation-closed (m[v] != m[-v mod p]) or misses the
+# size, which a lost +- pair breaks; "trivial", every factor is 1;
+# "indivisible", the class is not divisible by 1 - t^2; "pm", it is not a
+# product of 1 - t^2 and 1 + t^2 factors (_pm_form, mod 5 only).
+_PREDICATES = {
+    "closure": lambda m, fs, size: sum(m) != size or any(m[v] != m[-v] for v in range(len(m))),
+    "trivial": lambda m, fs, size: all(f.is_one for f in fs),
+    "indivisible": lambda m, fs, size: _multiply(fs).divexact(
+        UPoly._reduced(len(m), (1, 0, len(m) - 1))
+    ) is None,
+    "pm": lambda m, fs, size: _pm_form(m) is None,
+}
+
+# A sweep's judgement: its prime, the sizes of its swept columns (the first
+# len(sizes)), the predicates judged on each, the readings (see _reading)
+# its statements filter and check values on, and the powers of the
+# consistent value expected there.
+_Sweep = namedtuple("_Sweep", "p sizes predicates readings powers")
+_MOD3 = _Sweep(3, (24, 24), ("closure", "trivial", "indivisible"), ((0,), (1,)), (1,))
+_MOD5 = _Sweep(P5, (112, 128), ("closure", "trivial", "pm"), ((0, 1),), (1, 2))
+
+
+@functools.cache
+def _class_sets(table: CountTable, spec: _Sweep, d: int, expected: tuple) -> dict:
+    """The classes where each test holds: keyed (name, j) per predicate of
+    spec on each swept column j, and ("sub", r) and ("off", r) per reading
+    r, whose class lies in F_p[t^d] or is none of expected.  Memoized on
+    these values, so the statements of one sweep share one judgement and a
+    changed bound or expected value is judged afresh."""
     sets = {}
-    for j, size in enumerate(sizes):
-        tests = {
-            "closure": lambda m, fs: sum(m) != size or any(m[v] != m[-v % p] for v in range(1, p)),
-            "trivial": lambda m, fs: all(f.is_one for f in fs),
-            **predicates,
-        }
-        column = tuple(zip((cls[j] for cls in table.counts), table.factors(j)))
-        for name, test in tests.items():
-            sets[f"{name}{j}"] = frozenset(k for k, (m, fs) in enumerate(column) if test(m, fs))
+    for j, size in enumerate(spec.sizes):
+        column = tuple(zip((c[j] for c in table.counts), table.factors(j)))
+        for name in spec.predicates:
+            test = _PREDICATES[name]
+            sets[name, j] = frozenset(k for k, (m, fs) in enumerate(column) if test(m, fs, size))
+    for r in spec.readings:
+        values = _reading(table, r, range(len(table.counts)))
+        sets["sub", r] = frozenset(k for k, c in enumerate(values) if in_subring(c, d))
+        sets["off", r] = frozenset(k for k, c in enumerate(values) if c not in expected)
     return sets
+
+
+def _sweep(spec: _Sweep, table: CountTable, full: CountTable, **found) -> dict:
+    """A sweep: table, the class sets of full, the full table it views,
+    under the current subring exponent and expected values, and what the
+    sweep found (its problems, evidence and parameters)."""
+    d = subring_bound(spec.p)
+    expected = tuple(_consistent_value(spec.p, d) ** e for e in spec.powers)
+    sets = _class_sets(full, spec, d, expected)
+    return {"table": table, "sets": sets, "subring_exponent": d, "expected": expected, **found}
+
+
+def _merged(table: CountTable, failing: dict) -> list[dict]:
+    """The mod-3 witness list: each failed check's first WITNESS_CAP points,
+    merged by point and, within a point, check order.  A witness carries its
+    point, its check's key and each field's class polynomial; a column is
+    multiplied out once, and only if a check that reads it fails."""
+    columns = {j: table.column(j) for check in failing for _, j in check.fields}
+    hits = sorted(
+        (i, n, check)
+        for n, (check, classes) in enumerate(failing.items())
+        for i in table.first(classes, WITNESS_CAP)
+    )
+    return [
+        {"alpha": _point(table, i), "check": check.key}
+        | {name: columns[j][table.class_of[i]].render() for name, j in check.fields}
+        for i, _, check in hits
+    ]
+
+
+def _keyed(table: CountTable, failing: dict) -> dict[str, list[str]]:
+    """The mod-5 witnesses: each failed check's first FAIL_CAP points, keyed
+    by the check's key."""
+    return {
+        check.key: [_point(table, i) for i in table.first(classes, FAIL_CAP)]
+        for check, classes in failing.items()
+    }
+
+
+def _consistent_points(value_key: str, sweep: dict, consistent) -> tuple[dict, list]:
+    """The consistent points, sorted, their number and, keyed value_key, the
+    value expected on them."""
+    table = sweep["table"]
+    alphas = sorted(_point(table, i) for i in table.first(consistent, table.points))
+    value = sweep["expected"][0].render()
+    return {"consistent_alphas": alphas, "consistent_count": len(alphas), value_key: value}, []
+
+
+def _registered(sweep: dict, consistent) -> tuple[dict, list]:
+    """The five registered representations on the consistent set: each must
+    be constant there and equal its closed power of the consistent value.
+    The adjoint class factors as the product of the two swept classes, and
+    the rank-4 rho8 class equals c(lambda1+delta)^8 * c(lambda2); both
+    readings must agree with the registry computation."""
+    table, target = sweep["table"], sweep["expected"][0]
+    polys = table.polys  # theorem-1.1 reads every column
+    classes = [polys[k] for k in sorted(consistent)]
+    col = {name: j for j, name in enumerate(REP_NAMES, 2)}
+    problems, named = [], {}
+    for name in REP_NAMES:
+        values = {c[col[name]].render() for c in classes}
+        if len(values) > 1:
+            problems.append(f"{name} is not constant on the consistent set")
+        named[name] = sorted(values)[0] if values else None
+    for name, e in {"rho4": 1, "rho6": 1, "rho7": 2, "rho4adj": 2, "rho8": 9}.items():
+        if named[name] != (target**e).render():
+            problems.append(f"{name} = {named[name]}, expected {(target**e).render()}")
+    adj_ok = all(c[col["rho4adj"]] == c[0] * c[1] for c in classes)
+    alt_ok = all(c[col["rho8"]] == (c[0] ** 8) * c[1] for c in classes)
+    if not adj_ok:
+        problems.append("rho4adj product identity fails on the consistent set")
+    if not alt_ok:
+        problems.append("rho8 alternate reading disagrees on the consistent set")
+    evidence = {"rho4adj_product_identity": adj_ok, "rho8_alternate_reading_agrees": alt_ok}
+    return {"polynomials": named, **evidence}, problems
+
+
+_MIXED_NOTE = (
+    "coordinate pairs with squares (1,-1) contribute"
+    " 1 - t^4 = (1 - t^2)(1 + t^2); the product form is unaffected"
+)
+
+
+def _mixed(sweep: dict, consistent) -> tuple[dict, list]:
+    """The orbit-weighted number of mod-5 points where some coordinate squares
+    to 1 and another to -1 (lambda1's counts), and the note on them."""
+    table = sweep["table"]
+    weight = sum(w for w, (_, _, m1) in zip(table.weights, table.counts) if m1[1] and m1[2])
+    return {"mixed_square_pair_points": weight, "notes": [_MIXED_NOTE]}, []
+
+
+def _s5(sweep: dict, consistent) -> tuple[dict, list]:
+    """The consistent set S5: its orbit-weighted size and first points, the
+    values of its rho8 class c(lambda2) c(delta+) with their orbit-weighted
+    occurrences and the coefficient of t^d in each expected value that
+    occurs (-1 and -2 mod 5), and the mixed-square points (_mixed)."""
+    table, d = sweep["table"], sweep["subring_exponent"]
+    classes = sorted(consistent)
+    occ: Counter = Counter()
+    for k, value in zip(classes, _reading(table, (0, 1), classes)):
+        occ[value.render()] += table.weights[k]
+    coefficients = {v.render(): v.coefficient(d) for v in sweep["expected"]}
+    evidence, _ = _mixed(sweep, consistent)
+    evidence["notes"].append(
+        "which of the two consistent values is realized by the geometric"
+        " subgroup is not decided here; occurrences of both are reported"
+    )
+    return {
+        **evidence,
+        "s5_count": sum(table.weights[k] for k in consistent),
+        "s5_values": sorted(occ),
+        "s5_value_occurrences": dict(sorted(occ.items())),
+        "c100_coefficients": {key: c for key, c in coefficients.items() if key in occ},
+        "s5_witnesses_first": [_point(table, i) for i in table.first(consistent, WITNESS_CAP)],
+        "witness_cap": WITNESS_CAP,
+    }, []
+
+
+# ---------------------------------------------------------------------------
+# The six sweep statements: rows of data and one judge.
+# ---------------------------------------------------------------------------
+
+# A check: its key (a mod-3 witness's "check", a mod-5 witness list's key),
+# the predicate of _class_sets whose classes fail it, the columns (readings,
+# for "off") it unions them over, its witness fields (name, column), the
+# evidence flag true when every check carrying it passes, and its problem
+# text (its key if None).
+_Check = namedtuple(
+    "_Check", "key predicate columns fields flag problem", defaults=((), None, None)
+)
+
+# A row: its witness layout, the readings that must all lie in F_p[t^d] on
+# the consistent set, the problem when that set is empty, its constant
+# parameters and evidence, its reads, each (sweep, consistent classes) ->
+# (evidence, problems) beyond the checks, and its checks in problem order.
+_Row = namedtuple("_Row", "layout filter empty parameters evidence reads checks")
+
+_DIV, _EMPTY = "divisible_by_1_minus_t2_all", "consistent set is empty"
+_CLOSURE5, _PM5 = "negation closure fails", "plus/minus product form fails"
+_TRIVIAL5 = "c(lambda2) is trivial somewhere"
+_VALUE5 = "a consistent point has an unexpected value"
+_ROWS = {
+    "theorem-1.1": _Row(
+        _merged, ((0,), (1,)), "joint-consistent set is empty", {"mode": "full", "points": 80}, {},
+        (functools.partial(_consistent_points, "consistent_value"), _registered), (
+            _Check("closure", "closure", (0, 1)),
+            _Check("lambda1+delta divisibility", "indivisible", (0,), flag=_DIV),
+            _Check("lambda2 divisibility", "indivisible", (1,), flag=_DIV),
+            _Check("lambda2 nontriviality", "trivial", (1,), flag="lambda2_nontrivial_all"),
+            _Check("consistent value", "off", ((0,), (1,)), (("lambda1+delta", 0), ("lambda2", 1))),
+        )),
+    "prop-3.2": _Row(
+        _merged, ((0,),), _EMPTY, {"character": "lambda1+delta"},
+        {"character": "lambda1+delta", "joint_filter": False},
+        (functools.partial(_consistent_points, "value_on_consistent_set"),), (
+            _Check("closure", "closure", (0,)),
+            _Check("divisibility", "indivisible", (0,)),
+            _Check("value", "off", ((0,),), (("value", 0),)),
+        )),
+    "prop-3.3": _Row(
+        _merged, ((0,), (1,)), _EMPTY, {"character": "lambda2"},
+        {"character": "lambda2", "joint_filter": True},
+        (functools.partial(_consistent_points, "value_on_consistent_set"),), (
+            _Check("closure", "closure", (0, 1)),
+            _Check("divisibility", "indivisible", (1,)),
+            _Check("nontriviality", "trivial", (1,)),
+            _Check("value", "off", ((1,),), (("value", 1),)),
+        )),
+    "theorem-4.1": _Row(
+        _keyed, ((0, 1),), _EMPTY, {"points": TOTAL_POINTS_5}, {}, (_s5,), (
+            _Check("fail_closure", "closure", (0, 1), (), "even_exponent_closure_all", _CLOSURE5),
+            _Check("fail_pm", "pm", (0, 1), (), "pm_form_all", _PM5),
+            _Check("fail_nontrivial", "trivial", (0,), (), "lambda2_nontrivial_all", _TRIVIAL5),
+            _Check("fail_value", "off", ((0, 1),), problem=_VALUE5),
+        )),
+    "prop-4.3": _Row(
+        _keyed, (), None, {"character": "lambda2"}, {"character": "lambda2"}, (_mixed,), (
+            _Check("fail_closure", "closure", (0,), problem=_CLOSURE5),
+            _Check("fail_pm", "pm", (0,), (), "pm_form_all", _PM5),
+            _Check("fail_nontrivial", "trivial", (0,), (), "nontrivial_all", _TRIVIAL5),
+        )),
+    "prop-4.4": _Row(
+        _keyed, (), None, {"character": "delta+"}, {"character": "delta+"}, (), (
+            _Check("fail_closure", "closure", (1,), problem=_CLOSURE5),
+            _Check("fail_pm", "pm", (1,), (), "pm_form_all", _PM5),
+        )),
+}
+
+
+def _judge(statement: str, sweep: dict) -> CheckResult:
+    """The certificate of statement from its row and its sweep (_sweep plus
+    its own problems, evidence and parameters).  The consistent set is the
+    classes where every reading of the filter lies in F_p[t^d].  A check
+    fails where its predicate holds in any of its columns, a value check
+    ("off") only on consistent classes.  The problems are the sweep's, the
+    failed checks', the row's own if it filters and the consistent set has
+    no point, then the reads'."""
+    row = _ROWS[statement]
+    table, sets = sweep["table"], sweep["sets"]
+    every = frozenset(range(len(table.counts)))
+    consistent = every.intersection(*(sets["sub", r] for r in row.filter))
+    evidence, failing = {**sweep["evidence"], **row.evidence}, {}
+    for check in row.checks:
+        classes = frozenset().union(*(sets[check.predicate, c] for c in check.columns))
+        if check.predicate == "off":
+            classes &= consistent
+        if check.flag:
+            evidence[check.flag] = evidence.get(check.flag, True) and not classes
+        if classes:
+            failing[check] = classes
+    problems = [*sweep["problems"], *(check.problem or check.key for check in failing)]
+    if row.filter:
+        evidence["subring_exponent"] = sweep["subring_exponent"]
+        if not sum(table.weights[k] for k in consistent):
+            problems.append(row.empty)
+    for read in row.reads:
+        found, more = read(sweep, consistent)
+        evidence.update(found)
+        problems += more
+    parameters = {**sweep["parameters"], **row.parameters}
+    return CheckResult.judge(statement, parameters, evidence, problems, row.layout(table, failing))
 
 
 # ---------------------------------------------------------------------------
@@ -541,52 +808,11 @@ def _mod3_chars() -> tuple[Character, ...]:
     )
 
 
-_SWEPT3 = ("lambda1+delta", "lambda2")
-
-
-@functools.cache
-def _mod3_classes(table: CountTable, d: int) -> dict[str, frozenset[int]]:
-    """The mod-3 class sets of _class_sets for the swept columns 0
-    (lambda1+delta) and 1 (lambda2), both of size 24, memoized per table and
-    subring exponent d: besides "closure{j}" and "trivial{j}", the classes
-    where the column is not divisible by 1 - t^2 ("indivisible{j}"), lies in
-    F_3[t^d] ("sub{j}") or differs from 1 - t^d ("off{j}")."""
-    one_minus_t2 = UPoly(3, (1, 0, 2))
-    target = _consistent_value(3, d)
-    return _class_sets(
-        table,
-        (24, 24),
-        {
-            "indivisible": lambda m, fs: _multiply(fs).divexact(one_minus_t2) is None,
-            "sub": lambda m, fs: in_subring(_multiply(fs), d),
-            "off": lambda m, fs: _multiply(fs) != target,
-        },
-    )
-
-
-def _mod3_walk(table: CountTable, consistent, checks) -> tuple[list[str], list[dict], list[str]]:
-    """One walk over the 80 points in sweep order: the points whose class is
-    in consistent, and a witness per failed check, in check order within a
-    point.  A check is (label, failing classes, fields), and its witness
-    carries the point, the label and, per field name, the class polynomial
-    of that column; each check keeps its first WITNESS_CAP witnesses.  The
-    problems are the labels of the failed checks."""
-    alphas: list[str] = []
-    witnesses: list[dict] = []
-    kept: Counter = Counter()
-    # a witness's columns are multiplied out once, and only if its check fails
-    columns = {j: table.column(j) for _, failing, fs in checks if failing for j in fs.values()}
-    for i, k in enumerate(table.class_of.tolist()):
-        alpha = _render_alpha(table.alpha(i))
-        if k in consistent:
-            alphas.append(alpha)
-        for label, failing, fields in checks:
-            if k in failing and kept[label] < WITNESS_CAP:
-                kept[label] += 1
-                witness = {"alpha": alpha, "check": label}
-                witness.update((name, columns[j][k].render()) for name, j in fields.items())
-                witnesses.append(witness)
-    return alphas, witnesses, [label for label, failing, _ in checks if failing]
+def _sweep_mod3() -> dict:
+    """The rank-4 mod-3 sweep of all 80 nonzero points (_sweep)."""
+    table = count_table(3, _mod3_chars())
+    evidence, parameters = {"points_total": 80}, {"p": 3, "rank": 4}
+    return _sweep(_MOD3, table, table, problems=[], evidence=evidence, parameters=parameters)
 
 
 def classify_f4_mod3() -> CheckResult:
@@ -598,83 +824,18 @@ def classify_f4_mod3() -> CheckResult:
     joint-consistent set S of points where both classes lie in F_3[t^18]; S
     must be nonempty and both classes must equal 1 - t^18 on it.  Finally
     checks the five registered restricted representations against the
-    closed powers of 1 - t^18.  Every predicate is evaluated once per count
-    class (3 classes): the registered characters are columns of the same
-    count table, and a class fixes the exponent counts of every column, so
-    each class polynomial is the value at every point of the class.
+    closed powers of 1 - t^18 (_registered).  Every predicate is evaluated
+    once per count class (3 classes): a class fixes the exponent counts of
+    every column, so each class polynomial is the value at every point of
+    the class.
     """
-    p, n, d = 3, 4, subring_bound(3)
-    target = _consistent_value(p, d)
-    table = count_table(p, _mod3_chars())
-    cls = _mod3_classes(table, d)
-    polys = table.polys  # theorem-1.1 reads every column
-    col = {name: j for j, name in enumerate(REP_NAMES, 2)}
-
-    joint = cls["sub0"] & cls["sub1"]
-    checks = (
-        ("closure", cls["closure0"] | cls["closure1"], {}),
-        ("lambda1+delta divisibility", cls["indivisible0"], {}),
-        ("lambda2 divisibility", cls["indivisible1"], {}),
-        ("lambda2 nontriviality", cls["trivial1"], {}),
-        (
-            "consistent value",
-            joint & (cls["off0"] | cls["off1"]),
-            {"lambda1+delta": 0, "lambda2": 1},
-        ),
-    )
-    consistent, witnesses, problems = _mod3_walk(table, joint, checks)
-    if not consistent:
-        problems.append("joint-consistent set is empty")
-
-    classes = [polys[k] for k in sorted(joint)]
-    named: dict[str, "str | None"] = {}
-    for name in REP_NAMES:
-        values = {c[col[name]].render() for c in classes}
-        if len(values) > 1:
-            problems.append(f"{name} is not constant on the consistent set")
-        named[name] = sorted(values)[0] if values else None
-
-    expected = {
-        "rho4": target,
-        "rho6": target,
-        "rho7": target**2,
-        "rho4adj": target**2,
-        "rho8": target**9,
-    }
-    for name, poly in expected.items():
-        if named[name] != poly.render():
-            problems.append(f"{name} = {named[name]}, expected {poly.render()}")
-
-    # the adjoint class factors as the product of the two swept classes, and
-    # the rank-4 rho8 class equals c(lambda1+delta)^8 * c(lambda2); both
-    # readings of that line must agree with the registry computation
-    adj_ok = all(c[col["rho4adj"]] == c[0] * c[1] for c in classes)
-    alt_ok = all(c[col["rho8"]] == (c[0] ** 8) * c[1] for c in classes)
-    if not adj_ok:
-        problems.append("rho4adj product identity fails on the consistent set")
-    if not alt_ok:
-        problems.append("rho8 alternate reading disagrees on the consistent set")
-
-    evidence = {
-        "points_total": 3**n - 1,
-        "subring_exponent": d,
-        "divisible_by_1_minus_t2_all": not (cls["indivisible0"] | cls["indivisible1"]),
-        "lambda2_nontrivial_all": not cls["trivial1"],
-        "consistent_alphas": sorted(consistent),
-        "consistent_count": len(consistent),
-        "consistent_value": target.render(),
-        "polynomials": named,
-        "rho4adj_product_identity": adj_ok,
-        "rho8_alternate_reading_agrees": alt_ok,
-    }
-    parameters = {"p": p, "rank": n, "mode": "full", "points": 3**n - 1}
-    return CheckResult.judge("theorem-1.1", parameters, evidence, problems, witnesses)
+    return _judge("theorem-1.1", _sweep_mod3())
 
 
 def check_prop32() -> CheckResult:
     """c(lambda1+delta) mod 3: divisible by 1 - t^2 at every nonzero point,
     and equal to 1 - t^18 at every point where it lies in F_3[t^18]."""
-    return _prop3_single(0, "prop-3.2")
+    return _judge("prop-3.2", _sweep_mod3())
 
 
 def check_prop33() -> CheckResult:
@@ -682,37 +843,7 @@ def check_prop33() -> CheckResult:
     point, and equal to 1 - t^18 at every point where both swept classes lie
     in F_3[t^18] (the joint filter mirrors the route through the adjoint
     representation, whose class is the product of the two)."""
-    return _prop3_single(1, "prop-3.3")
-
-
-def _prop3_single(j: int, statement: str) -> CheckResult:
-    """The checks for the swept character in column j of the mod-3 table:
-    lambda2 (j = 1) also must be nontrivial, and its consistent set is the
-    joint one.  Closure covers the columns the statement reads."""
-    p, n, d = 3, 4, subring_bound(3)
-    table = count_table(p, _mod3_chars())
-    cls = _mod3_classes(table, d)
-    joint = j == 1
-    consistent_classes = cls["sub0"] & cls["sub1"] if joint else cls["sub0"]
-    closure = cls["closure0"] | cls["closure1"] if joint else cls["closure0"]
-    checks = [("closure", closure, {}), ("divisibility", cls[f"indivisible{j}"], {})]
-    if joint:
-        checks.append(("nontriviality", cls["trivial1"], {}))
-    checks.append(("value", consistent_classes & cls[f"off{j}"], {"value": j}))
-    consistent, witnesses, problems = _mod3_walk(table, consistent_classes, checks)
-    if not consistent:
-        problems.append("consistent set is empty")
-    evidence = {
-        "character": _SWEPT3[j],
-        "points_total": 3**n - 1,
-        "subring_exponent": d,
-        "joint_filter": joint,
-        "consistent_count": len(consistent),
-        "consistent_alphas": sorted(consistent),
-        "value_on_consistent_set": _consistent_value(p, d).render(),
-    }
-    parameters = {"p": p, "rank": n, "character": _SWEPT3[j]}
-    return CheckResult.judge(statement, parameters, evidence, problems, witnesses)
+    return _judge("prop-3.3", _sweep_mod3())
 
 
 # ---------------------------------------------------------------------------
@@ -755,117 +886,26 @@ def _mod5_chars() -> tuple[Character, ...]:
     return exterior_square_weights(N5), half_spin_weights(N5, "+"), vector_weights(N5)
 
 
-_MIXED_NOTE = (
-    "coordinate pairs with squares (1,-1) contribute"
-    " 1 - t^4 = (1 - t^2)(1 + t^2); the product form is unaffected"
-)
-
-_FAILURE_PROBLEMS = {
-    "fail_closure": "negation closure fails",
-    "fail_pm": "plus/minus product form fails",
-    "fail_nontrivial": "c(lambda2) is trivial somewhere",
-    "fail_value": "a consistent point has an unexpected value",
-}
-
-
-def _rho8(counts) -> UPoly:
-    """The rho8 class c(lambda2) c(delta+) of a mod-5 count class, expanded
-    from the two characters' summed counts (_summed_class)."""
-    m2, mD, _ = counts
-    return _summed_class(tuple(map(add, m2, mD)))
-
-
-@functools.cache
-def _summed_class(m: tuple) -> UPoly:
-    """The total Chern class mod 5 with m[v] weights of exponent v, expanded
-    from the counts once per m: the 53 classes of a sweep have 13 distinct
-    rho8 count sums."""
-    return chern_of_counts(P5, enumerate(m))
-
-
-@functools.cache
-def _mod5_classes(full: CountTable, d: int) -> dict[str, frozenset[int]]:
-    """The mod-5 class sets, memoized per full table and subring exponent d,
-    so both modes judge the classes once: the sets of _class_sets for the
-    swept columns 0 (lambda2, size 112) and 1 (delta+, size 128), plus
-    "pm{j}", where the column is not a product of 1 - t^2 and 1 + t^2
-    factors (_pm_form, on the factors); and, from the rho8 class (_rho8),
-    "s5", where it lies in F_5[t^d], "value", where it does with a value
-    other than 1 - t^d and (1 - t^d)^2, and "mixed", where some coordinate
-    squares to 1 and another to -1 (lambda1's counts)."""
-    sets = _class_sets(full, (112, 128), {"pm": lambda m, fs: _pm_form(m) is None})
-    v100 = _consistent_value(P5, d)
-    allowed = (v100.render(), (v100**2).render())
-    s5, value, mixed = [], [], []
-    for k, counts in enumerate(full.counts):
-        fr = _rho8(counts)
-        if in_subring(fr, d):
-            s5.append(k)
-            if fr.render() not in allowed:
-                value.append(k)
-        _, _, m1 = counts
-        if m1[1] and m1[2]:
-            mixed.append(k)
-    sets.update(s5=frozenset(s5), value=frozenset(value), mixed=frozenset(mixed))
-    return sets
-
-
 def sweep_mod5(mode: str) -> dict:
-    """Run the rank-8 mod-5 sweep: the table of mode and the full table's
-    class sets (both memoized, see _mod5_classes) under the current subring
-    exponent, the point and orbit-weight totals, whether the class weights
-    equal the full table's, the orbit-weighted size and first points of the
-    consistent set S5, the occurrences of each S5 value and the
-    orbit-weighted number of mixed-square points."""
-    d = subring_bound(P5)
+    """The rank-8 mod-5 sweep of mode (_sweep: both modes share the full
+    table's class sets), its point and orbit-weight totals, and its
+    problems: a wrong point or orbit-weighted total, then class weights
+    that differ from the full table's."""
     full = count_table(P5, _mod5_chars())
     table = count_table(P5, _mod5_chars(), mode)
-    sets = _mod5_classes(full, d)
-    occ: dict[str, int] = {}
-    for k in sorted(sets["s5"]):
-        key = _rho8(table.counts[k]).render()
-        occ[key] = occ.get(key, 0) + table.weights[k]
-    return {
-        "table": table,
-        "sets": sets,
-        "subring_exponent": d,
-        "points": table.points,
-        "weighted_points": table.weighted_points,
-        "weights_agree": table.weights == full.weights,
-        "s5_weight": sum(table.weights[k] for k in sets["s5"]),
-        "s5_first": table.first(sets["s5"], WITNESS_CAP),
-        "occ": occ,
-        "mixed_weight": sum(table.weights[k] for k in sets["mixed"]),
-    }
-
-
-def _mod5_result(statement, sweep, failing, evidence, parameters, problems=()) -> CheckResult:
-    """A mod-5 statement's result from failing, its checks' failing classes
-    keyed by witness key.  Each failed check records the first FAIL_CAP
-    points of its classes as witnesses and names its problem; the problems
-    start with any wrong point or orbit-weight total, then any difference
-    between the table's class weights and the full table's, and end with
-    the statement's own."""
-    table, mode = sweep["table"], sweep["table"].mode
-    witnesses = {key: table.first(ks, FAIL_CAP) for key, ks in failing.items() if ks}
+    points, weighted = table.points, table.weighted_points
     expected = TOTAL_POINTS_5 if mode == "full" else CANONICAL_POINTS_5
-    found = []
-    if table.points != expected:
-        found.append(f"scanned {table.points} points, expected {expected}")
-    if table.weighted_points != TOTAL_POINTS_5:
-        found.append(f"orbit-weighted total {table.weighted_points}, expected {TOTAL_POINTS_5}")
-    if not sweep["weights_agree"]:
-        found.append("orbit-weighted class weights differ from the full sweep's")
-    found += [_FAILURE_PROBLEMS[key] for key in witnesses]
-    found += problems
-    evidence = {
-        "mode": mode,
-        "points_scanned": table.points,
-        "points_weighted": table.weighted_points,
-        **evidence,
-    }
-    parameters = {"p": P5, "rank": N5, "mode": mode, **parameters}
-    return CheckResult.judge(statement, parameters, evidence, found, witnesses)
+    problems = []
+    if points != expected:
+        problems.append(f"scanned {points} points, expected {expected}")
+    if weighted != TOTAL_POINTS_5:
+        problems.append(f"orbit-weighted total {weighted}, expected {TOTAL_POINTS_5}")
+    if table.weights != full.weights:
+        problems.append("orbit-weighted class weights differ from the full sweep's")
+    evidence = {"mode": mode, "points_scanned": points, "points_weighted": weighted}
+    parameters = {"p": P5, "rank": N5, "mode": mode}
+    return _sweep(_MOD5, table, full, points=points, weighted_points=weighted,
+                  problems=problems, evidence=evidence, parameters=parameters)
 
 
 def classify_e8_mod5(mode: str) -> CheckResult:
@@ -877,67 +917,20 @@ def classify_e8_mod5(mode: str) -> CheckResult:
     factors, with the exterior square nontrivial.  Points whose product
     class lies in F_5[t^100] form the consistent set S5, which must be
     nonempty with every value equal to 1 - t^100 or (1 - t^100)^2; the
-    certificate reports which of the two occur and how often.
+    certificate reports which of the two occur and how often (_s5).
     """
-    sweep = sweep_mod5(mode=mode)
-    sets, occ, d = sweep["sets"], sweep["occ"], sweep["subring_exponent"]
-    failing = {
-        "fail_closure": sets["closure0"] | sets["closure1"],
-        "fail_pm": sets["pm0"] | sets["pm1"],
-        "fail_nontrivial": sets["trivial0"],
-        "fail_value": sets["value"],
-    }
-    # the coefficient of t^100 in each consistent value: -1 and -2 mod 5
-    v100 = _consistent_value(P5, d)
-    values = {v.render(): v.coefficient(d) for v in (v100, v100**2)}
-    evidence = {
-        "pm_form_all": not failing["fail_pm"],
-        "lambda2_nontrivial_all": not failing["fail_nontrivial"],
-        "even_exponent_closure_all": not failing["fail_closure"],
-        "subring_exponent": d,
-        "s5_count": sweep["s5_weight"],
-        "s5_values": sorted(occ),
-        "s5_value_occurrences": dict(sorted(occ.items())),
-        "c100_coefficients": {key: c for key, c in values.items() if key in occ},
-        "s5_witnesses_first": sweep["s5_first"],
-        "witness_cap": WITNESS_CAP,
-        "mixed_square_pair_points": sweep["mixed_weight"],
-        "notes": [
-            _MIXED_NOTE,
-            "which of the two consistent values is realized by the geometric"
-            " subgroup is not decided here; occurrences of both are reported",
-        ],
-    }
-    empty = [] if sweep["s5_weight"] else ["consistent set is empty"]
-    return _mod5_result("theorem-4.1", sweep, failing, evidence, {"points": TOTAL_POINTS_5}, empty)
+    return _judge("theorem-4.1", sweep_mod5(mode))
 
 
 def check_prop43(mode: str) -> CheckResult:
     """c(lambda2) mod 5 comes from a negation-closed exponent list of size
     112, is a product of 1 - t^2 and 1 + t^2 factors and is nontrivial, at
     every nonzero point.  Reads column 0 (lambda2) only."""
-    sweep = sweep_mod5(mode=mode)
-    sets = sweep["sets"]
-    failing = {
-        "fail_closure": sets["closure0"],
-        "fail_pm": sets["pm0"],
-        "fail_nontrivial": sets["trivial0"],
-    }
-    evidence = {
-        "character": "lambda2",
-        "pm_form_all": not failing["fail_pm"],
-        "nontrivial_all": not failing["fail_nontrivial"],
-        "mixed_square_pair_points": sweep["mixed_weight"],
-        "notes": [_MIXED_NOTE],
-    }
-    return _mod5_result("prop-4.3", sweep, failing, evidence, {"character": "lambda2"})
+    return _judge("prop-4.3", sweep_mod5(mode))
 
 
 def check_prop44(mode: str) -> CheckResult:
     """c(delta+) mod 5 comes from a negation-closed exponent list of size 128
     and is a product of 1 - t^2 and 1 + t^2 factors, at every nonzero point.
     Reads column 1 (delta+) only."""
-    sweep = sweep_mod5(mode=mode)
-    failing = {"fail_closure": sweep["sets"]["closure1"], "fail_pm": sweep["sets"]["pm1"]}
-    evidence = {"character": "delta+", "pm_form_all": not failing["fail_pm"]}
-    return _mod5_result("prop-4.4", sweep, failing, evidence, {"character": "delta+"})
+    return _judge("prop-4.4", sweep_mod5(mode))

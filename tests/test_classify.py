@@ -1,6 +1,7 @@
 """Classification sweeps: the 80-point mod-3 run, the mod-5 machinery, and
 the count-class-kernel-versus-character-pipeline cross-checks."""
 
+import functools
 import hashlib
 import itertools
 import math
@@ -322,6 +323,29 @@ class TestStaleMemo:
         assert result.evidence["s5_count"] == 0
         assert result.evidence["problems"] == ["consistent set is empty"]
 
+    def test_expected_value_changed_after_a_run_reaches_every_statement(self, monkeypatch):
+        # the class sets are memoized on the expected values themselves, so
+        # an expected value changed after the true judgement is judged afresh
+        for check in MOD3_CHECKS.values():
+            assert check().verified
+        for check in (classify_e8_mod5, check_prop43, check_prop44):
+            assert check("canonical").verified
+        one_plus = lambda p, d: UPoly.one(p) + UPoly.monomial(p, 1, d)
+        monkeypatch.setattr(classify, "_consistent_value", one_plus)
+        problem = {
+            "theorem-1.1": "consistent value",
+            "prop-3.2": "value",
+            "prop-3.3": "value",
+            "theorem-4.1": "a consistent point has an unexpected value",
+        }
+        checks = {**MOD3_CHECKS, "theorem-4.1": lambda: classify_e8_mod5("canonical")}
+        for statement, check in checks.items():
+            result = check()
+            assert not result.verified, statement
+            assert problem[statement] in result.evidence["problems"], statement
+        for check in (check_prop32, check_prop33):
+            assert check().evidence["value_on_consistent_set"] == "1 + t^18"
+
 
 def lambda2_mod5(keep):
     """The mod-5 columns with lambda2 cut to the weights keep accepts."""
@@ -497,7 +521,7 @@ class TestSplitGrid:
                     break
         assert len(expected) == 32
         assert expected[-1] == "0,0,0,2,3,3,3,3"
-        assert sweep_mod5("full")["s5_first"] == expected
+        assert classify_e8_mod5("full").evidence["s5_witnesses_first"] == expected
 
     def test_canonical_mode_rejects_asymmetric_character(self):
         lopsided = Character(3, {(2, 0, 0): 1, (-2, 0, 0): 1})
@@ -608,7 +632,9 @@ class TestDistinctFrontRows:
         assert table.points == len(table.weights) == 624
         assert table.class_of.itemsize > 1
         assert table.class_of.tolist() == list(range(624))
-        assert table.first({623, 5}, 3) == ["0,0,1,1", "4,4,4,4"]
+        # first hands back point indices: 0,0,1,1 is point 5, 4,4,4,4 point 623
+        assert table.first({623, 5}, 3) == [5, 623]
+        assert [classify._point(table, i) for i in (5, 623)] == ["0,0,1,1", "4,4,4,4"]
 
     def test_lambda2_missing_a_weight_is_falsified(self, monkeypatch):
         lambda2, *rest = classify._mod5_chars()
@@ -726,13 +752,14 @@ class TestSweepMod5:
         assert len(table.counts) == 53
         monkeypatch.setattr(classify, "pm_factorization", fallback)
         columns = (table.column(0), table.column(1))
+        rho8 = classify._reading(table, (0, 1), range(len(table.counts)))
         for k, counts in enumerate(table.counts):
             for j in (0, 1):
                 m, column = counts[j], columns[j][k]
                 assert column == classify._multiply(table.factors(j)[k])
                 assert column == chern_of_counts(5, enumerate(m))
                 assert _pm_form(m) == pm_factorization(column) is not None, (k, j)
-            assert classify._rho8(counts) == columns[0][k] * columns[1][k], k
+            assert rho8[k] == columns[0][k] * columns[1][k], k
 
     def test_pm_form_on_counts_that_are_not_negation_closed(self):
         # a factor that disagrees with its prediction sends the multiplied-out
@@ -783,21 +810,25 @@ class TestSweepMod5:
 
     def test_class_sets_judged_once_for_both_modes(self, monkeypatch):
         # the canonical view shares the full table's classes, so the mod-5
-        # statements of both modes read one judgement of them
+        # statements of both modes read one judgement of them, and the three
+        # mod-3 statements another: the memo is keyed on values, so every
+        # statement of a prime asks for the same judgement
         calls = []
-        real = classify._class_sets
+        real = classify._class_sets.__wrapped__
 
-        def counted(table, sizes, predicates):
-            calls.append(table.mode)
-            return real(table, sizes, predicates)
+        @functools.cache
+        def counted(table, spec, d, expected):
+            calls.append((table.p, table.mode))
+            return real(table, spec, d, expected)
 
         monkeypatch.setattr(classify, "_TABLES", {})
         monkeypatch.setattr(classify, "_class_sets", counted)
-        classify._mod5_classes.cache_clear()
+        for check in MOD3_CHECKS.values():
+            assert check().verified
         for mode in ("canonical", "full"):
             for check in (classify_e8_mod5, check_prop43, check_prop44):
                 assert check(mode).verified
-        assert calls == ["full"]
+        assert calls == [(3, "full"), (5, "full")]
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):

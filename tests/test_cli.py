@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, certificate files."""
 
+import importlib.util
 import json
 import os
 import re
@@ -456,3 +457,36 @@ class TestRoutes:
             assert re.fullmatch(status, captured.err)
             digests.append(json.loads(captured.out)["canonical_sha256"])
         assert digests[0] == digests[1]
+
+
+class TestHashGate:
+    """scripts/hash_gate.py run on this checkout against itself, with short
+    command lists."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def gate(self, monkeypatch, commands, reports):
+        path = self.ROOT / "scripts" / "hash_gate.py"
+        spec = importlib.util.spec_from_file_location("hash_gate", path)
+        gate = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gate)
+        monkeypatch.setattr(gate, "COMMANDS", commands)
+        monkeypatch.setattr(gate, "REPORTS", reports)
+        monkeypatch.setattr(sys, "argv", ["hash_gate.py", str(self.ROOT), str(self.ROOT)])
+        return gate.main()
+
+    def test_equal_trees_pass(self, monkeypatch, capsys):
+        report = ["chern", "--rep", "rho4", "--p", "3", "--alpha", "1,1,1,0", "--json"]
+        assert self.gate(monkeypatch, (["branch"],), (report,)) == 0
+        out = capsys.readouterr().out
+        assert "1 of 1 canonical_sha256 equal, 0 different, 0 of 1 commands failed" in out
+        assert "1 of 1 chern reports byte-identical, 0 different" in out
+
+    def test_a_command_that_writes_nothing_fails(self, monkeypatch, capsys):
+        # an unknown statement exits with status 2 and writes no certificate
+        # in either tree, which must not read as agreement
+        commands = (["branch"], ["verify", "no-such-statement"])
+        assert self.gate(monkeypatch, commands, ()) == 1
+        out = capsys.readouterr().out
+        assert "verify no-such-statement: failed failed FAILED" in out
+        assert "1 of 1 canonical_sha256 equal, 0 different, 1 of 2 commands failed" in out

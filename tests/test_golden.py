@@ -12,7 +12,7 @@ import pytest
 
 from chern_cert import classify, dickson
 from chern_cert.certificates import STATEMENTS, canonical_json
-from chern_cert.fppoly import MPoly
+from chern_cert.fppoly import MPoly, UPoly
 from chern_cert.spinchar import Character
 from chern_cert.verify import run_statement
 
@@ -52,6 +52,22 @@ def _lambda1_delta_without_2000():
     return [(classify, "_mod3_chars", lambda: chars)]
 
 
+def _delta_plus_without_two_negatives():
+    """The mod-5 columns with delta+ missing its 28 weights that have exactly
+    two negative coordinates (still closed under coordinate permutations,
+    no longer under negation)."""
+    lambda2, delta_plus, lambda1 = classify._mod5_chars()
+    kept = {w: m for w, m in delta_plus.weights.items() if sum(x < 0 for x in w) != 2}
+    chars = (lambda2, Character(8, kept), lambda1)
+    return [(classify, "_mod5_chars", lambda: chars)]
+
+
+def _one_plus_t_d_expected():
+    """1 + t^d, not 1 - t^d, as the value expected on the consistent set."""
+    value = lambda p, d: UPoly.one(p) + UPoly.monomial(p, 1, d)
+    return [(classify, "_consistent_value", value)]
+
+
 def _flipped_orbit_coefficient():
     """The p = 5 orbit product with the coefficient of its last term (in
     sorted order) below X^125 doubled, as in test_dickson's mutations: c_{3,0}
@@ -69,6 +85,15 @@ def _flipped_orbit_coefficient():
 FALSIFIED_GOLDEN = (
     ("prop-4.3", {}, _lambda2_without_sum_four_weights, "5745fe36ce3239ddf41f8d0d4301c7fcec6a6a692d141802ecb2113c086d3a36"),
     ("theorem-1.1", {}, _lambda1_delta_without_2000, "a059bf01fee8e81ba7f6a29204663d71406d005f8d0af688f60f0c1cbb58f292"),
+    ("prop-3.2", {}, _lambda1_delta_without_2000, "2579b215138d137a3dd4764bf154f647a9edcc4420196bbe9009759fc2fcc465"),
+    ("prop-3.3", {}, _lambda1_delta_without_2000, "d6823881ce542e32e342357bb7f8cb623a869572d16b6b56d839628d14162b85"),
+    ("theorem-4.1", {}, _lambda2_without_sum_four_weights, "21d6fd912e84f3e70a590296dffd97b72dabaef252a0142b749a08edaa9a8699"),
+    ("prop-4.4", {}, _delta_plus_without_two_negatives, "ce8ba4914ccc563237ec0e8b9878d54258e638246434c1bbaf46e94fce3f80c5"),
+    ("prop-4.4", {"mode": "full"}, _delta_plus_without_two_negatives, "5c2ed4bd8c8c580803c269ee64a3b8b0c1835169521dc6b1982c912296a52d89"),
+    ("theorem-1.1", {}, _one_plus_t_d_expected, "68f56dce433d977e05ae33e8ee443b1f1ea625e724e4acf56bc9b5ab3b737241"),
+    ("prop-3.2", {}, _one_plus_t_d_expected, "2d9db518d985c80df0f5345ebe41c40b96458a287bbeffe6543de5d25a5e3e05"),
+    ("prop-3.3", {}, _one_plus_t_d_expected, "93671b6f2559bf68928f1ec7d7f6735a4e8ee0a50861a3eb853a1d85ca547d68"),
+    ("theorem-4.1", {}, _one_plus_t_d_expected, "4857cf6e62c773e5f7891ffaea642248c85853d174d27950f5566f40dadb4fad"),
     (
         "lemma-4.2-facts",
         {"full_dickson": True},
@@ -100,7 +125,10 @@ def test_canonical_payload_hash_unchanged(statement, kwargs, digest):
 @pytest.mark.parametrize(
     "statement, kwargs, fault, digest",
     FALSIFIED_GOLDEN,
-    ids=[f"{s}-{fault.__name__.lstrip('_')}" for s, _, fault, _ in FALSIFIED_GOLDEN],
+    ids=[
+        f"{s}-{fault.__name__.lstrip('_')}" + "".join(f"-mode={kw['mode']}" for _ in kw.keys() & {"mode"})
+        for s, kw, fault, _ in FALSIFIED_GOLDEN
+    ],
 )
 def test_falsified_payload_hash_unchanged(monkeypatch, statement, kwargs, fault, digest):
     for module, name, value in fault():
