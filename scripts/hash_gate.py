@@ -49,8 +49,11 @@ REPORTS = (
 
 
 def _run(tree: str, command: list, certs: str) -> subprocess.CompletedProcess:
-    """The CLI command run in a fresh interpreter on tree's source."""
-    env = dict(os.environ, PYTHONPATH=str(Path(tree, "src").resolve()), CHERN_CERT_DIR=certs)
+    """The CLI command run in a fresh interpreter on tree's source, writing
+    no bytecode into tree (scripts/bench_record.py refuses a tree that holds
+    any)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tree, "src").resolve()), CHERN_CERT_DIR=certs,
+               PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run([sys.executable, "-m", "chern_cert.cli", *command],
                           env=env, capture_output=True)
 

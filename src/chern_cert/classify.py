@@ -20,16 +20,17 @@ cells stand for the 390625 points.  The kernel is pure Python and works in
 bulk: each histogram is p planes of byte lanes built by bytes.translate,
 laid into one record per row or column whose bytes are its signature, and a
 cell's counts for every character are one int, a bilinear sum of
-precomputed ints per pair of signatures.  A class's Chern class of one character is held as
-its negation-pair factors P_v(a, b) = (1 + v*t)^a (1 - v*t)^b, one per
-pair {v, -v} of nonzero residues, each expanded from the counts a of v and
-b of -v once per (p, v, a, b); a column is multiplied out only where a
-predicate, a fallback or a certificate reads it.  Every statement
-predicate, mod 3 and mod 5, is evaluated once per class, and each point
-keeps only its class id, one byte, laid out per front row by one C-level
-call, from which consistent sets and witness lists are read back in point
-order.  All 390624 mod-5 points fall into 53 count classes, and the 80
-mod-3 points into 3.
+precomputed ints per pair of signatures.  The table holds counts only:
+every class polynomial is expanded from counts by one memoized function,
+_class_poly, once per (p, counts).  A class of one character or of a sum of
+characters is expanded from its (summed) counts, and a negation-pair factor
+P_v(a, b) = (1 + v*t)^a (1 - v*t)^b from the counts a of v and b of -v
+alone; a class is expanded only where a predicate, a fallback or a
+certificate reads it.  Every statement predicate, mod 3 and mod 5, is
+evaluated once per class, and each point keeps only its class id, one
+byte, laid out per front row by one C-level call, from which consistent
+sets and witness lists are read back in point order.  All 390624 mod-5
+points fall into 53 count classes, and the 80 mod-3 points into 3.
 
 The six sweep statements are rows of data (_ROWS), and one judge, _judge,
 builds every certificate from its row.  One pass, _class_sets, judges a
@@ -127,9 +128,9 @@ class CountTable:
     """The count classes of one sweep.
 
     counts[k][j] is the number of restricted weights of character j taking
-    each exponent value 0..p-1 in class k, weights[k] its orbit-weighted
-    number of points and column(j)[k] its total Chern class of character j,
-    multiplied out from the factors on each read of column(j).
+    each exponent value 0..p-1 in class k and weights[k] its orbit-weighted
+    number of points; the class polynomials are expanded from the counts
+    (_class_poly), not held here.
     class_of is a read-only view of each point's class id in sweep order
     (full mode: every nonzero point in lexicographic order, canonical mode:
     the weakly increasing representatives), one byte per point unless there
@@ -171,30 +172,6 @@ class CountTable:
         if self.reps is not None:
             return self.reps[i]
         return tuple((i + 1) // self.p ** (self.n - 1 - k) % self.p for k in range(self.n))
-
-    def factors(self, j: int) -> tuple[tuple[UPoly, ...], ...]:
-        """Each class's negation-pair factors of character j, in class order:
-        P_v(m[v], m[-v]) for v = 1..(p-1)/2, m the class's counts (see
-        _pair_factor).  Their product is the class's total Chern class; at
-        p = 3 the one factor is that class."""
-        p = self.p
-        return tuple(
-            tuple(_pair_factor(p, v, m[v], m[p - v]) for v in range(1, (p + 1) // 2))
-            for m in (cls[j] for cls in self.counts)
-        )
-
-    def column(self, j: int) -> tuple[UPoly, ...]:
-        """Each class's total Chern class of character j, in class order,
-        its factors multiplied out on each read (no command reads a column
-        twice).  The mod-5 predicates read only the factors and the counts,
-        so a mod-5 column is multiplied out only for a certificate or a
-        fallback that reads it."""
-        return tuple(map(_multiply, self.factors(j)))
-
-    @property
-    def polys(self) -> tuple:
-        """polys[k][j] is column(j)[k]; each read multiplies out every column."""
-        return tuple(zip(*(self.column(j) for j in range(len(self.counts[0])))))
 
     def first(self, classes, cap: int) -> list[int]:
         """The indices of the first cap points, in sweep order, whose class is
@@ -391,8 +368,8 @@ def count_table(p: int, chars, mode: str = "full") -> CountTable:
     e_g[b] = v.  The front row f enters the counts only through its front
     signature (Hf[f], U_c[f] for every c) and the back column b only
     through its back signature (Hb[b], K_c[b] for every c), so the counts
-    are one memoized function of the pair of signatures (_cell, called once
-    per pair): with the p rolled copies of each U_c precomputed per front
+    are one function of the pair of signatures (_cell, called once per
+    pair): with the p rolled copies of each U_c precomputed per front
     signature, a cell is Hf + Hb plus the dot product of the back
     signature's K_c[v] with them.  The identity rests only on the split,
     which _split checks, not on any symmetry.  At p = 5 the 625 front rows
@@ -454,10 +431,10 @@ def _build_table(p: int, n: int, chars: tuple) -> CountTable:
     # signatures are numbered by their first row and column, so a class
     # first met at signature pair (s, t) is first met at that pair's first
     # cell, and filling the pairs in order numbers the classes by first point
-    cell = functools.cache(lambda s, t: _cell(grid, s, t))
     index: dict[int, int] = {}
     weight: Counter = Counter()
-    rows = [_group([cell(s, t) for t in range(len(grid.hb))], index) for s in range(len(grid.hf))]
+    cols = range(len(grid.hb))
+    rows = [_group([_cell(grid, s, t) for t in cols], index) for s in range(len(grid.hf))]
     rows_per, cols_per = Counter(grid.row_sig), Counter(grid.col_sig)
     for s, ids in enumerate(rows):
         for t, k in enumerate(ids):
@@ -490,56 +467,53 @@ def _build_table(p: int, n: int, chars: tuple) -> CountTable:
     return CountTable(p, n, "full", counts, weights, memoryview(data).cast(fmt), None)
 
 
-@functools.cache
-def _pair_factor(p: int, v: int, a: int, b: int) -> UPoly:
-    """P_v(a, b) = (1 + v*t)^a (1 - v*t)^b over F_p, the factor of a total
-    Chern class from the a weights with exponent v and the b with exponent
-    -v, expanded from those counts once per (p, v, a, b)."""
-    return chern_of_counts(p, ((v, a), (p - v, b)))
-
-
-def _multiply(factors) -> UPoly:
-    """The product of a class's factors: the class polynomial."""
-    return functools.reduce(mul, factors)
-
-
 def _consistent_value(p: int, d: int) -> UPoly:
     """1 - t^d, d = p^3 - p^2: the value expected on the consistent set."""
     return UPoly.one(p) - UPoly.monomial(p, 1, d)
 
 
 @functools.cache
-def _summed_class(p: int, m: tuple) -> UPoly:
+def _class_poly(p: int, m: tuple) -> UPoly:
     """The total Chern class mod p with m[v] weights of exponent v, expanded
-    from the counts once per (p, m): the 53 mod-5 classes have 13 distinct
-    rho8 count sums."""
+    from the counts once per (p, m): every class polynomial of this module,
+    a class's, a sum of classes' (the 53 mod-5 classes have 13 distinct
+    rho8 count sums) or a negation-pair factor's (_factors)."""
     return chern_of_counts(p, enumerate(m))
+
+
+def _factors(m: tuple) -> tuple[UPoly, ...]:
+    """The negation-pair factors P_v = (1 + v*t)^m[v] (1 - v*t)^m[-v] of the
+    class of the counts m mod p = len(m), for v = 1..(p-1)/2: each is the
+    class of the counts kept at v and -v only, and their product is the
+    class of m.  At p = 3 the one factor is that class."""
+    p = len(m)
+    return tuple(
+        _class_poly(p, tuple(c if u in (v, p - v) else 0 for u, c in enumerate(m)))
+        for v in range(1, (p + 1) // 2)
+    )
 
 
 def _reading(table: CountTable, cols: tuple[int, ...], classes) -> list[UPoly]:
     """The total Chern class of the characters of columns cols together, in
-    each of classes: column(j) for one column j, else expanded from the
-    summed counts (_summed_class)."""
-    if len(cols) == 1:
-        column = table.column(*cols)
-        return [column[k] for k in classes]
+    each of classes, expanded from their summed counts (one column is a
+    one-term sum)."""
     sums = (tuple(map(sum, zip(*(table.counts[k][j] for j in cols)))) for k in classes)
-    return [_summed_class(table.p, m) for m in sums]
+    return [_class_poly(table.p, m) for m in sums]
 
 
-# The per-column predicates by name, of a class's counts m and negation-pair
-# factors fs in a swept column of the paper's constant size: "closure", the
-# exponent list is not negation-closed (m[v] != m[-v mod p]) or misses the
-# size, which a lost +- pair breaks; "trivial", every factor is 1;
+# The per-column predicates by name, of a class's counts m mod p = len(m) in
+# a swept column of the paper's constant size: "closure", the exponent list
+# is not negation-closed (m[v] != m[-v mod p]) or misses the size, which a
+# lost +- pair breaks; "trivial", every negation-pair factor is 1;
 # "indivisible", the class is not divisible by 1 - t^2; "pm", it is not a
 # product of 1 - t^2 and 1 + t^2 factors (_pm_form, mod 5 only).
 _PREDICATES = {
-    "closure": lambda m, fs, size: sum(m) != size or any(m[v] != m[-v] for v in range(len(m))),
-    "trivial": lambda m, fs, size: all(f.is_one for f in fs),
-    "indivisible": lambda m, fs, size: _multiply(fs).divexact(
+    "closure": lambda m, size: sum(m) != size or any(m[v] != m[-v] for v in range(len(m))),
+    "trivial": lambda m, size: all(f.is_one for f in _factors(m)),
+    "indivisible": lambda m, size: _class_poly(len(m), m).divexact(
         UPoly._reduced(len(m), (1, 0, len(m) - 1))
     ) is None,
-    "pm": lambda m, fs, size: _pm_form(m) is None,
+    "pm": lambda m, size: _pm_form(m) is None,
 }
 
 # A sweep's judgement: its prime, the sizes of its swept columns (the first
@@ -560,10 +534,10 @@ def _class_sets(table: CountTable, spec: _Sweep, d: int, expected: tuple) -> dic
     changed bound or expected value is judged afresh."""
     sets = {}
     for j, size in enumerate(spec.sizes):
-        column = tuple(zip((c[j] for c in table.counts), table.factors(j)))
+        column = [c[j] for c in table.counts]
         for name in spec.predicates:
             test = _PREDICATES[name]
-            sets[name, j] = frozenset(k for k, (m, fs) in enumerate(column) if test(m, fs, size))
+            sets[name, j] = frozenset(k for k, m in enumerate(column) if test(m, size))
     for r in spec.readings:
         values = _reading(table, r, range(len(table.counts)))
         sets["sub", r] = frozenset(k for k, c in enumerate(values) if in_subring(c, d))
@@ -584,9 +558,8 @@ def _sweep(spec: _Sweep, table: CountTable, full: CountTable, **found) -> dict:
 def _merged(table: CountTable, failing: dict) -> list[dict]:
     """The mod-3 witness list: each failed check's first WITNESS_CAP points,
     merged by point and, within a point, check order.  A witness carries its
-    point, its check's key and each field's class polynomial; a column is
-    multiplied out once, and only if a check that reads it fails."""
-    columns = {j: table.column(j) for check in failing for _, j in check.fields}
+    point, its check's key and each field's class polynomial, expanded from
+    the counts of the witness's class."""
     hits = sorted(
         (i, n, check)
         for n, (check, classes) in enumerate(failing.items())
@@ -594,7 +567,10 @@ def _merged(table: CountTable, failing: dict) -> list[dict]:
     )
     return [
         {"alpha": _point(table, i), "check": check.key}
-        | {name: columns[j][table.class_of[i]].render() for name, j in check.fields}
+        | {
+            name: _class_poly(table.p, table.counts[table.class_of[i]][j]).render()
+            for name, j in check.fields
+        }
         for i, _, check in hits
     ]
 
@@ -624,8 +600,7 @@ def _registered(sweep: dict, consistent) -> tuple[dict, list]:
     the rank-4 rho8 class equals c(lambda1+delta)^8 * c(lambda2); both
     readings must agree with the registry computation."""
     table, target = sweep["table"], sweep["expected"][0]
-    polys = table.polys  # theorem-1.1 reads every column
-    classes = [polys[k] for k in sorted(consistent)]
+    classes = [[_class_poly(table.p, m) for m in table.counts[k]] for k in sorted(consistent)]
     col = {name: j for j, name in enumerate(REP_NAMES, 2)}
     problems, named = [], {}
     for name in REP_NAMES:
@@ -864,7 +839,7 @@ def _pm_form(m) -> "tuple[int, int] | None":
     """(e_minus, e_plus) with (1-t^2)^e_minus (1+t^2)^e_plus the mod-5 class
     polynomial of the counts m, or None if it is not of that form.
 
-    Mod 5 the class is P_1(m[1], m[4]) P_2(m[2], m[3]) (_pair_factor), and
+    Mod 5 the class is P_1(m[1], m[4]) P_2(m[2], m[3]) (_factors), and
     (1+t)(1-t) = 1 - t^2, (1+2t)(1-2t) = 1 + t^2, so the counts predict
     (m[1], m[2]); the prediction is accepted only when P_1, expanded from
     the counts, equals (1 - t^2)^m[1] and P_2 equals (1 + t^2)^m[2], both
@@ -873,7 +848,7 @@ def _pm_form(m) -> "tuple[int, int] | None":
     disagreement the two factors are multiplied out and the greedy
     repeated-division routine decides."""
     a_cnt, b_cnt = m[1], m[2]
-    p1, p2 = _pair_factor(P5, 1, a_cnt, m[4]), _pair_factor(P5, 2, b_cnt, m[3])
+    p1, p2 = _factors(m)
     if p1 == _square_binomial(-1, a_cnt) and p2 == _square_binomial(1, b_cnt):
         return a_cnt, b_cnt
     return pm_factorization(p1 * p2)

@@ -5,6 +5,7 @@ import functools
 import hashlib
 import itertools
 import math
+import operator
 from collections import Counter
 
 import pytest
@@ -95,6 +96,7 @@ def dropping_weights(j, *dropped):
 
 
 MOD3_CHECKS = {"theorem-1.1": classify_f4_mod3, "prop-3.2": check_prop32, "prop-3.3": check_prop33}
+MOD5_CHECKS = {"theorem-4.1": classify_e8_mod5, "prop-4.3": check_prop43, "prop-4.4": check_prop44}
 
 # theorem-1.1's and prop-3.3's non-closure witnesses when lambda2 keeps only
 # its positive-sum weights, in point order as the per-point loops gave them
@@ -207,15 +209,17 @@ class TestClassifyF4Mod3:
         assert count_table(3, chars) is true
         i = int("1110", 3) - 1  # the consistent point 1,1,1,0 in sweep order
         assert true.alpha(i) == faulted.alpha(i) == (1, 1, 1, 0)
-        assert true.polys[true.class_of[i]][-1].render() == "1 + 2*t^162"
-        assert faulted.polys[faulted.class_of[i]][-1].render() != "1 + 2*t^162"
+        rho8 = lambda table: classify._class_poly(3, table.counts[table.class_of[i]][-1]).render()
+        assert rho8(true) == "1 + 2*t^162"
+        assert rho8(faulted) != "1 + 2*t^162"
 
     def test_one_expansion_per_class_and_character(self, monkeypatch):
         calls = []
         real = classify.chern_of_counts
 
         def counted(p, counts):
-            calls.append(p)
+            counts = list(counts)
+            calls.append((p, tuple(m for _, m in counts)))
             return real(p, counts)
 
         def forbidden(*args):
@@ -223,26 +227,37 @@ class TestClassifyF4Mod3:
 
         monkeypatch.setattr(classify, "_TABLES", {})
         monkeypatch.setattr(classify, "chern_of_counts", counted)
-        classify._pair_factor.cache_clear()
-        classify._summed_class.cache_clear()
+        classify._class_poly.cache_clear()
         # every per-point class (chern_named, total_chern) expands here
         monkeypatch.setattr(chern, "chern_of_exponents", forbidden)
-        assert classify_f4_mod3().verified
-        # at p = 3 a class is its one pair factor (1 + t)^m[1] (1 - t)^m[2],
-        # and the 3 classes of the 7 columns hold 8 distinct (m[1], m[2])
+        result = classify_f4_mod3()
+        assert result.verified
+        # p = 3 expands each swept class from its counts, its one pair factor
+        # (1 + t)^m[1] (1 - t)^m[2] from (0, m[1], m[2]), and every column of
+        # the consistent class: 2 + 2 + 5 distinct counts
         table = count_table(3, classify._mod3_chars())
-        assert len({(m[1], m[2]) for cls in table.counts for m in cls}) == 8
-        assert len(calls) == 8
-        # mod 5 expands the 66 distinct pair factors (v, m[v], m[-v]) of
-        # lambda2 and delta+ and one rho8 class per distinct sum of their
-        # counts, 13 for the 53 classes; lambda1 enters only through its counts
+        swept = {m for cls in table.counts for m in cls[:2]}
+        pairs = {(0, m[1], m[2]) for m in swept}
+        alphas = result.evidence["consistent_alphas"]
+        ids = {table.class_of[int(a.replace(",", ""), 3) - 1] for a in alphas}
+        consistent = {m for k in ids for m in table.counts[k]}
+        assert (len(swept), len(pairs), len(consistent - swept)) == (2, 2, 5)
+        assert sorted(calls) == sorted((3, m) for m in swept | pairs | consistent)
+        # mod 5 expands the 66 pair factors (v, m[v], m[-v]) of lambda2 and
+        # delta+, 65 distinct counts kept at v and -v only (P_1(0, 0) and
+        # P_2(0, 0) are both the empty counts), and one rho8 class per
+        # distinct sum of their counts, 13 for the 53 classes; no lambda2 or
+        # delta+ class is multiplied out, and lambda1 enters only through its
+        # counts
         calls.clear()
         assert classify_e8_mod5("full").verified
         table = count_table(5, classify._mod5_chars(), "full")
-        pairs = {(v, cls[j][v], cls[j][-v]) for cls in table.counts for j in (0, 1) for v in (1, 2)}
+        columns = [(cls[j], v) for cls in table.counts for j in (0, 1) for v in (1, 2)]
+        triples = {(v, m[v], m[-v]) for m, v in columns}
+        pairs = {tuple(c if u in (v, 5 - v) else 0 for u, c in enumerate(m)) for m, v in columns}
         sums = {tuple(map(sum, zip(*cls[:2]))) for cls in table.counts}
-        assert (len(pairs), len(sums), len(table.counts)) == (66, 13, 53)
-        assert len(calls) == 66 + 13
+        assert (len(triples), len(pairs), len(sums), len(table.counts)) == (66, 65, 13, 53)
+        assert sorted(calls) == sorted((5, m) for m in pairs | sums)
 
 
 class TestMod3LostWeight:
@@ -347,6 +362,52 @@ class TestStaleMemo:
             assert check().evidence["value_on_consistent_set"] == "1 + t^18"
 
 
+class TestExpansionRouteFaults:
+    """Every class polynomial comes from _class_poly, so a fault in one of
+    its routes (the rho8 sums, the pair factors, the mod-3 classes) reaches
+    exactly the statements that read that route, in both mod-5 modes."""
+
+    @staticmethod
+    def falsified(monkeypatch, hit) -> dict:
+        """The problems of each falsified statement when _class_poly adds t
+        to every class whose counts m hit(p, m) accepts, judged afresh."""
+        real = classify._class_poly
+
+        def faulted(p, m):
+            return real(p, m) + UPoly.monomial(p, 1, 1) if hit(p, m) else real(p, m)
+
+        monkeypatch.setattr(classify, "_class_poly", faulted)
+        fresh = functools.cache(classify._class_sets.__wrapped__)
+        monkeypatch.setattr(classify, "_class_sets", fresh)
+        results = {name: check() for name, check in MOD3_CHECKS.items()}
+        for mode in ("canonical", "full"):
+            for name, check in MOD5_CHECKS.items():
+                results[name, mode] = check(mode)
+        return {key: r.evidence["problems"] for key, r in results.items() if not r.verified}
+
+    def test_rho8_sums(self, monkeypatch):
+        found = self.falsified(monkeypatch, lambda p, m: p == 5 and sum(m) == 240)
+        assert found == {
+            ("theorem-4.1", mode): ["consistent set is empty"] for mode in ("canonical", "full")
+        }
+
+    def test_pair_factors(self, monkeypatch):
+        found = self.falsified(monkeypatch, lambda p, m: p == 5 and sum(map(bool, m)) <= 2)
+        assert set(found) == set(itertools.product(MOD5_CHECKS, ("canonical", "full")))
+        for problems in found.values():
+            assert "plus/minus product form fails" in problems
+
+    def test_mod3_classes(self, monkeypatch):
+        found = self.falsified(monkeypatch, lambda p, m: p == 3 and sum(m) == 24)
+        assert set(found) == set(MOD3_CHECKS)
+        assert found["theorem-1.1"][:3] == [
+            "lambda1+delta divisibility",
+            "lambda2 divisibility",
+            "joint-consistent set is empty",
+        ]
+        assert found["prop-3.2"] == found["prop-3.3"] == ["divisibility", "consistent set is empty"]
+
+
 def lambda2_mod5(keep):
     """The mod-5 columns with lambda2 cut to the weights keep accepts."""
     lambda2, *rest = classify._mod5_chars()
@@ -420,9 +481,9 @@ class TestProp3Checks:
         one_minus_t2 = UPoly(3, (1, 0, 2))
         table = count_table(3, classify._mod3_chars()[:2])
         assert table.points == 80
-        for k, cls in enumerate(table.polys):
-            for poly in cls:
-                assert poly.divexact(one_minus_t2) is not None, table.counts[k]
+        for cls in table.counts:
+            for m in cls:
+                assert classify._class_poly(3, m).divexact(one_minus_t2) is not None, m
 
     def test_count_table_and_grid_are_immutable(self):
         chars = classify._mod3_chars()[:2]
@@ -445,11 +506,10 @@ class TestTunedPathAgainstCharacterPipeline:
     def test_all_canonical_representatives(self, chars, mod5_table):
         reps = canonical_representatives()
         assert [mod5_table.alpha(i) for i in range(mod5_table.points)] == reps
-        polys = mod5_table.polys
         for i, alpha in enumerate(reps):
             pt = RestrictionPoint(5, alpha)
-            k = mod5_table.class_of[i]
-            (m2, mD, _), (f2, fD, _) = mod5_table.counts[k], polys[k]
+            m2, mD, _ = mod5_table.counts[mod5_table.class_of[i]]
+            f2, fD = classify._class_poly(5, m2), classify._class_poly(5, mD)
             g2 = total_chern(chars["lambda2"], pt)
             gD = total_chern(chars["delta+"], pt)
             assert f2 == g2, alpha
@@ -468,10 +528,9 @@ class TestTunedPathAgainstCharacterPipeline:
             vector_weights(4) + half_spin_weights(4, "both"),
             exterior_square_weights(4),
         )
-        polys = full.polys
         for i, alpha in enumerate(alphas):
             pt = RestrictionPoint(3, alpha)
-            got = polys[full.class_of[i]]
+            got = tuple(classify._class_poly(3, m) for m in full.counts[full.class_of[i]])
             assert got[:2] == tuple(total_chern(c, pt) for c in chars), alpha
             assert got[2:] == tuple(chern_named(name, pt) for name in REP_NAMES), alpha
         # canonical mode weights each class by orbit sizes to the same totals
@@ -724,7 +783,9 @@ class TestSweepMod5:
     def test_class_expansion_and_predicates_skip_validation(self, monkeypatch):
         # the pair factors, rho8 expansions and per-class predicates build
         # every polynomial from reduced coefficients; only the two consistent
-        # values and their pieces go through the validating constructor
+        # values and their pieces go through the validating constructor.  The
+        # predicates expand pair factors (counts at one pair {v, -v} only)
+        # and rho8 sums (240 weights): no lambda2, delta+ or lambda1 class
         monkeypatch.setattr(classify, "_TABLES", {})
         table = count_table(5, classify._mod5_chars(), "full")
         calls = []
@@ -735,12 +796,16 @@ class TestSweepMod5:
             real(self, p, coeffs)
 
         monkeypatch.setattr(UPoly, "__init__", counted)
-        multiplied = []
-        multiply = classify._multiply
-        monkeypatch.setattr(classify, "_multiply", lambda fs: multiplied.append(fs) or multiply(fs))
+        expanded = []
+        class_poly = classify._class_poly
+        monkeypatch.setattr(
+            classify, "_class_poly", lambda p, m: expanded.append(m) or class_poly(p, m)
+        )
         assert classify_e8_mod5("full").verified
-        # the predicates read factors and counts: no column is multiplied out
-        assert multiplied == []
+        for m in expanded:
+            pairs = {min(v, 5 - v) for v in range(1, 5) if m[v]}
+            assert sum(m) == 240 or (m[0] == 0 and len(pairs) <= 1), m
+        assert any(sum(m) == 240 for m in expanded)
         assert len(calls) <= 8
 
     @pytest.mark.parametrize("mode", ["canonical", "full"])
@@ -751,12 +816,13 @@ class TestSweepMod5:
         table = count_table(5, classify._mod5_chars(), mode)
         assert len(table.counts) == 53
         monkeypatch.setattr(classify, "pm_factorization", fallback)
-        columns = (table.column(0), table.column(1))
-        rho8 = classify._reading(table, (0, 1), range(len(table.counts)))
+        classes = range(len(table.counts))
+        columns = [classify._reading(table, (j,), classes) for j in (0, 1)]
+        rho8 = classify._reading(table, (0, 1), classes)
         for k, counts in enumerate(table.counts):
             for j in (0, 1):
                 m, column = counts[j], columns[j][k]
-                assert column == classify._multiply(table.factors(j)[k])
+                assert column == functools.reduce(operator.mul, classify._factors(m))
                 assert column == chern_of_counts(5, enumerate(m))
                 assert _pm_form(m) == pm_factorization(column) is not None, (k, j)
             assert rho8[k] == columns[0][k] * columns[1][k], k

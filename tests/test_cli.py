@@ -465,11 +465,15 @@ class TestHashGate:
 
     ROOT = Path(__file__).resolve().parents[1]
 
-    def gate(self, monkeypatch, commands, reports):
+    def load(self):
         path = self.ROOT / "scripts" / "hash_gate.py"
         spec = importlib.util.spec_from_file_location("hash_gate", path)
         gate = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(gate)
+        return gate
+
+    def gate(self, monkeypatch, commands, reports):
+        gate = self.load()
         monkeypatch.setattr(gate, "COMMANDS", commands)
         monkeypatch.setattr(gate, "REPORTS", reports)
         monkeypatch.setattr(sys, "argv", ["hash_gate.py", str(self.ROOT), str(self.ROOT)])
@@ -490,3 +494,12 @@ class TestHashGate:
         out = capsys.readouterr().out
         assert "verify no-such-statement: failed failed FAILED" in out
         assert "1 of 1 canonical_sha256 equal, 0 different, 1 of 2 commands failed" in out
+
+    def test_runs_write_no_bytecode_into_the_tree(self, monkeypatch, tmp_path):
+        # scripts/bench_record.py refuses a tree holding __pycache__, so the
+        # gate's runs must not leave any, whatever the caller's environment
+        seen = []
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+        monkeypatch.setattr(subprocess, "run", lambda cmd, env, **kw: seen.append(env))
+        self.load()._run(str(tmp_path), ["branch"], str(tmp_path / "certs"))
+        assert [env["PYTHONDONTWRITEBYTECODE"] for env in seen] == ["1"]
