@@ -785,7 +785,8 @@ class TestSweepMod5:
         # every polynomial from reduced coefficients; only the two consistent
         # values and their pieces go through the validating constructor.  The
         # predicates expand pair factors (counts at one pair {v, -v} only)
-        # and rho8 sums (240 weights): no lambda2, delta+ or lambda1 class
+        # and rho8 sums (240 weights), never a lambda2, delta+ or lambda1
+        # class
         monkeypatch.setattr(classify, "_TABLES", {})
         table = count_table(5, classify._mod5_chars(), "full")
         calls = []
