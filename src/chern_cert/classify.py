@@ -485,12 +485,16 @@ def _factors(m: tuple) -> tuple[UPoly, ...]:
     """The negation-pair factors P_v = (1 + v*t)^m[v] (1 - v*t)^m[-v] of the
     class of the counts m mod p = len(m), for v = 1..(p-1)/2: each is the
     class of the counts kept at v and -v only, and their product is the
-    class of m.  At p = 3 the one factor is that class."""
+    class of m.  At p = 3 the one factor is that class.  The mod-5 judge
+    calls this twice per class and column, so the kept counts are set into
+    a list of zeros rather than filtered from m."""
     p = len(m)
-    return tuple(
-        _class_poly(p, tuple(c if u in (v, p - v) else 0 for u, c in enumerate(m)))
-        for v in range(1, (p + 1) // 2)
-    )
+    factors = []
+    for v in range(1, (p + 1) // 2):
+        kept = [0] * p
+        kept[v], kept[-v] = m[v], m[-v]
+        factors.append(_class_poly(p, tuple(kept)))
+    return tuple(factors)
 
 
 def _reading(table: CountTable, cols: tuple[int, ...], classes) -> list[UPoly]:
