@@ -26,24 +26,23 @@ _class_poly, once per (p, counts).  A class of one character or of a sum of
 characters is expanded from its (summed) counts, and a negation-pair factor
 P_v(a, b) = (1 + v*t)^a (1 - v*t)^b from the counts a of v and b of -v
 alone; a class is expanded only where a predicate, a fallback or a
-certificate reads it.  Every statement predicate, mod 3 and mod 5, is
-evaluated once per class, and each point keeps only its class id, one
+certificate reads it.  Each statement evaluates its predicates, mod 3 and
+mod 5, once per class, and each point keeps only its class id, one
 byte, laid out per front row by one C-level call, from which consistent
 sets and witness lists are read back in point order.  All 390624 mod-5
 points fall into 53 count classes, and the 80 mod-3 points into 3.
 
 The six sweep statements are rows of data (_ROWS), and one judge, _judge,
-builds every certificate from its row.  One pass, _class_sets, judges a
-sweep's classes for both primes: per swept column the classes where each
-named predicate holds, per reading (a column or a product of columns) those
-in F_p[t^d] and those off the expected values.  It is memoized on values
-(table, sweep, d, expected polynomials), so a prime's statements share one
-judgement and a changed bound or expected value is judged afresh.  Each
-check's witnesses are its first points by CountTable.first, laid out per
-row: merged by point and check order mod 3, keyed by check mod 5.  Tables
-are memoized per (p, characters, mode), and a canonical table is a view of
-the full one (count_table), so both modes judge one set of classes.  The
-sweep runs in one process.
+builds every certificate from its row, evaluating only the predicates its
+checks name, on their columns, and the readings (a column or a product of
+columns) its filter and value checks name.  No judgement is memoized, only
+the count tables and the class polynomials, so a changed predicate, bound,
+expected value or _class_poly reaches the next statement with nothing to
+clear.  Each check's witnesses are its first points by CountTable.first,
+laid out per row: merged by point and check order mod 3, keyed by check
+mod 5.  Tables are memoized per (p, characters, mode), and a canonical
+table is a view of the full one (count_table) sharing its counts and class
+ids, so both modes judge the same classes.  The sweep runs in one process.
 """
 
 from __future__ import annotations
@@ -520,43 +519,22 @@ _PREDICATES = {
     "pm": lambda m, size: _pm_form(m) is None,
 }
 
-# A sweep's judgement: its prime, the sizes of its swept columns (the first
-# len(sizes)), the predicates judged on each, the readings (see _reading)
-# its statements filter and check values on, and the powers of the
-# consistent value expected there.
-_Sweep = namedtuple("_Sweep", "p sizes predicates readings powers")
-_MOD3 = _Sweep(3, (24, 24), ("closure", "trivial", "indivisible"), ((0,), (1,)), (1,))
-_MOD5 = _Sweep(P5, (112, 128), ("closure", "trivial", "pm"), ((0, 1),), (1, 2))
+# A sweep: its prime, the sizes of its swept columns (the first
+# len(sizes)) and the powers of the consistent value expected on the
+# consistent set.
+_Sweep = namedtuple("_Sweep", "p sizes powers")
+_MOD3 = _Sweep(3, (24, 24), (1,))
+_MOD5 = _Sweep(P5, (112, 128), (1, 2))
 
 
-@functools.cache
-def _class_sets(table: CountTable, spec: _Sweep, d: int, expected: tuple) -> dict:
-    """The classes where each test holds: keyed (name, j) per predicate of
-    spec on each swept column j, and ("sub", r) and ("off", r) per reading
-    r, whose class lies in F_p[t^d] or is none of expected.  Memoized on
-    these values, so the statements of one sweep share one judgement and a
-    changed bound or expected value is judged afresh."""
-    sets = {}
-    for j, size in enumerate(spec.sizes):
-        column = [c[j] for c in table.counts]
-        for name in spec.predicates:
-            test = _PREDICATES[name]
-            sets[name, j] = frozenset(k for k, m in enumerate(column) if test(m, size))
-    for r in spec.readings:
-        values = _reading(table, r, range(len(table.counts)))
-        sets["sub", r] = frozenset(k for k, c in enumerate(values) if in_subring(c, d))
-        sets["off", r] = frozenset(k for k, c in enumerate(values) if c not in expected)
-    return sets
-
-
-def _sweep(spec: _Sweep, table: CountTable, full: CountTable, **found) -> dict:
-    """A sweep: table, the class sets of full, the full table it views,
-    under the current subring exponent and expected values, and what the
-    sweep found (its problems, evidence and parameters)."""
+def _sweep(spec: _Sweep, table: CountTable, **found) -> dict:
+    """A sweep: table, its column sizes, the current subring exponent and
+    expected values, and what the sweep found (its problems, evidence and
+    parameters)."""
     d = subring_bound(spec.p)
     expected = tuple(_consistent_value(spec.p, d) ** e for e in spec.powers)
-    sets = _class_sets(full, spec, d, expected)
-    return {"table": table, "sets": sets, "subring_exponent": d, "expected": expected, **found}
+    return {"table": table, "sizes": spec.sizes, "subring_exponent": d, "expected": expected,
+            **found}
 
 
 def _merged(table: CountTable, failing: dict) -> list[dict]:
@@ -671,10 +649,10 @@ def _s5(sweep: dict, consistent) -> tuple[dict, list]:
 # ---------------------------------------------------------------------------
 
 # A check: its key (a mod-3 witness's "check", a mod-5 witness list's key),
-# the predicate of _class_sets whose classes fail it, the columns (readings,
-# for "off") it unions them over, its witness fields (name, column), the
-# evidence flag true when every check carrying it passes, and its problem
-# text (its key if None).
+# its predicate (a _PREDICATES name, or "off": none of the expected values),
+# the columns (readings, for "off") it unions its classes over, its witness
+# fields (name, column), the evidence flag true when every check carrying
+# it passes, and its problem text (its key if None).
 _Check = namedtuple(
     "_Check", "key predicate columns fields flag problem", defaults=((), None, None)
 )
@@ -739,28 +717,42 @@ _ROWS = {
 
 def _judge(statement: str, sweep: dict) -> CheckResult:
     """The certificate of statement from its row and its sweep (_sweep plus
-    its own problems, evidence and parameters).  The consistent set is the
-    classes where every reading of the filter lies in F_p[t^d].  A check
-    fails where its predicate holds in any of its columns, a value check
-    ("off") only on consistent classes.  The problems are the sweep's, the
-    failed checks', the row's own if it filters and the consistent set has
-    no point, then the reads'."""
+    its own problems, evidence and parameters), judged afresh.  The
+    consistent set is the classes where every reading of the filter lies in
+    F_p[t^d].  A check fails where its predicate holds in any of its
+    columns, a value check ("off") only on consistent classes.  The problems
+    are the sweep's, the failed checks', the row's own if it filters and the
+    consistent set has no point, then the reads'."""
     row = _ROWS[statement]
-    table, sets = sweep["table"], sweep["sets"]
-    every = frozenset(range(len(table.counts)))
-    consistent = every.intersection(*(sets["sub", r] for r in row.filter))
+    table, d, expected = sweep["table"], sweep["subring_exponent"], sweep["expected"]
+    consistent = range(len(table.counts))
+    for r in row.filter:
+        values = _reading(table, r, consistent)
+        consistent = [k for k, c in zip(consistent, values) if in_subring(c, d)]
     evidence, failing = {**sweep["evidence"], **row.evidence}, {}
     for check in row.checks:
-        classes = frozenset().union(*(sets[check.predicate, c] for c in check.columns))
         if check.predicate == "off":
-            classes &= consistent
+            classes = {
+                k
+                for r in check.columns
+                for k, c in zip(consistent, _reading(table, r, consistent))
+                if c not in expected
+            }
+        else:
+            test = _PREDICATES[check.predicate]
+            classes = {
+                k
+                for j in check.columns
+                for k, cls in enumerate(table.counts)
+                if test(cls[j], sweep["sizes"][j])
+            }
         if check.flag:
             evidence[check.flag] = evidence.get(check.flag, True) and not classes
         if classes:
             failing[check] = classes
     problems = [*sweep["problems"], *(check.problem or check.key for check in failing)]
     if row.filter:
-        evidence["subring_exponent"] = sweep["subring_exponent"]
+        evidence["subring_exponent"] = d
         if not sum(table.weights[k] for k in consistent):
             problems.append(row.empty)
     for read in row.reads:
@@ -791,7 +783,7 @@ def _sweep_mod3() -> dict:
     """The rank-4 mod-3 sweep of all 80 nonzero points (_sweep)."""
     table = count_table(3, _mod3_chars())
     evidence, parameters = {"points_total": 80}, {"p": 3, "rank": 4}
-    return _sweep(_MOD3, table, table, problems=[], evidence=evidence, parameters=parameters)
+    return _sweep(_MOD3, table, problems=[], evidence=evidence, parameters=parameters)
 
 
 def classify_f4_mod3() -> CheckResult:
@@ -866,8 +858,8 @@ def _mod5_chars() -> tuple[Character, ...]:
 
 
 def sweep_mod5(mode: str) -> dict:
-    """The rank-8 mod-5 sweep of mode (_sweep: both modes share the full
-    table's class sets), its point and orbit-weight totals, and its
+    """The rank-8 mod-5 sweep of mode (_sweep: both modes judge the full
+    table's classes), its point and orbit-weight totals, and its
     problems: a wrong point or orbit-weighted total, then class weights
     that differ from the full table's."""
     full = count_table(P5, _mod5_chars())
@@ -883,7 +875,7 @@ def sweep_mod5(mode: str) -> dict:
         problems.append("orbit-weighted class weights differ from the full sweep's")
     evidence = {"mode": mode, "points_scanned": points, "points_weighted": weighted}
     parameters = {"p": P5, "rank": N5, "mode": mode}
-    return _sweep(_MOD5, table, full, points=points, weighted_points=weighted,
+    return _sweep(_MOD5, table, points=points, weighted_points=weighted,
                   problems=problems, evidence=evidence, parameters=parameters)
 
 

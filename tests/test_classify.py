@@ -46,6 +46,18 @@ from chern_cert.spinchar import (
 V200 = "1 + 3*t^100 + t^200"  # (1 - t^100)^2 over F_5
 
 
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """An empty count-table memo for one test, the true one restored after
+    it.  The tables and _class_poly's expansions are classify's only memos,
+    and no judgement is memoized, so a test that changes a character,
+    predicate, bound or expected value needs nothing more.  A test that
+    patches classify.chern_of_counts must also call
+    classify._class_poly.cache_clear(), or the expansions memoized before the
+    patch are read back."""
+    monkeypatch.setattr(classify, "_TABLES", {})
+
+
 @pytest.fixture(scope="module")
 def result():
     return classify_f4_mod3()
@@ -213,7 +225,7 @@ class TestClassifyF4Mod3:
         assert rho8(true) == "1 + 2*t^162"
         assert rho8(faulted) != "1 + 2*t^162"
 
-    def test_one_expansion_per_class_and_character(self, monkeypatch):
+    def test_one_expansion_per_class_and_character(self, monkeypatch, fresh_tables):
         calls = []
         real = classify.chern_of_counts
 
@@ -225,7 +237,6 @@ class TestClassifyF4Mod3:
         def forbidden(*args):
             raise AssertionError("theorem-1.1 must not work point by point")
 
-        monkeypatch.setattr(classify, "_TABLES", {})
         monkeypatch.setattr(classify, "chern_of_counts", counted)
         classify._class_poly.cache_clear()
         # every per-point class (chern_named, total_chern) expands here
@@ -304,9 +315,7 @@ class TestMod3LostWeight:
 
 
 class TestSubringBoundShift:
-    def test_shifted_bound_empties_the_consistent_sets(self, monkeypatch):
-        # fresh tables, so no per-class pass memoized under the true bound
-        monkeypatch.setattr(classify, "_TABLES", {})
+    def test_shifted_bound_empties_the_consistent_sets(self, monkeypatch, fresh_tables):
         monkeypatch.setattr(classify, "subring_bound", lambda p: p**3 - p**2 + 1)
         for check in MOD3_CHECKS.values():
             result = check()
@@ -322,8 +331,8 @@ class TestSubringBoundShift:
 
 class TestStaleMemo:
     def test_bound_shifted_after_a_run_reaches_every_statement(self, monkeypatch):
-        # the per-class passes are memoized per table and subring exponent,
-        # so a bound changed after the true tables were built still counts
+        # no judgement is memoized, so a bound changed after the true
+        # tables were built and judged still counts
         for check in (*MOD3_CHECKS.values(), lambda: classify_e8_mod5("canonical")):
             assert check().verified
         monkeypatch.setattr(classify, "subring_bound", lambda p: p**3 - p**2 + 1)
@@ -339,8 +348,8 @@ class TestStaleMemo:
         assert result.evidence["problems"] == ["consistent set is empty"]
 
     def test_expected_value_changed_after_a_run_reaches_every_statement(self, monkeypatch):
-        # the class sets are memoized on the expected values themselves, so
-        # an expected value changed after the true judgement is judged afresh
+        # no judgement is memoized, so an expected value changed after the
+        # true judgement is judged afresh
         for check in MOD3_CHECKS.values():
             assert check().verified
         for check in (classify_e8_mod5, check_prop43, check_prop44):
@@ -361,6 +370,24 @@ class TestStaleMemo:
         for check in (check_prop32, check_prop33):
             assert check().evidence["value_on_consistent_set"] == "1 + t^18"
 
+    @pytest.mark.parametrize("mode", ["canonical", "full"])
+    def test_expansion_fault_after_a_run_reaches_the_next_judgement(self, monkeypatch, mode):
+        # a fault patched into _class_poly after a verified run, with no
+        # cache cleared: the next run must judge the faulted rho8 values
+        # (1 - t^100)^2 + t, which leave F_5[t^100], not certify the old ones
+        assert classify_e8_mod5(mode).verified
+        real = classify._class_poly
+
+        def faulted(p, m):
+            value = real(p, m)
+            return value + UPoly.monomial(p, 1, 1) if p == 5 and sum(m) == 240 else value
+
+        monkeypatch.setattr(classify, "_class_poly", faulted)
+        result = classify_e8_mod5(mode)
+        assert not result.verified
+        assert result.evidence["problems"] == ["consistent set is empty"]
+        assert result.evidence["s5_count"] == 0
+
 
 class TestExpansionRouteFaults:
     """Every class polynomial comes from _class_poly, so a fault in one of
@@ -370,15 +397,14 @@ class TestExpansionRouteFaults:
     @staticmethod
     def falsified(monkeypatch, hit) -> dict:
         """The problems of each falsified statement when _class_poly adds t
-        to every class whose counts m hit(p, m) accepts, judged afresh."""
+        to every class whose counts m hit(p, m) accepts; no judgement is
+        memoized, so nothing needs clearing."""
         real = classify._class_poly
 
         def faulted(p, m):
             return real(p, m) + UPoly.monomial(p, 1, 1) if hit(p, m) else real(p, m)
 
         monkeypatch.setattr(classify, "_class_poly", faulted)
-        fresh = functools.cache(classify._class_sets.__wrapped__)
-        monkeypatch.setattr(classify, "_class_sets", fresh)
         results = {name: check() for name, check in MOD3_CHECKS.items()}
         for mode in ("canonical", "full"):
             for name, check in MOD5_CHECKS.items():
@@ -489,7 +515,7 @@ class TestProp3Checks:
         chars = classify._mod3_chars()[:2]
         table = count_table(3, chars)
         rebuilt = classify._build_table(3, 4, chars)
-        # equal only to itself: the memoized class sets are keyed by table
+        # equal only to itself: a rebuilt table is a new table
         assert table != rebuilt and table == table
         assert bytes(rebuilt.class_of) == bytes(table.class_of)
         with pytest.raises(AttributeError):
@@ -594,7 +620,7 @@ class TestSplitGrid:
         assert canonical.weighted_points == 26
         assert canonical.weights != full.weights
 
-    def test_split_that_loses_a_weight_is_rejected(self, monkeypatch):
+    def test_split_that_loses_a_weight_is_rejected(self, fresh_tables):
         class Dropping(Character):
             __slots__ = ()
 
@@ -603,7 +629,6 @@ class TestSplitGrid:
 
         # Dropping compares equal to vector_weights(4), so a memoized table
         # of that character would be handed back without a split
-        monkeypatch.setattr(classify, "_TABLES", {})
         dropping = Dropping(4, vector_weights(4).weights)
         for mode in ("full", "canonical"):
             with pytest.raises(ValueError, match="split"):
@@ -636,7 +661,7 @@ class TestDistinctFrontRows:
         assert sum(table.weights) == p**n - 1
         assert Counter(table.class_of.tolist()) == dict(enumerate(table.weights))
 
-    def test_one_cell_fill_per_signature_pair(self, monkeypatch):
+    def test_one_cell_fill_per_signature_pair(self, monkeypatch, fresh_tables):
         filled = []
         real = classify._cell
 
@@ -644,7 +669,6 @@ class TestDistinctFrontRows:
             filled.append((f, b))
             return real(grid, f, b)
 
-        monkeypatch.setattr(classify, "_TABLES", {})
         monkeypatch.setattr(classify, "_cell", counted)
         cases = [
             (5, classify._mod5_chars(), "full", 400),  # 20 front by 20 back signatures
@@ -668,12 +692,11 @@ class TestDistinctFrontRows:
         chars = (vector_weights(3), heavy, exterior_square_weights(3))
         assert_counts_point_by_point(5, chars, count_table(5, chars))
 
-    def test_back_to_back_builds_of_one_shape(self, monkeypatch):
+    def test_back_to_back_builds_of_one_shape(self, fresh_tables):
         # two character tuples of one p and rank, built one after the other
         # with the table memo cleared and the first table dropped: a cache
         # keyed by object identity that outlived the first build would hand
         # its histograms to the second
-        monkeypatch.setattr(classify, "_TABLES", {})
         for chars in (
             (vector_weights(4), lopsided(4), half_spin_weights(4, "+")),
             (exterior_square_weights(4), heavy_front(4), half_spin_weights(4, "-")),
@@ -780,14 +803,13 @@ class TestSweepMod5:
         for m2, _, _ in mod5_table.counts:
             assert sum(_pm_form(m2)) > 0
 
-    def test_class_expansion_and_predicates_skip_validation(self, monkeypatch):
+    def test_class_expansion_and_predicates_skip_validation(self, monkeypatch, fresh_tables):
         # the pair factors, rho8 expansions and per-class predicates build
         # every polynomial from reduced coefficients; only the two consistent
         # values and their pieces go through the validating constructor.  The
         # predicates expand pair factors (counts at one pair {v, -v} only)
         # and rho8 sums (240 weights), never a lambda2, delta+ or lambda1
         # class
-        monkeypatch.setattr(classify, "_TABLES", {})
         table = count_table(5, classify._mod5_chars(), "full")
         calls = []
         real = UPoly.__init__
@@ -836,13 +858,12 @@ class TestSweepMod5:
             poly = chern_of_counts(5, enumerate(counts))
             assert _pm_form(counts) == pm_factorization(poly), counts
 
-    def test_pm_fallback_is_dead_on_true_data(self, monkeypatch):
+    def test_pm_fallback_is_dead_on_true_data(self, monkeypatch, fresh_tables):
         # on true data every predicted +-t^2 form matches its expansion, so
         # the greedy factorization is never asked
         def fallback(poly):
             raise AssertionError(f"_pm_form fell back on {poly!r}")
 
-        monkeypatch.setattr(classify, "_TABLES", {})
         monkeypatch.setattr(classify, "pm_factorization", fallback)
         for mode in ("canonical", "full"):
             assert classify_e8_mod5(mode).verified
@@ -875,27 +896,58 @@ class TestSweepMod5:
                     del payload["evidence"]["s5_witnesses_first"]
             assert canonical_json(swapped[key]) == canonical_json(true[key])
 
-    def test_class_sets_judged_once_for_both_modes(self, monkeypatch):
-        # the canonical view shares the full table's classes, so the mod-5
-        # statements of both modes read one judgement of them, and the three
-        # mod-3 statements another: the memo is keyed on values, so every
-        # statement of a prime asks for the same judgement
+    def test_each_statement_evaluates_only_its_own_checks(self, monkeypatch, fresh_tables):
+        # no judgement is shared: each statement evaluates, once per class,
+        # exactly the (predicate, column) pairs its row's checks name
+        named = {
+            "theorem-1.1": [("closure", 0), ("closure", 1), ("indivisible", 0),
+                            ("indivisible", 1), ("trivial", 1)],
+            "prop-3.2": [("closure", 0), ("indivisible", 0)],
+            "prop-3.3": [("closure", 0), ("closure", 1), ("indivisible", 1), ("trivial", 1)],
+            "theorem-4.1": [("closure", 0), ("closure", 1), ("pm", 0), ("pm", 1), ("trivial", 0)],
+            "prop-4.3": [("closure", 0), ("pm", 0), ("trivial", 0)],
+            "prop-4.4": [("closure", 1), ("pm", 1)],
+        }
         calls = []
-        real = classify._class_sets.__wrapped__
 
-        @functools.cache
-        def counted(table, spec, d, expected):
-            calls.append((table.p, table.mode))
-            return real(table, spec, d, expected)
+        def counted(name, test, m, size):
+            calls.append((name, m, size))
+            return test(m, size)
 
-        monkeypatch.setattr(classify, "_TABLES", {})
-        monkeypatch.setattr(classify, "_class_sets", counted)
-        for check in MOD3_CHECKS.values():
-            assert check().verified
+        for name, test in classify._PREDICATES.items():
+            monkeypatch.setitem(classify._PREDICATES, name, functools.partial(counted, name, test))
+        runs = [(s, 3, (24, 24), "full", check) for s, check in MOD3_CHECKS.items()]
         for mode in ("canonical", "full"):
-            for check in (classify_e8_mod5, check_prop43, check_prop44):
-                assert check(mode).verified
-        assert calls == [(3, "full"), (5, "full")]
+            runs += [(s, 5, (112, 128), mode, functools.partial(check, mode))
+                     for s, check in MOD5_CHECKS.items()]
+        for statement, p, sizes, mode, check in runs:
+            calls.clear()
+            assert check().verified, (statement, mode)
+            chars = classify._mod3_chars() if p == 3 else classify._mod5_chars()
+            table = count_table(p, chars, mode)
+            assert Counter(calls) == Counter(
+                (name, cls[j], sizes[j]) for name, j in named[statement] for cls in table.counts
+            ), (statement, mode)
+
+    @pytest.mark.parametrize("mode", ["canonical", "full"])
+    def test_verify_all_expands_each_count_vector_once(
+        self, monkeypatch, tmp_path, fresh_tables, mode
+    ):
+        # statements re-evaluate their own predicates, but every expansion
+        # goes through the memoized _class_poly, so a distinct count vector
+        # is expanded once per process whichever statements read it
+        calls = []
+        real = classify.chern_of_counts
+
+        def counted(p, counts):
+            counts = list(counts)
+            calls.append((p, tuple(m for _, m in counts)))
+            return real(p, counts)
+
+        monkeypatch.setattr(classify, "chern_of_counts", counted)
+        classify._class_poly.cache_clear()
+        assert cli.main(["verify", "all", "--mode", mode, "--out", str(tmp_path)]) == 0
+        assert len(calls) == len(set(calls)) == 87
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -932,8 +984,7 @@ TABLE_DIGESTS = {
 
 
 @pytest.mark.parametrize("p, mode", sorted(TABLE_DIGESTS))
-def test_table_digest(monkeypatch, p, mode):
-    monkeypatch.setattr(classify, "_TABLES", {})
+def test_table_digest(fresh_tables, p, mode):
     chars = classify._mod3_chars() if p == 3 else classify._mod5_chars()
     table = count_table(p, chars, mode)
     data = bytes(table.class_of) + repr((table.counts, table.weights)).encode()
