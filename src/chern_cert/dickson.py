@@ -9,12 +9,16 @@ pair {v, -v} of nonzero vectors, and e3^2 equals c_{3,0} up to a recorded
 unit.  Restricting y1 -> t, y2 -> 0, y3 -> 0 before expansion collapses the
 orbit product to (X^p - t^(p-1) X)^(p^2) = X^(p^3) - t^((p-1)p^2) X^(p^2),
 which pins the rank-1 images of the invariants.  The collapsed product is
-homogeneous in t and X, so its three routes run on UPoly in X at t = 1.
+homogeneous in t and X, so its three routes are compared as UPoly in X at
+t = 1, each on its own code path: the p^3 factors X + v1*t multiplied as
+linear forms, (X^p - t^(p-1) X)^(p^2) by UPoly squaring, and the closed form.
 
 The full 3-variable expansion builds the orbit product up a tower of
-coordinate subspaces with sparse MPoly arithmetic, and e3 apart from it as a
-dense product of its linear factors, one byte per coefficient of one int.
-The rank-1 restriction path never needs the expansion.
+coordinate subspaces with sparse MPoly arithmetic, each stage the product of
+its norm pairs R(X + a*y) R(X - a*y) and R(X) itself, and e3 apart from it
+as a dense product of its linear factors, one byte per coefficient of one
+int.  Route A of the restriction runs the same dense product on its p^3
+factors; the rank-1 restriction path never needs the expansion.
 
 compute(p) only measures, into a DicksonSet (p; cs = c_{3,0..2}; e3; sign,
 the unit with e3^2 = sign * c_{3,0} or None; the orbit product's X-support;
@@ -25,8 +29,10 @@ result, whose evidence records the measured support.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from collections import namedtuple
 
 from .certificates import CheckResult
@@ -48,6 +54,8 @@ _RANK = 3
 # the statement each supported prime's facts certify
 STATEMENT = {3: "lemma-3.1-facts", 5: "lemma-4.2-facts"}
 _PRIMES = tuple(STATEMENT)
+# (-1)^(3 - i), the sign of c_{3,i} X^(p^i) in the orbit product
+_SIGNS = tuple((-1) ** (_RANK - i) for i in range(_RANK))
 
 
 # what compute measured at one prime; the module docstring names the fields
@@ -106,23 +114,22 @@ def orbit_product(p: int) -> MPoly:
     R_0 = X and R_k(X) = prod_{a in F_p} R_{k-1}(X + a*y_{4-k}), first for
     y3, then y2, then y1.  By induction R_k is the product of X + l_v over
     the v spanned by the last k coordinates, so R_3 is the p^3 factors
-    regrouped; nothing else about the invariants is used.  At p = 5 the
-    stages have 2, 12 and 377 terms.  Each stage multiplies the shifts by
-    +-1, +-2, ... first and the unshifted R_{k-1} last: at p = 5 the last
-    stage's partial products then stay under 430 terms (921 in the order
-    0, 1, ..., p - 1), which halves its term products.
+    regrouped; nothing else about the invariants is used.  Each stage
+    multiplies the shifts in the grouping their signs give: the norm pairs
+    R_{k-1}(X + a*y) R_{k-1}(X - a*y), a = 1, ..., (p - 1)/2, together, then
+    R_{k-1} itself.  At p = 5 the stages have 2, 12 and 377 terms, and no
+    operand of the last stage exceeds the 240 terms of its two pairs'
+    product.
     """
     _check_supported_prime(p)
     arity = _RANK + 1
     x = arity - 1
-    order = [a for b in range(1, (p + 1) // 2) for a in (b, p - b)] + [0]
     tower = MPoly.variable(p, arity, x)
     for axis in reversed(range(_RANK)):
-        product = MPoly.one(p, arity)
-        for a in order:
-            # X -> X + a*y_axis, every other variable fixed
-            product = product * tower.substitute_linear(x, axis, a)
-        tower = product
+        # X -> X +- a*y_axis, every other variable fixed
+        pairs = [tower.substitute_linear(x, axis, a) * tower.substitute_linear(x, axis, -a)
+                 for a in range(1, (p + 1) // 2)]
+        tower = tower * functools.reduce(operator.mul, pairs)
     return tower
 
 
@@ -149,10 +156,7 @@ def compute(p: int) -> DicksonSet:
     the product's shape in X, unjudged."""
     _check_supported_prime(p)
     product = orbit_product(p)
-    cs = []
-    for i in range(_RANK):
-        sign = 1 if (_RANK - i) % 2 == 0 else -1
-        cs.append(product.coefficient_in_var(3, p**i) * sign)
+    cs = [product.coefficient_in_var(3, p**i) * sign for i, sign in enumerate(_SIGNS)]
     e3 = _e3(p)
     e3_sq = e3 * e3
     if e3_sq == cs[0]:
@@ -171,13 +175,12 @@ def compute(p: int) -> DicksonSet:
 
 
 def _restricted_product_direct(p: int) -> UPoly:
-    """Route A: substitute first, then expand all p^3 linear factors
-    (X + v1*t) one by one."""
-    factors = [UPoly(p, (a, 1)) for a in range(p)]
-    product = UPoly.one(p)
-    for v in itertools.product(range(p), repeat=_RANK):
-        product = product * factors[v[0]]
-    return product
+    """Route A: substitute first, then multiply all p^3 linear factors
+    X + v1*t out as forms in (X, t) with _dense_product, and read the
+    coefficient of X^e t^(p^3 - e) as that of X^e."""
+    forms = [(1, v[0]) for v in itertools.product(range(p), repeat=_RANK)]
+    terms = _dense_product(p, forms).terms
+    return UPoly(p, [terms.get((e, p**_RANK - e), 0) for e in range(p**_RANK + 1)])
 
 
 def _restricted_product_power(p: int) -> UPoly:
@@ -217,16 +220,14 @@ def rank1_restriction(p: int) -> dict:
     direct = _restricted_product_direct(p)
     closed = _restricted_product_closed(p)
     routes_agree = direct == _restricted_product_power(p) == closed
-    images = []
-    for i in range(_RANK):
-        sign = 1 if (_RANK - i) % 2 == 0 else -1
-        images.append(UPoly.monomial(p, sign * direct.coefficient(p**i), p**_RANK - p**i))
-    # e3 restricts through its factored form: one vanishing factor kills it
-    e3_image = UPoly.one(p)
-    for v in antipodal_representatives(p):
-        e3_image = e3_image * UPoly(p, (0, v[0]))
+    images = tuple(UPoly.monomial(p, sign * direct.coefficient(p**i), p**_RANK - p**i)
+                   for i, sign in enumerate(_SIGNS))
+    # e3 restricts through its factored form, the product of the factors
+    # v1*t: one vanishing factor kills it
+    reps = antipodal_representatives(p)
+    e3_image = UPoly.monomial(p, math.prod(v[0] for v in reps), len(reps))
     return {
-        "images": tuple(images),
+        "images": images,
         "e3_image": e3_image,
         "routes_agree": routes_agree,
         "closed_form": _render_restricted(closed),
@@ -282,6 +283,9 @@ def lemma_facts(p: int, full: bool = False) -> CheckResult:
     _check_supported_prime(p)
     d = subring_bound(p)
     problems: list[str] = []
+    # the y-variables sit in cohomological degree 2
+    expected = {"c0": 2 * (p**3 - 1), "c1": 2 * (p**3 - p),
+                "c2": 2 * (p**3 - p**2), "e3": p**3 - 1}
 
     restriction = rank1_restriction(p)
     images = restriction["images"]
@@ -304,12 +308,7 @@ def lemma_facts(p: int, full: bool = False) -> CheckResult:
         },
         "restriction_routes_agree": restriction["routes_agree"],
         "collapsed_orbit_product": restriction["closed_form"],
-        "expected_cohomological_degrees": {
-            "c0": 2 * (p**3 - 1),
-            "c1": 2 * (p**3 - p),
-            "c2": 2 * (p**3 - p**2),
-            "e3": p**3 - 1,
-        },
+        "expected_cohomological_degrees": expected,
         "full_expansion": bool(full),
     }
 
@@ -321,14 +320,13 @@ def lemma_facts(p: int, full: bool = False) -> CheckResult:
                             f" expected {expected_support}")
         if not ds.monic:
             problems.append("orbit product is not monic in X")
-        # the y-variables sit in cohomological degree 2
-        degrees = tuple(2 * c.total_degree for c in ds.cs)
-        expected_degrees = (2 * (p**3 - 1), 2 * (p**3 - p), 2 * (p**3 - p**2))
-        if degrees != expected_degrees:
-            problems.append(f"degrees {degrees}, expected {expected_degrees}")
-        e3_degree = 2 * ds.e3.total_degree
-        if e3_degree != p**3 - 1:
-            problems.append(f"e3 degree {e3_degree}, expected {p**3 - 1}")
+        degrees = dict(zip(expected, (2 * f.total_degree for f in (*ds.cs, ds.e3))))
+        *got, e3_degree = degrees.values()
+        *want, e3_want = expected.values()
+        if got != want:
+            problems.append(f"degrees {tuple(got)}, expected {tuple(want)}")
+        if e3_degree != e3_want:
+            problems.append(f"e3 degree {e3_degree}, expected {e3_want}")
         if ds.sign is None:
             problems.append("e3^2 is not a unit multiple of c_{3,0}")
         violations = sl3_invariance_check(ds)
@@ -344,12 +342,7 @@ def lemma_facts(p: int, full: bool = False) -> CheckResult:
             problems.append("expanded restriction disagrees with factored routes")
         evidence.update(
             {
-                "cohomological_degrees": {
-                    "c0": degrees[0],
-                    "c1": degrees[1],
-                    "c2": degrees[2],
-                    "e3": e3_degree,
-                },
+                "cohomological_degrees": degrees,
                 "e3_squared_sign": ds.sign,
                 "transvection_invariance": not violations,
                 "expanded_restriction_cross_check": cross,

@@ -48,14 +48,14 @@ V200 = "1 + 3*t^100 + t^200"  # (1 - t^100)^2 over F_5
 
 @pytest.fixture
 def fresh_tables(monkeypatch):
-    """An empty count-table memo for one test, the true one restored after
-    it.  The tables and _class_poly's expansions are classify's only memos,
+    """An empty count-table memo and a fresh _class_poly memo for one test,
+    the true ones restored after it.  These are classify's two memos of
+    results; its other caches hold pure values built from their arguments,
     and no judgement is memoized, so a test that changes a character,
-    predicate, bound or expected value needs nothing more.  A test that
-    patches classify.chern_of_counts must also call
-    classify._class_poly.cache_clear(), or the expansions memoized before the
-    patch are read back."""
+    predicate, bound, expected value or classify.chern_of_counts needs
+    nothing more."""
     monkeypatch.setattr(classify, "_TABLES", {})
+    monkeypatch.setattr(classify, "_class_poly", functools.cache(classify._class_poly.__wrapped__))
 
 
 @pytest.fixture(scope="module")
@@ -238,7 +238,6 @@ class TestClassifyF4Mod3:
             raise AssertionError("theorem-1.1 must not work point by point")
 
         monkeypatch.setattr(classify, "chern_of_counts", counted)
-        classify._class_poly.cache_clear()
         # every per-point class (chern_named, total_chern) expands here
         monkeypatch.setattr(chern, "chern_of_exponents", forbidden)
         result = classify_f4_mod3()
@@ -945,7 +944,6 @@ class TestSweepMod5:
             return real(p, counts)
 
         monkeypatch.setattr(classify, "chern_of_counts", counted)
-        classify._class_poly.cache_clear()
         assert cli.main(["verify", "all", "--mode", mode, "--out", str(tmp_path)]) == 0
         assert len(calls) == len(set(calls)) == 87
 

@@ -243,6 +243,20 @@ class TestOrbitProductMod5:
         forms = [v + (1,) for v in itertools.product(range(p), repeat=3)]
         assert dickson.orbit_product(p) == dickson._dense_product(p, forms)
 
+    def test_stages_multiply_norm_pairs(self, monkeypatch):
+        # each stage multiplies R(X + a*y) R(X - a*y) for a = 1, 2, the two
+        # pairs together, then R(X): twelve products, no operand over the
+        # 240 terms of the last stage's pairs
+        sizes = []
+        real = MPoly.__mul__
+        monkeypatch.setattr(
+            MPoly, "__mul__", lambda a, b: sizes.append((len(a.terms), len(b.terms))) or real(a, b)
+        )
+        assert len(dickson.orbit_product(5).terms) == 377
+        assert len(sizes) == 12
+        assert max(map(max, sizes)) <= 240
+        assert sum(a * b for a, b in sizes) <= 9610
+
     def test_x_support_and_degrees(self):
         product = dickson.orbit_product(5)
         assert product.support_in_var(3) == [1, 5, 25, 125]
@@ -305,6 +319,36 @@ class TestMutations:
         problems = result.evidence["problems"]
         assert "e3^2 is not a unit multiple of c_{3,0}" in problems
         assert any(problem.startswith("e3 degree") for problem in problems)
+
+
+class TestDenseKernel:
+    """Route A of the restriction multiplies its p^3 factors with
+    _dense_product, so a fault in that kernel reaches the default
+    (restricted) facts, not only the full expansion's e3."""
+
+    @staticmethod
+    def _drop_last_form(monkeypatch):
+        real = dickson._dense_product
+        monkeypatch.setattr(dickson, "_dense_product", lambda p, forms: real(p, forms[:-1]))
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_dropped_form_splits_the_routes(self, monkeypatch, p):
+        self._drop_last_form(monkeypatch)
+        assert not dickson.rank1_restriction(p)["routes_agree"]
+
+    def test_dropped_form_falsifies_the_default_mod5_facts(self, monkeypatch):
+        self._drop_last_form(monkeypatch)
+        result = dickson.lemma_facts(5)
+        assert result.status == "Falsified"
+        assert "restriction routes disagree" in result.evidence["problems"]
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_route_a_makes_no_upoly_product(self, monkeypatch, p):
+        calls = []
+        real = UPoly.__mul__
+        monkeypatch.setattr(UPoly, "__mul__", lambda a, b: calls.append(b) or real(a, b))
+        assert dickson._restricted_product_direct(p) == dickson._restricted_product_closed(p)
+        assert calls == []
 
 
 def _without_x1(product: MPoly) -> MPoly:
